@@ -17,7 +17,6 @@ from .commutators import (
     StrippedLevelRecord,
     build_counterexample,
     certify_commutator,
-    quasinilpotency_trace,
     spectrum_union_check,
     stripped_pair_checks,
     verify_counterexample,
@@ -34,18 +33,14 @@ from .linalg import (
     ComplexMatrix,
     SchurConvergenceError,
     SchurForm,
-    SpectralRadiusDiagnostics,
-    commutator,
     corner_unit,
     eigenvalues,
-    frobenius_norm,
     is_nilpotent,
     match_distance,
     operator_norm,
     schur,
     shift_matrix,
     spectral_radius,
-    spectral_radius_diagnostics,
 )
 from .matio import (
     MatrixFormatError,
@@ -64,7 +59,6 @@ from .operators import (
     corner_compression,
     decay_report,
     make_schedule,
-    nilpotent_approximant,
     operator_from_matrix,
     split,
 )
@@ -94,7 +88,6 @@ __all__ = [
     "MatrixFormatError",
     "SchurConvergenceError",
     "SchurForm",
-    "SpectralRadiusDiagnostics",
     "SpectralReport",
     "StrippedChecksReport",
     "StrippedLevelRecord",
@@ -103,7 +96,6 @@ __all__ = [
     "block_tridiagonalize",
     "build_counterexample",
     "certify_commutator",
-    "commutator",
     "common_eigenvector",
     "conjugate_blocks",
     "corner_compression",
@@ -112,16 +104,13 @@ __all__ = [
     "decompose",
     "diagonal_part",
     "eigenvalues",
-    "frobenius_norm",
     "is_nilpotent",
     "make_schedule",
     "match_distance",
     "matrix_document",
     "mccoy_sample",
-    "nilpotent_approximant",
     "operator_from_matrix",
     "operator_norm",
-    "quasinilpotency_trace",
     "quasinilpotent_part_certificate",
     "read_matrix",
     "render_report",
@@ -129,7 +118,6 @@ __all__ = [
     "shift_matrix",
     "simultaneous_triangularize",
     "spectral_radius",
-    "spectral_radius_diagnostics",
     "spectrum_union_check",
     "split",
     "stripped_pair_checks",

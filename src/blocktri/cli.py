@@ -102,8 +102,6 @@ def _schedule_from_config(config, default_levels=3):
 
 def _operators_from_files(paths):
     mats = [read_matrix(p) for p in paths]
-    if mats[0].shape != mats[1].shape:
-        raise ValueError(f"input sizes differ: {mats[0].shape} vs {mats[1].shape}")
     tri = block_tridiagonalize([m.array for m in mats], mode="padded")
     band_tol = 1e-8 * (1.0 + max(operator_norm(m) for m in mats))
     ops = [
@@ -118,8 +116,6 @@ def _cmd_tridiagonalize(config):
     if not 1 <= len(config.inputs) <= 2:
         raise _UsageError("tridiagonalize takes one or two matrix files")
     mats = [read_matrix(p) for p in config.inputs]
-    if len(mats) == 2 and mats[0].shape != mats[1].shape:
-        raise ValueError(f"input sizes differ: {mats[0].shape} vs {mats[1].shape}")
     tri = block_tridiagonalize([m.array for m in mats], mode="padded")
     tol = config.tolerances["band"]
     checks = [verify_block_structure(t, tri.realized_schedule, tol) for t in tri.transformed]

@@ -27,13 +27,7 @@ from .linalg import (
     shift_matrix,
     spectral_radius,
 )
-from .operators import (
-    BlockSchedule,
-    BlockTridiagOperator,
-    corner_compression,
-    decay_report,
-    split,
-)
+from .operators import BlockSchedule, BlockTridiagOperator, corner_compression, split
 from .triangular import _iter_word_products, simultaneous_triangularize, word_value
 
 __all__ = [
@@ -45,7 +39,6 @@ __all__ = [
     "StrippedLevelRecord",
     "StrippedChecksReport",
     "certify_commutator",
-    "quasinilpotency_trace",
     "build_counterexample",
     "verify_counterexample",
     "spectrum_union_check",
@@ -151,7 +144,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     )
 
 
-def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=None, samples=64, seed=0):
+def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=None, seed=0):
     """Certify quasinilpotency of [c, z] corner by corner.
 
     Each corner pair (C''_n, Z''_n) for n <= n_max goes through
@@ -174,7 +167,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
         n_max = min(_default_n_max(c.schedule), depth)
     if not 1 <= n_max <= depth:
         raise ValueError(f"n_max {n_max} outside materializable range 1..{depth}")
-    tri_opts = {"tol": tri_tol, "word_len": word_len, "samples": samples, "seed": seed}
+    tri_opts = {"tol": tri_tol, "word_len": word_len, "seed": seed}
     block_certs = {}
     records = []
     first_refuted = None
@@ -207,58 +200,6 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     return SpectralReport(
         levels=tuple(records), verdict=verdict, tol=tol,
         first_refuted_level=first_refuted, note=note,
-    )
-
-
-_TRACE_NOTE = "truncation-level certificate: radii cover the materialized corners only"
-
-
-def quasinilpotency_trace(source, n_max, tol=1e-9):
-    """Spectral radii of nested corners, with a truncation-level verdict.
-
-    ``source`` is a BlockTridiagOperator (corners assembled here, decay
-    certificate checked) or a callable n -> square matrix producing
-    nested principal corners; nesting must be bitwise (each corner is the
-    leading submatrix of the next), anything else raises ``ValueError``.
-    Verdict "certified_quasinilpotent" needs radius <= tol at every level
-    and, for operator sources, a passing decay report.  The note records
-    that this certifies corners, not the infinite operator.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    if isinstance(source, BlockTridiagOperator):
-        if n_max > source.levels:
-            raise ValueError(f"n_max {n_max} outside materializable range 1..{source.levels}")
-        corners = [corner_compression(source, n).array for n in range(1, n_max + 1)]
-        decay = decay_report(source, n_max)
-        decay_ok = decay.passed
-        if decay_ok:
-            note = f"{_TRACE_NOTE}; decay bound holds through level {n_max}"
-        else:
-            note = f"{_TRACE_NOTE}; decay bound violated at levels {list(decay.violations)}"
-    else:
-        corners = [_as_array(source(n), square=True, name=f"corner {n}") for n in range(1, n_max + 1)]
-        decay_ok = True
-        note = f"{_TRACE_NOTE}; callable input carries no decay certificate"
-    for i, (prev, cur) in enumerate(zip(corners, corners[1:]), start=1):
-        k = prev.shape[0]
-        if cur.shape[0] < k or not np.array_equal(cur[:k, :k], prev):
-            raise ValueError(f"corners must nest bitwise; level {i} is not the leading corner of level {i + 1}")
-    records = []
-    for n, m in enumerate(corners, start=1):
-        radius = spectral_radius(m)
-        records.append(
-            LevelRecord(
-                level=n, radius=radius, norm=operator_norm(m),
-                status="ok" if radius <= tol else "exceeds_tol",
-            )
-        )
-    certified = decay_ok and all(r.status == "ok" for r in records)
-    return SpectralReport(
-        levels=tuple(records),
-        verdict="certified_quasinilpotent" if certified else "not_certified",
-        tol=tol,
-        note=note,
     )
 
 
@@ -306,7 +247,7 @@ class CounterexampleReport:
     passed: bool
 
 
-def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, samples=64, seed=0):
+def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     """Check the four defining properties of a counterexample pair.
 
     Per level j <= n_max: (i) the scaled block commutator [C_j, Z_j] is
@@ -353,7 +294,6 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, samples=
             corner_compression(pair.c_op, j),
             corner_compression(pair.z_op, j),
             word_len=word_len,
-            samples=samples,
             seed=seed,
         )
         detail = f"verdict {cert.verdict}"

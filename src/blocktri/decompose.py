@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .operators import (
     BlockTridiagOperator,
+    _level_of,
     corner_compression,
     make_schedule,
     operator_from_matrix,
@@ -42,6 +43,8 @@ __all__ = [
     "quasinilpotent_part_certificate",
     "diagonal_part",
 ]
+
+_DIAG_TOL = 1e-10  # a block diagonal counts as zero below this, relative to 1 + ||block||
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
         raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     q = result.quasinil.array
     size = q.shape[0]
-    level_of = np.searchsorted(np.asarray(sched.cumsums), np.arange(size), side="right")
+    level_of = _level_of(sched, size)
     band = (level_of[:, None] - level_of[None, :]) == 1
     structural_ok = not q[~band].any()
     coupling_norms = [operator_norm(b) for b in result.q_blocks]
@@ -232,8 +235,8 @@ class DiagonalSplit:
     """delta split as diagonal (normal part) plus strict upper, with Q' alongside.
 
     ``normal[n-1]`` is the diagonal of Delta_n; ``zero_diagonal`` is True
-    when every block diagonal vanishes (relative to the block norm), the
-    all-nilpotent-blocks case.
+    when every block diagonal stays within ``_DIAG_TOL`` (relative to
+    1 + the block norm), the all-nilpotent-blocks case.
     """
 
     normal: tuple
@@ -242,7 +245,7 @@ class DiagonalSplit:
     zero_diagonal: bool
 
 
-def diagonal_part(result, diag_tol=1e-10):
+def diagonal_part(result):
     """Split delta into its diagonal and the strict-upper remainder.
 
     The pieces reassemble bitwise: diag + strict_upper = delta and
@@ -258,7 +261,7 @@ def diagonal_part(result, diag_tol=1e-10):
         block = delta[lo:hi, lo:hi]
         d = np.diag(block).copy()
         diags.append(d)
-        if d.size and float(np.abs(d).max()) > diag_tol * (1.0 + operator_norm(block)):
+        if d.size and float(np.abs(d).max()) > _DIAG_TOL * (1.0 + operator_norm(block)):
             zero_flag = False
     upper = delta.copy()
     np.fill_diagonal(upper, 0.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ComplexMatrix, _as_array
-from .operators import BlockSchedule, make_schedule
+from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedule
 
 __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure", "BandCheck"]
 
@@ -48,13 +48,6 @@ class TridiagResult:
     stabilized_dim: int | None
 
 
-def _schedule_level_size(num_ops, level):
-    if level == 1:
-        return 1
-    ratio = 2 * num_ops + 1
-    return (ratio - 1) * ratio ** (level - 2)
-
-
 def _reorthogonalize(w, basis, count):
     # modified Gram-Schmidt with one reorthogonalization pass
     r = np.array(w, dtype=np.complex128)
@@ -65,7 +58,30 @@ def _reorthogonalize(w, basis, count):
     return r
 
 
-def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
+def _complete(basis, count, want, cursor):
+    """Append up to ``want`` standard basis vectors, orthonormalized, from e_cursor on.
+
+    Vectors whose residual stays below ``_PAD_TOL`` are skipped.  The
+    cursor cannot run out while columns are missing: the squared distances
+    of e_1..e_N to a d-dimensional span sum to N - d >= 1, and the vectors
+    before the cursor already lie within ``_PAD_TOL`` of the span, so some
+    later e_i clears the bar.  Returns the new column count and cursor.
+    """
+    n_dim = basis.shape[0]
+    stop = count + want
+    while count < stop and cursor < n_dim:
+        e = np.zeros(n_dim, dtype=np.complex128)
+        e[cursor] = 1.0
+        cursor += 1
+        r = _reorthogonalize(e, basis, count)
+        rn = np.linalg.norm(r)
+        if rn > _PAD_TOL:
+            basis[:, count] = r / rn
+            count += 1
+    return count, cursor
+
+
+def block_tridiagonalize(ops, start=None, mode="adaptive"):
     """Jointly block-tridiagonalize one or two square matrices.
 
     Parameters
@@ -74,10 +90,10 @@ def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
     start : length-N vector, default e_1
         Seed direction; must be nonzero.
     mode : "adaptive" or "padded"
-    rank_tol : float
-        A candidate image counts as a new direction when its residual
-        after orthogonalization exceeds ``rank_tol`` times the largest
-        image norm of the level.
+
+    A candidate image counts as a new direction when its residual after
+    orthogonalization exceeds ``_RANK_TOL`` times the largest image norm
+    of the level.
 
     Returns a :class:`TridiagResult`; the realized sizes always satisfy
     k_{n+1} <= 2 m K_n, and the transformed matrices are block
@@ -89,8 +105,8 @@ def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
     if not 1 <= len(mats) <= 2:
         raise ValueError("expected one or two operators")
     n_dim = mats[0].shape[0]
-    if any(m.shape[0] != n_dim for m in mats):
-        raise ValueError("operators must share one size")
+    if len(mats) == 2 and mats[0].shape != mats[1].shape:
+        raise ValueError(f"operators must share one size, got {mats[0].shape} vs {mats[1].shape}")
     if start is None:
         v = np.zeros(n_dim, dtype=np.complex128)
         v[0] = 1.0
@@ -112,7 +128,7 @@ def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
     basis[:, 0] = v
     sizes = [1]
     count = 1
-    pad_cursor = 0
+    cursor = 0
     stabilized = None
 
     while count < n_dim:
@@ -123,7 +139,7 @@ def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
         for w in images:
             r = _reorthogonalize(w, basis, count + accepted)
             rn = np.linalg.norm(r)
-            if rn > rank_tol * level_norm:
+            if rn > _RANK_TOL * level_norm:
                 basis[:, count + accepted] = r / rn
                 accepted += 1
         if mode == "adaptive":
@@ -131,35 +147,17 @@ def block_tridiagonalize(ops, start=None, mode="adaptive", rank_tol=_RANK_TOL):
                 stabilized = count
                 break
         else:
-            target = min(_schedule_level_size(len(mats), len(sizes) + 1), n_dim - count)
-            while accepted < target and pad_cursor < n_dim:
-                e = np.zeros(n_dim, dtype=np.complex128)
-                e[pad_cursor] = 1.0
-                pad_cursor += 1
-                r = _reorthogonalize(e, basis, count + accepted)
-                rn = np.linalg.norm(r)
-                if rn > _PAD_TOL:
-                    basis[:, count + accepted] = r / rn
-                    accepted += 1
-            if accepted < target:
-                raise RuntimeError("padding failed to complete the level")  # unreachable
+            # the saturated pattern for len(mats) operators, clipped to the space left
+            target = min(_pattern_sizes(2 * len(mats) + 1, len(sizes) + 1)[-1], n_dim - count)
+            filled, cursor = _complete(basis, count + accepted, target - accepted, cursor)
+            accepted = filled - count
         sizes.append(accepted)
         count += accepted
 
     if stabilized is not None and count < n_dim:
-        added = 0
-        for i in range(n_dim):
-            if count + added == n_dim:
-                break
-            e = np.zeros(n_dim, dtype=np.complex128)
-            e[i] = 1.0
-            r = _reorthogonalize(e, basis, count + added)
-            rn = np.linalg.norm(r)
-            if rn > _PAD_TOL:
-                basis[:, count + added] = r / rn
-                added += 1
-        sizes.append(added)
-        count += added
+        filled, cursor = _complete(basis, count, n_dim - count, cursor)
+        sizes.append(filled - count)
+        count = filled
 
     realized = make_schedule("custom", sizes=tuple(sizes))
     q = ComplexMatrix(basis)
@@ -190,7 +188,5 @@ def verify_block_structure(a, schedule, tol=1e-10):
     n = arr.shape[0]
     if schedule.cumsums[-1] < n:
         raise ValueError(f"schedule covers {schedule.cumsums[-1]} dims, matrix has {n}")
-    level_of = np.searchsorted(np.asarray(schedule.cumsums), np.arange(n), side="right")
-    outside = np.abs(level_of[:, None] - level_of[None, :]) >= 2
-    residual = float(np.abs(arr[outside]).max()) if outside.any() else 0.0
+    residual = _off_band_max(arr, schedule)
     return BandCheck(residual=residual, tol=tol, passed=residual < tol)

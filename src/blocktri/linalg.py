@@ -18,19 +18,18 @@ __all__ = [
     "ComplexMatrix",
     "SchurForm",
     "SchurConvergenceError",
-    "SpectralRadiusDiagnostics",
     "operator_norm",
-    "frobenius_norm",
     "eigenvalues",
     "spectral_radius",
-    "spectral_radius_diagnostics",
     "is_nilpotent",
-    "commutator",
     "shift_matrix",
     "corner_unit",
     "schur",
     "match_distance",
 ]
+
+
+_SCHUR_TOL = 1e-10  # acceptance bound on every Schur residual
 
 
 class SchurConvergenceError(RuntimeError):
@@ -44,8 +43,7 @@ class SchurConvergenceError(RuntimeError):
 class ComplexMatrix:
     """Immutable dense complex matrix with finite entries.
 
-    Wraps a read-only ``complex128`` array in row-major order.  Arithmetic
-    (``+``, ``-``, scalar ``*``, ``@``) returns new instances, and
+    Wraps a private, read-only, row-major ``complex128`` copy of its input.
     ``np.asarray`` works directly on a ``ComplexMatrix``, so numpy routines
     accept it without unwrapping.
 
@@ -56,31 +54,9 @@ class ComplexMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.complex128, order="C")
-        if a.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got {a.ndim}-D data")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
+        a = _as_array(np.array(entries, dtype=np.complex128, order="C"))
         a.setflags(write=False)
         self._a = a
-
-    @classmethod
-    def zeros(cls, rows, cols=None):
-        return cls(np.zeros((rows, rows if cols is None else cols)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n))
-
-    @property
-    def rows(self):
-        return self._a.shape[0]
-
-    @property
-    def cols(self):
-        return self._a.shape[1]
 
     @property
     def shape(self):
@@ -91,46 +67,13 @@ class ComplexMatrix:
         """The underlying read-only ``complex128`` array."""
         return self._a
 
-    @property
-    def entries(self):
-        """Row-major flat view of the entries (read-only)."""
-        return self._a.reshape(-1)
-
-    @property
-    def h(self):
-        """Conjugate transpose."""
-        return ComplexMatrix(self._a.conj().T)
-
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
             return self._a
         return self._a.astype(dtype)
 
-    def __getitem__(self, key):
-        return self._a[key]
-
-    def __matmul__(self, other):
-        return ComplexMatrix(self._a @ _as_array(other))
-
-    def __rmatmul__(self, other):
-        return ComplexMatrix(_as_array(other) @ self._a)
-
-    def __add__(self, other):
-        return ComplexMatrix(self._a + _as_array(other))
-
-    def __sub__(self, other):
-        return ComplexMatrix(self._a - _as_array(other))
-
-    def __mul__(self, scalar):
-        return ComplexMatrix(self._a * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexMatrix(-self._a)
-
     def __repr__(self):
-        return f"ComplexMatrix({self.rows}x{self.cols})"
+        return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
 
 
 def _as_array(m, square=False, name="matrix"):
@@ -150,14 +93,19 @@ def _as_array(m, square=False, name="matrix"):
     return a
 
 
+def _square_pair(a, b):
+    """Validate two square matrices of one size; returns their arrays."""
+    aa = _as_array(a, square=True, name="a")
+    bb = _as_array(b, square=True, name="b")
+    if aa.shape != bb.shape:
+        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
+    return aa, bb
+
+
 def operator_norm(a):
     """Largest singular value of ``a``."""
     arr = _as_array(a)
     return float(scipy.linalg.svdvals(arr)[0])
-
-
-def frobenius_norm(a):
-    return float(np.linalg.norm(_as_array(a)))
 
 
 def _strict_lower_max(arr):
@@ -198,38 +146,6 @@ def spectral_radius(a):
     return float(np.abs(eigenvalues(a)).max())
 
 
-@dataclass(frozen=True)
-class SpectralRadiusDiagnostics:
-    """Spectral radius together with Gelfand-quotient cross checks.
-
-    ``gelfand[k]`` holds ||a^k||^(1/k); for well-conditioned inputs these
-    decrease toward the radius and flag severe non-normality when they
-    stay far above it.
-    """
-
-    radius: float
-    gelfand: dict
-
-
-def spectral_radius_diagnostics(a, powers=None):
-    arr = _as_array(a, square=True)
-    n = arr.shape[0]
-    if powers is None:
-        powers = (n, 2 * n)
-    nrm = operator_norm(arr)
-    gelfand = {}
-    for k in powers:
-        if k < 1:
-            raise ValueError("powers must be positive")
-        if nrm == 0.0:
-            gelfand[int(k)] = 0.0
-            continue
-        # work on a / ||a|| so powers can neither overflow nor underflow badly
-        pk = operator_norm(np.linalg.matrix_power(arr / nrm, int(k)))
-        gelfand[int(k)] = float(nrm * pk ** (1.0 / k))
-    return SpectralRadiusDiagnostics(radius=spectral_radius(arr), gelfand=gelfand)
-
-
 def is_nilpotent(a, tol=1e-8):
     """Whether ``(a/||a||)^n`` has operator norm at most ``tol`` (n = dimension).
 
@@ -245,15 +161,6 @@ def is_nilpotent(a, tol=1e-8):
         return True
     p = np.linalg.matrix_power(arr / nrm, arr.shape[0])
     return operator_norm(p) <= tol
-
-
-def commutator(a, b):
-    """a @ b - b @ a for square matrices of equal size."""
-    aa = _as_array(a, square=True, name="a")
-    bb = _as_array(b, square=True, name="b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
-    return ComplexMatrix(aa @ bb - bb @ aa)
 
 
 def shift_matrix(n):
@@ -319,7 +226,7 @@ def _order_descending_modulus(t, q):
             j -= 1
 
 
-def schur(a, *, order=None, tol_unit=1e-10, tol_tri=1e-10, tol_recon=1e-10):
+def schur(a, *, order=None):
     """Complex Schur factorization ``a = Q T Q*`` with verified residuals.
 
     Parameters
@@ -328,9 +235,10 @@ def schur(a, *, order=None, tol_unit=1e-10, tol_tri=1e-10, tol_recon=1e-10):
     order : None or "modulus"
         "modulus" reorders the triangular factor so diagonal eigenvalues
         appear in nonincreasing modulus, ties broken by (real, imag).
-    tol_unit, tol_tri, tol_recon : float
-        Acceptance bounds for unitarity, triangularity of the raw factor,
-        and reconstruction, all relative.
+
+    Unitarity, triangularity of the raw factor and reconstruction must
+    each stay within ``_SCHUR_TOL``, the last two relative to the norms
+    of the factor and of ``a``.
 
     Raises ``SchurConvergenceError`` (with the offending residual) instead
     of returning an unverified factorization.
@@ -355,17 +263,17 @@ def schur(a, *, order=None, tol_unit=1e-10, tol_tri=1e-10, tol_recon=1e-10):
     discarded = _strict_lower_max(t)
     t = np.triu(t)
     norm_a = operator_norm(arr)
-    if discarded > tol_tri * (1.0 + operator_norm(t)):
+    if discarded > _SCHUR_TOL * (1.0 + operator_norm(t)):
         raise SchurConvergenceError(
             f"triangular factor residual {discarded:.3e} above tolerance", residual=discarded
         )
     unit_res = operator_norm(q.conj().T @ q - np.eye(n))
-    if unit_res > tol_unit:
+    if unit_res > _SCHUR_TOL:
         raise SchurConvergenceError(
             f"unitarity residual {unit_res:.3e} above tolerance", residual=unit_res
         )
     recon_res = operator_norm(q @ t @ q.conj().T - arr)
-    if recon_res > tol_recon * norm_a:
+    if recon_res > _SCHUR_TOL * norm_a:
         raise SchurConvergenceError(
             f"reconstruction residual {recon_res:.3e} above tolerance", residual=recon_res
         )

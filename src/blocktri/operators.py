@@ -10,6 +10,7 @@ nonincreasing decay bound dominating its block norms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ __all__ = [
     "make_schedule",
     "corner_compression",
     "split",
-    "nilpotent_approximant",
     "decay_report",
     "operator_from_matrix",
     "conjugate_blocks",
@@ -42,6 +42,18 @@ def _pattern_sizes(ratio, levels):
     for n in range(2, levels + 1):
         sizes.append(first_step * ratio ** (n - 2))
     return tuple(sizes)
+
+
+def _level_of(schedule, size):
+    """Zero-based schedule level of each of the indices 0..size-1."""
+    return np.searchsorted(np.asarray(schedule.cumsums), np.arange(size), side="right")
+
+
+def _off_band_max(arr, schedule):
+    """Largest modulus of the entries of square ``arr`` outside the block-tridiagonal band."""
+    level_of = _level_of(schedule, arr.shape[0])
+    outside = np.abs(level_of[:, None] - level_of[None, :]) >= 2
+    return float(np.abs(arr[outside]).max()) if outside.any() else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,29 +197,26 @@ class BlockTridiagOperator:
             return lower_blocks[n - 1]
 
         if decay is None:
-            level_norms = []
-            for n in range(1, levels + 1):
-                worst = operator_norm(diag_blocks[n - 1])
-                if n < levels:
-                    if upper_blocks is not None:
-                        worst = max(worst, operator_norm(upper_blocks[n - 1]))
-                    if lower_blocks is not None:
-                        worst = max(worst, operator_norm(lower_blocks[n - 1]))
-                level_norms.append(worst)
-            suffix = list(itertools.accumulate(reversed(level_norms), max))[::-1]
+            # the default bound is the suffix maximum of the level norms,
+            # computed on first use: most callers never read it
+            @functools.cache
+            def suffix():
+                level_norms = []
+                for n in range(1, levels + 1):
+                    worst = operator_norm(diag_blocks[n - 1])
+                    if n < levels:
+                        if upper_blocks is not None:
+                            worst = max(worst, operator_norm(upper_blocks[n - 1]))
+                        if lower_blocks is not None:
+                            worst = max(worst, operator_norm(lower_blocks[n - 1]))
+                    level_norms.append(worst)
+                return tuple(itertools.accumulate(reversed(level_norms), max))[::-1]
 
-            def decay(n, _suffix=tuple(suffix)):
-                return _suffix[n - 1] if n <= len(_suffix) else 0.0
+            def decay(n):
+                bounds = suffix()
+                return bounds[n - 1] if n <= len(bounds) else 0.0
 
         return cls(schedule, diag, upper, lower, decay, levels=levels)
-
-    @classmethod
-    def zeros(cls, schedule):
-        return cls.from_blocks(
-            schedule,
-            [np.zeros((k, k)) for k in schedule.sizes],
-            decay=lambda n: 0.0,
-        )
 
     # -- block access ------------------------------------------------------
 
@@ -261,14 +270,6 @@ class BlockTridiagOperator:
         return all(
             not self.lower_block(j).array.any() for j in range(1, min(n, self.levels))
         )
-
-    def upper_zero_through(self, n):
-        return all(
-            not self.upper_block(j).array.any() for j in range(1, min(n, self.levels))
-        )
-
-    def offdiag_zero_through(self, n):
-        return self.lower_zero_through(n) and self.upper_zero_through(n)
 
 
 def corner_compression(op, n):
@@ -329,25 +330,6 @@ def split(op):
         levels=op.levels,
     )
     return s, q
-
-
-def nilpotent_approximant(q, n):
-    """Corner of a lower part through level n+1, containing B_1..B_n.
-
-    The result is strictly lower block-bidiagonal, hence exactly
-    nilpotent: its (K_{n+1})-th power vanishes bitwise.  Raises
-    ``ValueError`` if ``q`` has any nonzero diagonal or upper block in
-    range (only lower parts admit nilpotent approximants).
-    """
-    if not 1 <= n <= q.levels - 1:
-        raise ValueError(f"approximant level {n} outside provider range 1..{q.levels - 1}")
-    for j in range(1, n + 2):
-        if q.diag_block(j).array.any():
-            raise ValueError(f"diag block {j} is nonzero; approximant needs a lower part")
-    for j in range(1, n + 1):
-        if q.upper_block(j).array.any():
-            raise ValueError(f"upper block {j} is nonzero; approximant needs a lower part")
-    return corner_compression(q, n + 1)
 
 
 @dataclass(frozen=True)
@@ -417,9 +399,7 @@ def operator_from_matrix(m, schedule, *, band_tol=0.0):
             f"schedule covers {schedule.cumsums[-1]} dims, matrix has {size}"
         )
     levels = schedule.levels
-    level_of = np.searchsorted(np.asarray(schedule.cumsums), np.arange(size), side="right")
-    outside = np.abs(level_of[:, None] - level_of[None, :]) >= 2
-    worst = float(np.abs(arr[outside]).max()) if outside.any() else 0.0
+    worst = _off_band_max(arr, schedule)
     if worst > band_tol:
         raise ValueError(f"matrix has off-band mass {worst:.3e} above band_tol")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array, _strict_lower_max, is_nilpotent, operator_norm
+from .linalg import ComplexMatrix, _square_pair, _strict_lower_max, is_nilpotent, operator_norm
 
 __all__ = [
     "TriangularizationCertificate",
@@ -63,7 +63,7 @@ def _numerical_kernel(m, rtol=KERNEL_RTOL):
     return np.ascontiguousarray(vh[rank:].conj().T)
 
 
-def _kernel_intersection_basis(a, b, rtol=KERNEL_RTOL):
+def _kernel_intersection_basis(a, b, na, nb):
     """Basis of N = intersection of ker([a^k, b^l]) over 1 <= k, l < n.
 
     N coincides with the largest subspace of ker([a, b]) invariant under
@@ -71,22 +71,20 @@ def _kernel_intersection_basis(a, b, rtol=KERNEL_RTOL):
     power commutator dies there, and conversely N itself is invariant and
     killed by [a, b].  The computation uses that characterization: start
     from the kernel of [a, b] and trim until the a- and b-images stay in
-    the span.  Inputs are normalized so rank thresholds are scale free.
-    Returns an orthonormal n x d basis, or None when N is numerically
-    trivial.
+    the span.  Inputs are normalized by their norms ``na`` and ``nb`` so
+    rank thresholds are scale free.  Returns an orthonormal n x d basis,
+    or None when N is numerically trivial.
     """
     n = a.shape[0]
     if n == 1:
         return np.eye(1, dtype=np.complex128)
-    na = operator_norm(a)
-    nb = operator_norm(b)
     a1 = a / na if na > 0 else a
     b1 = b / nb if nb > 0 else b
     # absolute cut on the normalized scale: a relative one (rtol * s[0]) can
     # fall below the noise left by earlier deflation truncations and miss the
     # kernel direction entirely
     _, s, vh = np.linalg.svd(a1 @ b1 - b1 @ a1)
-    rank = int(np.count_nonzero(s > rtol))
+    rank = int(np.count_nonzero(s > KERNEL_RTOL))
     v = np.ascontiguousarray(vh[rank:].conj().T)
     while 0 < v.shape[1] < n:
         av = a1 @ v
@@ -94,9 +92,10 @@ def _kernel_intersection_basis(a, b, rtol=KERNEL_RTOL):
         outflow = np.vstack([av - v @ (v.conj().T @ av), bv - v @ (v.conj().T @ bv)])
         _, s, vh = np.linalg.svd(outflow)
         # absolute threshold: the inputs are normalized, so escape mass below
-        # rtol counts as staying put (a relative one would read pure roundoff
-        # of an invariant subspace as full-rank outflow and trim it to nothing)
-        rank = int(np.count_nonzero(s > rtol))
+        # KERNEL_RTOL counts as staying put (a relative one would read pure
+        # roundoff of an invariant subspace as full-rank outflow and trim it
+        # to nothing)
+        rank = int(np.count_nonzero(s > KERNEL_RTOL))
         if rank == 0:
             break  # already invariant under both
         v = v @ np.ascontiguousarray(vh[rank:].conj().T)
@@ -142,7 +141,8 @@ def _inverse_polish(m, v, iters=2):
             w = np.linalg.solve(m - lam * eye, v)
         except np.linalg.LinAlgError:
             return v
-        nw = np.linalg.norm(w)
+        with np.errstate(over="ignore"):
+            nw = np.linalg.norm(w)
         if not np.isfinite(nw) or nw == 0.0:
             return v
         v = w / nw
@@ -185,10 +185,7 @@ def common_eigenvector(a, b, tol=1e-9):
     minimal in lexicographic (real, imag) order wins, then the minimal
     b-eigenvalue, then the smallest index.
     """
-    aa = _as_array(a, square=True, name="a")
-    bb = _as_array(b, square=True, name="b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
+    aa, bb = _square_pair(a, b)
     n = aa.shape[0]
     na = operator_norm(aa)
     nb = operator_norm(bb)
@@ -198,7 +195,7 @@ def common_eigenvector(a, b, tol=1e-9):
     if comm_norm <= 1e-14 * (1.0 + na * nb):
         basis = np.eye(n, dtype=np.complex128)
     else:
-        basis = _kernel_intersection_basis(aa, bb, KERNEL_RTOL)
+        basis = _kernel_intersection_basis(aa, bb, na, nb)
 
     if basis is not None and basis.shape[1] == 1:
         v = basis[:, 0] / np.linalg.norm(basis[:, 0])
@@ -276,10 +273,7 @@ def _word_letters(word):
 
 def word_value(word, a, b):
     """Evaluate a word over {x, y} as a product, x -> a, y -> b ('' -> identity)."""
-    aa = _as_array(a, square=True, name="a")
-    bb = _as_array(b, square=True, name="b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
+    aa, bb = _square_pair(a, b)
     out = np.eye(aa.shape[0], dtype=np.complex128)
     for ch in _word_letters(word):
         out = out @ (aa if ch == "x" else bb)
@@ -318,10 +312,7 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=1e-8):
     word in (length, lex) order is returned.  Returns the first refuting
     word, or None.  A None can never certify triangularizability.
     """
-    aa = _as_array(a, square=True, name="a")
-    bb = _as_array(b, square=True, name="b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
+    aa, bb = _square_pair(a, b)
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
     comm = aa @ bb - bb @ aa
@@ -345,19 +336,17 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=1e-8):
     return None
 
 
-def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, samples=64, seed=0, nilp_tol=1e-8):
+def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     """Decide simultaneous triangularizability of a pair by deflation.
 
     On success the certificate carries a unitary witness whose conjugation
     leaves both inputs with strict-lower mass below ``tol`` relative to
-    1 + ||a|| + ||b||.  When deflation sticks, ``mccoy_sample`` hunts for a
-    refuting word; failing that the verdict is "inconclusive" (deflation is
+    1 + ||a|| + ||b||.  When deflation sticks, ``mccoy_sample`` (with its
+    default sample count and nilpotency tolerance) hunts for a refuting
+    word; failing that the verdict is "inconclusive" (deflation is
     authoritative for success, words only ever refute).
     """
-    aa = _as_array(a, square=True, name="a")
-    bb = _as_array(b, square=True, name="b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"size mismatch: {aa.shape} vs {bb.shape}")
+    aa, bb = _square_pair(a, b)
     n = aa.shape[0]
     u = np.eye(n, dtype=np.complex128)
     wa = np.array(aa)
@@ -399,7 +388,7 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, samples=64, see
 
     if word_len is None:
         word_len = max(4, min(n - 2, 16))
-    word = mccoy_sample(aa, bb, max_word_len=word_len, samples=samples, seed=seed, tol=nilp_tol)
+    word = mccoy_sample(aa, bb, max_word_len=word_len, seed=seed)
     if word is not None:
         return TriangularizationCertificate(
             verdict="refuted",

@@ -181,8 +181,11 @@ def test_malformed_file_is_format_error(tmp_path, capsys):
 def test_dimension_mismatch_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(86)
     pa, pb = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(27, 27, rng))
-    code, out, err = run_cli(capsys, ["tridiagonalize", pa, pb])
-    assert code == 3
+    # one check, inside block_tridiagonalize, serves every pipeline that bands a pair
+    for command in ("tridiagonalize", "certify", "stripped-checks"):
+        code, out, err = run_cli(capsys, [command, pa, pb])
+        assert code == 3, command
+        assert "(25, 25)" in err and "(27, 27)" in err, err
 
 
 def test_unrealizable_levels_is_data_error(tmp_path, capsys):

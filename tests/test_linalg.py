@@ -6,17 +6,14 @@ import pytest
 from blocktri import (
     ComplexMatrix,
     SchurConvergenceError,
-    commutator,
     corner_unit,
     eigenvalues,
-    frobenius_norm,
     is_nilpotent,
     match_distance,
     operator_norm,
     schur,
     shift_matrix,
     spectral_radius,
-    spectral_radius_diagnostics,
 )
 from helpers import haar_unitary, random_complex
 
@@ -26,21 +23,14 @@ def test_complex_matrix_basics():
     assert m.shape == (2, 2)
     assert m.array.dtype == np.complex128
     assert m.array[0, 1] == 2j
-    adj = m.h.array
-    assert adj[1, 0] == -2j
+    assert np.asarray(m) is m.array
     with pytest.raises(ValueError):
         m.array[0, 0] = 5.0
-
-
-def test_complex_matrix_arithmetic():
-    a = ComplexMatrix([[1, 0], [0, 1]])
-    b = ComplexMatrix([[0, 1], [1, 0]])
-    assert np.array_equal((a + b).array, np.array([[1, 1], [1, 1]]))
-    assert np.array_equal((a - b).array, np.array([[1, -1], [-1, 1]]))
-    assert np.array_equal((a @ b).array, b.array)
-    assert np.array_equal((2.0 * b).array, 2.0 * b.array)
-    assert np.array_equal((b * 2.0).array, 2.0 * b.array)
-    assert np.array_equal((-b).array, -b.array)
+    # the wrapper holds its own copy: later writes to the source do not leak in
+    source = np.eye(2, dtype=np.complex128)
+    held = ComplexMatrix(source)
+    source[0, 0] = 7.0
+    assert held.array[0, 0] == 1.0
 
 
 def test_complex_matrix_validation():
@@ -52,21 +42,12 @@ def test_complex_matrix_validation():
         ComplexMatrix([[np.inf, 0], [0, 1]])
 
 
-def test_factories():
-    z = ComplexMatrix.zeros(2, 3)
-    assert z.shape == (2, 3)
-    assert not z.array.any()
-    i = ComplexMatrix.identity(3)
-    assert np.array_equal(i.array, np.eye(3))
-
-
 def test_norms_against_numpy():
     rng = np.random.default_rng(7)
     for _ in range(25):
         n = int(rng.integers(1, 9))
         a = random_complex(n, n, rng)
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
-        assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a, "fro"), rel=1e-12)
 
 
 def test_eigenvalues_triangular_exact():
@@ -100,15 +81,6 @@ def test_is_nilpotent():
         is_nilpotent(np.eye(2), tol=-1.0)
 
 
-def test_commutator():
-    a = shift_matrix(4).array
-    b = corner_unit(4).array
-    c = commutator(a, b).array
-    assert np.array_equal(c, a @ b - b @ a)
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
-
-
 def test_generators_entrywise():
     s = shift_matrix(4).array
     expected = np.zeros((4, 4))
@@ -122,17 +94,6 @@ def test_generators_entrywise():
         shift_matrix(0)
     with pytest.raises(ValueError):
         corner_unit(0)
-
-
-def test_spectral_radius_diagnostics():
-    diag = spectral_radius_diagnostics(np.diag([2.0, 1.0]))
-    assert diag.radius == pytest.approx(2.0)
-    for value in diag.gelfand.values():
-        assert value >= diag.radius - 1e-9
-    zero = spectral_radius_diagnostics(np.zeros((3, 3)), powers=(2,))
-    assert zero.gelfand == {2: 0.0}
-    with pytest.raises(ValueError):
-        spectral_radius_diagnostics(np.eye(2), powers=(0,))
 
 
 def test_schur_random_loop():

@@ -11,7 +11,6 @@ from blocktri import (
     corner_compression,
     decay_report,
     make_schedule,
-    nilpotent_approximant,
     operator_from_matrix,
     operator_norm,
     split,
@@ -62,7 +61,6 @@ def test_from_blocks_shapes_and_defaults():
     assert not op.upper_block(1).array.any()
     assert op.lower_block(1).shape == (3, 2)
     assert op.lower_zero_through(2)
-    assert op.offdiag_zero_through(2)
     with pytest.raises(ValueError):
         BlockTridiagOperator.from_blocks(sched, [np.eye(2)])
     with pytest.raises(ValueError):
@@ -167,21 +165,6 @@ def test_split_routes_blocks_exactly():
     assert np.array_equal(recombined, corner_compression(op, 3).array)
 
 
-def test_nilpotent_approximant_is_exactly_nilpotent():
-    sched = make_schedule("pair", 3)
-    op = random_operator(sched, np.random.default_rng(4))
-    _, q = split(op)
-    approx = nilpotent_approximant(q, 2).array
-    assert approx.shape == (25, 25)
-    assert not np.triu(approx).any()
-    power = np.linalg.matrix_power(approx, 25)
-    assert np.count_nonzero(power) == 0
-    with pytest.raises(ValueError):
-        nilpotent_approximant(op, 2)
-    with pytest.raises(ValueError):
-        nilpotent_approximant(q, 3)
-
-
 def test_decay_report_default_bound():
     sched = make_schedule("custom", sizes=(2, 2, 2))
     rng = np.random.default_rng(5)
@@ -192,6 +175,10 @@ def test_decay_report_default_bound():
     # declared bounds are the suffix maxima of the level norms, hence nonincreasing
     bounds = [row.bound for row in report.rows]
     assert bounds == sorted(bounds, reverse=True)
+    level_norms = [max(r.diag_norm, r.upper_norm or 0.0, r.lower_norm or 0.0) for r in report.rows]
+    assert bounds == [max(level_norms[i:]) for i in range(3)]
+    # past the last level the default bound is exactly zero
+    assert op.decay_bound(4) == 0.0
 
 
 def test_decay_report_flags_violations():
@@ -265,9 +252,3 @@ def test_conjugate_blocks_identity_and_haar():
     with pytest.raises(ValueError):
         bad.diag_block(1)
 
-
-def test_zeros_provider():
-    sched = make_schedule("pair", 2)
-    op = BlockTridiagOperator.zeros(sched)
-    assert not corner_compression(op, 2).array.any()
-    assert op.decay_bound(1) == 0.0
