@@ -7,7 +7,9 @@ a fixed command line with a fixed seed reproduces byte-identical output.
 
 Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
-malformed matrix files and dimension mismatches.
+malformed matrix files and dimension mismatches, 4 for numerical failures
+(a Schur factorization that misses its residual targets, or a LAPACK
+error).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .commutators import (
     build_counterexample,
@@ -24,9 +28,8 @@ from .commutators import (
 )
 from .decompose import decompose, diagonal_part, quasinilpotent_part_certificate
 from .krylov import block_tridiagonalize, verify_block_structure
-from .linalg import operator_norm
+from .linalg import SchurConvergenceError, operator_norm
 from .matio import (
-    MatrixFormatError,
     matrix_document,
     read_matrix,
     render_report,
@@ -407,10 +410,11 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except MatrixFormatError as exc:
+    except (SchurConvergenceError, np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError subclasses it, but is no input error
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+        return 4
+    except ValueError as exc:  # MatrixFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -162,11 +162,11 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     """
     if c.schedule != z.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    depth = min(c.levels, z.levels)
+    depth = c.levels
     if n_max is None:
         n_max = min(_default_n_max(c.schedule), depth)
     if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside materializable range 1..{depth}")
+        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     tri_opts = {"tol": tri_tol, "word_len": word_len, "seed": seed}
     block_certs = {}
     records = []
@@ -228,8 +228,8 @@ def build_counterexample(schedule):
     z_blocks = [corner_unit(k).array / k for k in sizes]
     return CounterexamplePair(
         schedule=schedule,
-        c_op=BlockTridiagOperator.from_blocks(schedule, c_blocks, decay=bound),
-        z_op=BlockTridiagOperator.from_blocks(schedule, z_blocks, decay=bound),
+        c_op=BlockTridiagOperator(schedule, c_blocks, decay=bound),
+        z_op=BlockTridiagOperator(schedule, z_blocks, decay=bound),
     )
 
 
@@ -355,11 +355,11 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    depth = min(k1.levels, k2.levels)
+    depth = k1.levels
     if n_max is None:
         n_max = min(_default_n_max(k1.schedule), depth)
     if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside materializable range 1..{depth}")
+        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     if word_len < 0:
         raise ValueError("word_len must be nonnegative")
     _, q1 = split(k1)

@@ -1,13 +1,13 @@
 """Structure decomposition: upper-triangular part plus quasinilpotent part.
 
-Any square matrix (or block-tridiagonal provider) is conjugated into the
+Any square matrix (or ``BlockTridiagOperator``) is conjugated into the
 sum of an assembled upper triangular matrix Delta and a strictly lower
 block-bidiagonal remainder Q'.  The pipeline is: block-tridiagonalize
 (dense inputs only), split off the lower coupling blocks, Schur-reduce
-each diagonal block, and reassemble under the direct sum of the block
-unitaries.  Q' is exactly nilpotent at every corner by its zero pattern,
-which makes the quasinilpotent certificate structural rather than
-numerical.
+each diagonal block, and reassemble the transformed blocks under the
+direct sum of the block unitaries.  Q' is exactly nilpotent at every
+corner by its zero pattern, which makes the quasinilpotent certificate
+structural rather than numerical.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .operators import (
     BlockTridiagOperator,
+    _assemble,
     _level_of,
     corner_compression,
     make_schedule,
@@ -71,13 +72,14 @@ class DecompositionResult:
 
 
 def decompose(t, levels=None, *, start=None):
-    """Decompose a matrix or provider into triangular plus quasinilpotent parts.
+    """Decompose a matrix or operator into triangular plus quasinilpotent parts.
 
     Dense inputs are first jointly tridiagonalized (padded single
     schedule, so the realized sizes follow 1, 2, 6, 18, ... until the
     dimension is exhausted); ``levels``, when given, asserts the input is
-    large enough to realize that many full pattern levels.  Providers
-    skip that step and are materialized through ``levels`` (default: all).
+    large enough to realize that many full pattern levels.  Operators
+    skip that step and use their own blocks through ``levels`` (default:
+    all).
     Each diagonal block then gets a Schur form with nonincreasing-modulus
     diagonal, and everything is reassembled under the direct sum of the
     block unitaries.
@@ -89,11 +91,11 @@ def decompose(t, levels=None, *, start=None):
         if levels is None:
             levels = t.levels
         if not 1 <= levels <= t.levels:
-            raise ValueError(f"levels {levels} outside provider range 1..{t.levels}")
+            raise ValueError(f"levels {levels} outside operator range 1..{t.levels}")
         sched = t.schedule.truncated(levels)
         w = None
         target = corner_compression(t, levels).array
-        source = operator_from_matrix(target, sched)
+        source = t
     else:
         arr = _as_array(t, square=True, name="t")
         if levels is not None:
@@ -128,15 +130,8 @@ def decompose(t, levels=None, *, start=None):
         q_blocks.append(units[n].conj().T @ source.lower_block(n).array @ units[n - 1])
 
     size = sched.cumsums[-1]
-    delta = np.zeros((size, size), dtype=np.complex128)
-    quasinil = np.zeros((size, size), dtype=np.complex128)
-    for n in range(1, depth + 1):
-        lo, hi = sched.block_bounds(n)
-        delta[lo:hi, lo:hi] = delta_diag[n - 1]
-        if n < depth:
-            lo2, hi2 = sched.block_bounds(n + 1)
-            delta[lo:hi, lo2:hi2] = delta_upper[n - 1]
-            quasinil[lo2:hi2, lo:hi] = q_blocks[n - 1]
+    delta = _assemble(sched, delta_diag, delta_upper, None)
+    quasinil = _assemble(sched, None, None, q_blocks)
     conjugated = delta + quasinil
 
     u = scipy.linalg.block_diag(*units).astype(np.complex128)
@@ -197,11 +192,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
         norm = operator_norm(corner) if kn > 1 else 0.0
         tail = coupling_norms[n:]
         expected = max(tail) if tail else 0.0
-        stripped = q.copy()
-        for j in range(1, min(n + 1, depth)):
-            lo, hi = sched.block_bounds(j)
-            lo2, hi2 = sched.block_bounds(j + 1)
-            stripped[lo2:hi2, lo:hi] = 0.0
+        stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
         gap = abs(operator_norm(stripped) - expected)
         worst_gap = max(worst_gap, gap)
         ok = radius <= tol and gap <= 1e-12 * (1.0 + expected)
@@ -252,18 +243,14 @@ def diagonal_part(result):
     delta + quasinil = conjugated, so the sum of the three returned parts
     is exactly the conjugated corner.
     """
-    delta = result.delta.array
-    sched = result.schedule
     diags = []
     zero_flag = True
-    for n in range(1, sched.levels + 1):
-        lo, hi = sched.block_bounds(n)
-        block = delta[lo:hi, lo:hi]
-        d = np.diag(block).copy()
+    for block, _ in result.delta_blocks:
+        d = np.diag(block.array).copy()
         diags.append(d)
         if d.size and float(np.abs(d).max()) > _DIAG_TOL * (1.0 + operator_norm(block)):
             zero_flag = False
-    upper = delta.copy()
+    upper = result.delta.array.copy()
     np.fill_diagonal(upper, 0.0)
     return DiagonalSplit(
         normal=tuple(diags),

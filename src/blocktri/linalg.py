@@ -68,8 +68,11 @@ class ComplexMatrix:
         return self._a
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._a
+        # copy=True gives a writable copy; copy=False refuses a dtype change
+        if dtype is None or (copy is not None and np.dtype(dtype) == self._a.dtype):
+            return self._a.copy() if copy else self._a
+        if copy is False:
+            raise ValueError(f"converting a complex128 matrix to {np.dtype(dtype)} needs a copy")
         return self._a.astype(dtype)
 
     def __repr__(self):

@@ -1,18 +1,17 @@
-"""Block-tridiagonal operator model: schedules, lazy block providers,
+"""Block-tridiagonal operator model: schedules, immutable block operators,
 corner compressions, splits, and decay reports.
 
 An operator here is given by its blocks along a size schedule
 (k_1, k_2, ...): diagonal blocks C_n (k_n x k_n), upper coupling blocks
-A_n (k_n x k_{n+1}), lower coupling blocks B_n (k_{n+1} x k_n).  Blocks
-materialize lazily and are memoized; a provider also declares a
-nonincreasing decay bound dominating its block norms.
+A_n (k_n x k_{n+1}), lower coupling blocks B_n (k_{n+1} x k_n).  All
+blocks are held explicitly, copied once when the operator is built; an
+operator also declares a nonincreasing decay bound dominating its block
+norms.  Dense corners are assembled from the blocks in one place.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,126 +132,101 @@ def make_schedule(kind, levels=None, *, sizes=None):
     return BlockSchedule(kind, sizes, tuple(itertools.accumulate(sizes)))
 
 
+def _level_slices(schedule):
+    """Index slice of each level of ``schedule``, in order."""
+    return [slice(*schedule.block_bounds(n)) for n in range(1, schedule.levels + 1)]
+
+
+def _assemble(schedule, diag, upper, lower):
+    """Dense matrix over ``schedule`` from block sequences.
+
+    A ``None`` sequence or block stands for zeros; sequences may run past
+    the schedule's depth, the excess is ignored.  Entries outside the band
+    are exact zeros.
+    """
+    size = schedule.cumsums[-1]
+    out = np.zeros((size, size), dtype=np.complex128)
+    lev = _level_slices(schedule)
+    for rows, cols, blocks in ((lev, lev, diag), (lev, lev[1:], upper), (lev[1:], lev, lower)):
+        for r, c, block in zip(rows, cols, blocks or ()):
+            if block is not None:
+                out[r, c] = np.asarray(block)
+    return out
+
+
+def _blocks(kind, blocks, shapes):
+    """One ComplexMatrix per shape: zeros for ``None``, else each block checked."""
+    if blocks is None:
+        return tuple(ComplexMatrix(np.zeros(shape)) for shape in shapes)
+    if len(blocks) != len(shapes):
+        raise ValueError(f"need {len(shapes)} {kind} blocks, got {len(blocks)}")
+    out = tuple(b if isinstance(b, ComplexMatrix) else ComplexMatrix(b) for b in blocks)
+    for n, (block, shape) in enumerate(zip(out, shapes), 1):
+        if block.shape != shape:
+            raise ValueError(f"{kind} block {n} has shape {block.shape}, expected {shape}")
+    return out
+
+
 class BlockTridiagOperator:
-    """Lazy, memoized block provider for a block-tridiagonal operator.
+    """Immutable block-tridiagonal operator held as explicit blocks.
 
     Parameters
     ----------
     schedule : BlockSchedule
-    diag, upper, lower : callables, level -> array-like
-        Block factories; ``diag(n)`` must return k_n x k_n, ``upper(n)``
-        k_n x k_{n+1}, ``lower(n)`` k_{n+1} x k_n.  Shapes are validated
-        on materialization.
-    decay : callable, level -> float
+    diag : sequence of ``schedule.levels`` blocks C_n, each k_n x k_n
+    upper, lower : sequences of ``schedule.levels - 1`` blocks, optional
+        A_n (k_n x k_{n+1}) and B_n (k_{n+1} x k_n); ``None`` gives zero
+        blocks (as does ``diag=None``).
+    decay : callable, level -> float, optional
         Declared nonincreasing bound with max(||C_n||,||A_n||,||B_n||)
         <= decay(n).  Violations are surfaced by ``decay_report``, not
-        raised here.
-    levels : int, optional
-        Materializable depth, defaults to the schedule length.
+        raised here.  The default is the suffix maximum of the level
+        norms, 0.0 past the last level, computed on first read.
 
-    Materialization is memoized behind a lock, so concurrent requests for
-    distinct (or identical) levels are safe.
+    Every block is copied once, here, into a ``ComplexMatrix`` (one that
+    already is a ``ComplexMatrix`` is kept as is) and its shape checked.
     """
 
-    def __init__(self, schedule, diag, upper, lower, decay, levels=None):
-        if levels is None:
-            levels = schedule.levels
-        if not 1 <= levels <= schedule.levels:
-            raise ValueError("levels must lie within the schedule range")
+    def __init__(self, schedule, diag, upper=None, lower=None, decay=None):
+        sizes = schedule.sizes
+        couplings = list(zip(sizes, sizes[1:]))
         self.schedule = schedule
-        self.levels = levels
-        self._diag = diag
-        self._upper = upper
-        self._lower = lower
+        self._diag = _blocks("diag", diag, [(k, k) for k in sizes])
+        self._upper = _blocks("upper", upper, couplings)
+        self._lower = _blocks("lower", lower, [(b, a) for a, b in couplings])
         self._decay = decay
-        self._cache = {}
-        self._lock = threading.Lock()
+        self._suffix = None
 
-    # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def from_blocks(cls, schedule, diag_blocks, upper_blocks=None, lower_blocks=None, decay=None):
-        """Provider over explicit block lists (missing couplings are zero)."""
-        levels = schedule.levels
-        if len(diag_blocks) != levels:
-            raise ValueError(f"need {levels} diagonal blocks, got {len(diag_blocks)}")
-        diag_blocks = [_as_array(b) for b in diag_blocks]
-        upper_blocks = None if upper_blocks is None else [_as_array(b) for b in upper_blocks]
-        lower_blocks = None if lower_blocks is None else [_as_array(b) for b in lower_blocks]
-        for name, blocks in (("upper", upper_blocks), ("lower", lower_blocks)):
-            if blocks is not None and len(blocks) != levels - 1:
-                raise ValueError(f"need {levels - 1} {name} blocks, got {len(blocks)}")
-
-        def diag(n):
-            return diag_blocks[n - 1]
-
-        def upper(n):
-            if upper_blocks is None:
-                return np.zeros((schedule.size(n), schedule.size(n + 1)))
-            return upper_blocks[n - 1]
-
-        def lower(n):
-            if lower_blocks is None:
-                return np.zeros((schedule.size(n + 1), schedule.size(n)))
-            return lower_blocks[n - 1]
-
-        if decay is None:
-            # the default bound is the suffix maximum of the level norms,
-            # computed on first use: most callers never read it
-            @functools.cache
-            def suffix():
-                level_norms = []
-                for n in range(1, levels + 1):
-                    worst = operator_norm(diag_blocks[n - 1])
-                    if n < levels:
-                        if upper_blocks is not None:
-                            worst = max(worst, operator_norm(upper_blocks[n - 1]))
-                        if lower_blocks is not None:
-                            worst = max(worst, operator_norm(lower_blocks[n - 1]))
-                    level_norms.append(worst)
-                return tuple(itertools.accumulate(reversed(level_norms), max))[::-1]
-
-            def decay(n):
-                bounds = suffix()
-                return bounds[n - 1] if n <= len(bounds) else 0.0
-
-        return cls(schedule, diag, upper, lower, decay, levels=levels)
-
-    # -- block access ------------------------------------------------------
-
-    def _materialize(self, kind, n, factory, shape):
-        key = (kind, n)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        block = ComplexMatrix(factory(n))
-        if block.shape != shape:
-            raise ValueError(
-                f"{kind} block {n} has shape {block.shape}, expected {shape}"
-            )
-        with self._lock:
-            return self._cache.setdefault(key, block)
+    @property
+    def levels(self):
+        return self.schedule.levels
 
     def diag_block(self, n):
         self._check_level(n)
-        k = self.schedule.size(n)
-        return self._materialize("diag", n, self._diag, (k, k))
+        return self._diag[n - 1]
 
     def upper_block(self, n):
         self._check_level(n, coupling=True)
-        shape = (self.schedule.size(n), self.schedule.size(n + 1))
-        return self._materialize("upper", n, self._upper, shape)
+        return self._upper[n - 1]
 
     def lower_block(self, n):
         self._check_level(n, coupling=True)
-        shape = (self.schedule.size(n + 1), self.schedule.size(n))
-        return self._materialize("lower", n, self._lower, shape)
+        return self._lower[n - 1]
 
     def decay_bound(self, n):
         if n < 1:
             raise ValueError("level must be positive")
-        bound = float(self._decay(n))
+        if self._decay is not None:
+            bound = float(self._decay(n))
+        else:
+            if self._suffix is None:
+                # most callers never read the default bound, so its SVDs wait until one
+                # does; two racing first reads both store the same tuple
+                norms = [operator_norm(c) for c in self._diag]
+                for j, (a, b) in enumerate(zip(self._upper, self._lower)):
+                    norms[j] = max(norms[j], operator_norm(a), operator_norm(b))
+                self._suffix = tuple(itertools.accumulate(reversed(norms), max))[::-1]
+            bound = self._suffix[n - 1] if n <= self.levels else 0.0
         if bound < 0:
             raise ValueError(f"decay bound at level {n} is negative")
         return bound
@@ -261,15 +235,11 @@ class BlockTridiagOperator:
         top = self.levels - 1 if coupling else self.levels
         what = "coupling level" if coupling else "level"
         if not 1 <= n <= top:
-            raise ValueError(f"{what} {n} outside provider range 1..{top}")
-
-    # -- structure predicates ----------------------------------------------
+            raise ValueError(f"{what} {n} outside operator range 1..{top}")
 
     def lower_zero_through(self, n):
         """True when lower blocks B_1..B_{n-1} are all exactly zero."""
-        return all(
-            not self.lower_block(j).array.any() for j in range(1, min(n, self.levels))
-        )
+        return not any(b.array.any() for b in self._lower[: n - 1])
 
 
 def corner_compression(op, n):
@@ -279,19 +249,8 @@ def corner_compression(op, n):
     construction.
     """
     if not 1 <= n <= op.levels:
-        raise ValueError(f"corner level {n} outside provider range 1..{op.levels}")
-    sched = op.schedule
-    size = sched.size_through(n)
-    out = np.zeros((size, size), dtype=np.complex128)
-    for j in range(1, n + 1):
-        lo, hi = sched.block_bounds(j)
-        out[lo:hi, lo:hi] = op.diag_block(j).array
-    for j in range(1, n):
-        lo, hi = sched.block_bounds(j)
-        lo2, hi2 = sched.block_bounds(j + 1)
-        out[lo:hi, lo2:hi2] = op.upper_block(j).array
-        out[lo2:hi2, lo:hi] = op.lower_block(j).array
-    return ComplexMatrix(out)
+        raise ValueError(f"corner level {n} outside operator range 1..{op.levels}")
+    return ComplexMatrix(_assemble(op.schedule.truncated(n), op._diag, op._upper, op._lower))
 
 
 def split(op):
@@ -301,34 +260,8 @@ def split(op):
     of ``op`` with zero floating error.  Both parts inherit the original
     decay bound (a valid, possibly loose, bound).
     """
-    sched = op.schedule
-
-    def zero_upper(n):
-        return np.zeros((sched.size(n), sched.size(n + 1)))
-
-    def zero_lower(n):
-        return np.zeros((sched.size(n + 1), sched.size(n)))
-
-    def zero_diag(n):
-        k = sched.size(n)
-        return np.zeros((k, k))
-
-    s = BlockTridiagOperator(
-        sched,
-        diag=lambda n: op.diag_block(n).array,
-        upper=lambda n: op.upper_block(n).array,
-        lower=zero_lower,
-        decay=op.decay_bound,
-        levels=op.levels,
-    )
-    q = BlockTridiagOperator(
-        sched,
-        diag=zero_diag,
-        upper=zero_upper,
-        lower=lambda n: op.lower_block(n).array,
-        decay=op.decay_bound,
-        levels=op.levels,
-    )
+    s = BlockTridiagOperator(op.schedule, op._diag, op._upper, decay=op.decay_bound)
+    q = BlockTridiagOperator(op.schedule, None, lower=op._lower, decay=op.decay_bound)
     return s, q
 
 
@@ -357,7 +290,7 @@ def decay_report(op, n_max):
     offending levels.
     """
     if not 1 <= n_max <= op.levels:
-        raise ValueError(f"n_max {n_max} outside provider range 1..{op.levels}")
+        raise ValueError(f"n_max {n_max} outside operator range 1..{op.levels}")
     rows = []
     violations = []
     for n in range(1, n_max + 1):
@@ -385,11 +318,11 @@ def decay_report(op, n_max):
 
 
 def operator_from_matrix(m, schedule, *, band_tol=0.0):
-    """Wrap a dense block-tridiagonal matrix as a provider.
+    """Cut a dense block-tridiagonal matrix into an operator's blocks.
 
     The matrix size must equal the schedule's total dimension.  Entries
     outside the band larger than ``band_tol`` in modulus raise
-    ``ValueError``; smaller leakage is dropped (the provider represents
+    ``ValueError``; smaller leakage is dropped (the operator represents
     the banded projection).
     """
     arr = _as_array(m, square=True)
@@ -398,22 +331,16 @@ def operator_from_matrix(m, schedule, *, band_tol=0.0):
         raise ValueError(
             f"schedule covers {schedule.cumsums[-1]} dims, matrix has {size}"
         )
-    levels = schedule.levels
     worst = _off_band_max(arr, schedule)
     if worst > band_tol:
         raise ValueError(f"matrix has off-band mass {worst:.3e} above band_tol")
-
-    diag_blocks = []
-    upper_blocks = []
-    lower_blocks = []
-    for n in range(1, levels + 1):
-        lo, hi = schedule.block_bounds(n)
-        diag_blocks.append(arr[lo:hi, lo:hi].copy())
-        if n < levels:
-            lo2, hi2 = schedule.block_bounds(n + 1)
-            upper_blocks.append(arr[lo:hi, lo2:hi2].copy())
-            lower_blocks.append(arr[lo2:hi2, lo:hi].copy())
-    return BlockTridiagOperator.from_blocks(schedule, diag_blocks, upper_blocks, lower_blocks)
+    lev = _level_slices(schedule)
+    return BlockTridiagOperator(
+        schedule,
+        [arr[r, r] for r in lev],
+        [arr[r, c] for r, c in zip(lev, lev[1:])],
+        [arr[c, r] for r, c in zip(lev, lev[1:])],
+    )
 
 
 def conjugate_blocks(op, unitaries):
@@ -423,18 +350,17 @@ def conjugate_blocks(op, unitaries):
     blocks W_n* C_n W_n, W_n* A_n W_{n+1}, W_{n+1}* B_n W_n.  The decay
     bound carries over unchanged (norms are unitarily invariant).
     """
-
-    def u(n):
+    units = []
+    for n, k in enumerate(op.schedule.sizes, 1):
         w = _as_array(unitaries(n), square=True)
-        if w.shape[0] != op.schedule.size(n):
-            raise ValueError(f"unitary {n} has size {w.shape[0]}, expected {op.schedule.size(n)}")
-        return w
-
+        if w.shape[0] != k:
+            raise ValueError(f"unitary {n} has size {w.shape[0]}, expected {k}")
+        units.append(w)
+    pairs = list(zip(units, units[1:]))
     return BlockTridiagOperator(
         op.schedule,
-        diag=lambda n: u(n).conj().T @ op.diag_block(n).array @ u(n),
-        upper=lambda n: u(n).conj().T @ op.upper_block(n).array @ u(n + 1),
-        lower=lambda n: u(n + 1).conj().T @ op.lower_block(n).array @ u(n),
+        [w.conj().T @ c.array @ w for w, c in zip(units, op._diag)],
+        [w.conj().T @ a.array @ v for (w, v), a in zip(pairs, op._upper)],
+        [v.conj().T @ b.array @ w for (w, v), b in zip(pairs, op._lower)],
         decay=op.decay_bound,
-        levels=op.levels,
     )

@@ -30,7 +30,7 @@ def conjugated_upper_pair(n, rng):
 
 
 def random_operator(schedule, rng, coupling_scale=1.0):
-    """Provider with dense random blocks on the given schedule."""
+    """Operator with dense random blocks on the given schedule."""
     sizes = schedule.sizes
     diag = [random_complex(k, k, rng) for k in sizes]
     upper = [
@@ -41,7 +41,7 @@ def random_operator(schedule, rng, coupling_scale=1.0):
         coupling_scale * random_complex(sizes[i + 1], sizes[i], rng)
         for i in range(len(sizes) - 1)
     ]
-    return BlockTridiagOperator.from_blocks(schedule, diag, upper, lower)
+    return BlockTridiagOperator(schedule, diag, upper, lower)
 
 
 def separated_upper(n, rng):
@@ -66,6 +66,6 @@ def block_diag_triangularizable_pair(schedule, rng):
         u = haar_unitary(k, rng)
         c_blocks.append(u @ separated_upper(k, rng) @ u.conj().T)
         z_blocks.append(u @ separated_upper(k, rng) @ u.conj().T)
-    c_op = BlockTridiagOperator.from_blocks(schedule, c_blocks)
-    z_op = BlockTridiagOperator.from_blocks(schedule, z_blocks)
+    c_op = BlockTridiagOperator(schedule, c_blocks)
+    z_op = BlockTridiagOperator(schedule, z_blocks)
     return c_op, z_op

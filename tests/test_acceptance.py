@@ -174,7 +174,7 @@ def test_criterion_7_structure_decomposition():
             random_complex(sched.sizes[i], sched.sizes[i + 1], rng)
             for i in range(sched.levels - 1)
         ]
-        op = BlockTridiagOperator.from_blocks(sched, diag, upper_blocks=upper)
+        op = BlockTridiagOperator(sched, diag, upper=upper)
         result = decompose(op)
         assert np.count_nonzero(result.quasinil.array) == 0
     print("ACCEPTANCE 7: PASS (50 decompositions within tolerance, zero lower couplings give zero Q)")

@@ -197,6 +197,16 @@ def test_unrealizable_levels_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_numerical_failure_exits_4(tmp_path, capsys):
+    path = str(tmp_path / "tiny.json")
+    write_matrix(random_complex(27, 27, np.random.default_rng(1)) * 1e-200, path)
+    # a Schur residual above its tolerance is a numerical failure, not a traceback
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: diagonal block") and err.count("\n") == 1
+
+
 def test_argparse_failures_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -63,7 +63,7 @@ def test_decompose_provider_path_zero_lower():
         random_complex(sched.sizes[i], sched.sizes[i + 1], rng)
         for i in range(sched.levels - 1)
     ]
-    op = BlockTridiagOperator.from_blocks(sched, diag, upper_blocks=upper)
+    op = BlockTridiagOperator(sched, diag, upper=upper)
     result = decompose(op)
     # zero lower couplings mean the quasinilpotent part vanishes identically
     assert np.count_nonzero(result.quasinil.array) == 0
@@ -113,7 +113,7 @@ def test_quasinilpotent_certificate_tail_norms():
         b = np.zeros((sched.sizes[i + 1], sched.sizes[i]), dtype=np.complex128)
         b[0, 0] = 2.0 ** (-(i + 1))
         lower.append(b)
-    op = BlockTridiagOperator.from_blocks(sched, diag, lower_blocks=lower)
+    op = BlockTridiagOperator(sched, diag, lower=lower)
     result = decompose(op)
     cert = quasinilpotent_part_certificate(result)
     assert cert.verdict == "certified_quasinilpotent"
@@ -141,7 +141,7 @@ def test_diagonal_part_zero_diagonal_flag():
     rng = np.random.default_rng(68)
     diag = [shift_matrix(2).array, shift_matrix(3).array]
     lower = [random_complex(3, 2, rng)]
-    op = BlockTridiagOperator.from_blocks(sched, diag, lower_blocks=lower)
+    op = BlockTridiagOperator(sched, diag, lower=lower)
     result = decompose(op)
     parts = diagonal_part(result)
     assert parts.zero_diagonal

@@ -33,6 +33,19 @@ def test_complex_matrix_basics():
     assert held.array[0, 0] == 1.0
 
 
+def test_complex_matrix_array_copy():
+    m = ComplexMatrix([[1, 2j], [3, 4]])
+    assert np.asarray(m) is m.array
+    # np.array asks for a copy and gets a writable one
+    copied = np.array(m)
+    assert copied is not m.array
+    copied[0, 0] = 5.0
+    assert m.array[0, 0] == 1.0
+    assert np.array(m, copy=False) is m.array
+    with pytest.raises(ValueError):
+        np.array(m, dtype=np.complex64, copy=False)
+
+
 def test_complex_matrix_validation():
     with pytest.raises(ValueError):
         ComplexMatrix(np.zeros((0, 3)))

@@ -1,4 +1,4 @@
-"""Tests for block schedules and lazy block-tridiagonal providers."""
+"""Tests for block schedules and immutable block-tridiagonal operators."""
 
 import threading
 
@@ -55,29 +55,28 @@ def test_schedule_validation():
 def test_from_blocks_shapes_and_defaults():
     sched = make_schedule("custom", sizes=(2, 3))
     diag = [np.eye(2), np.eye(3)]
-    op = BlockTridiagOperator.from_blocks(sched, diag)
+    op = BlockTridiagOperator(sched, diag)
     # missing couplings default to zero with the right shapes
     assert op.upper_block(1).shape == (2, 3)
     assert not op.upper_block(1).array.any()
     assert op.lower_block(1).shape == (3, 2)
     assert op.lower_zero_through(2)
+    assert op.levels == sched.levels
     with pytest.raises(ValueError):
-        BlockTridiagOperator.from_blocks(sched, [np.eye(2)])
+        BlockTridiagOperator(sched, [np.eye(2)])
     with pytest.raises(ValueError):
-        BlockTridiagOperator.from_blocks(sched, diag, upper_blocks=[np.eye(2), np.eye(3)])
+        BlockTridiagOperator(sched, diag, upper=[np.eye(2), np.eye(3)])
 
 
 def test_block_shape_validation_on_materialization():
+    # every block shape is checked once, when the operator is built
     sched = make_schedule("custom", sizes=(2, 3))
-    op = BlockTridiagOperator(
-        sched,
-        diag=lambda n: np.eye(5),
-        upper=lambda n: np.zeros((2, 3)),
-        lower=lambda n: np.zeros((3, 2)),
-        decay=lambda n: 1.0,
-    )
-    with pytest.raises(ValueError):
-        op.diag_block(1)
+    with pytest.raises(ValueError, match="diag block 1"):
+        BlockTridiagOperator(sched, [np.eye(5), np.eye(3)])
+    with pytest.raises(ValueError, match="upper block 1"):
+        BlockTridiagOperator(sched, [np.eye(2), np.eye(3)], upper=[np.zeros((3, 2))])
+    with pytest.raises(ValueError, match="lower block 1"):
+        BlockTridiagOperator(sched, [np.eye(2), np.eye(3)], lower=[np.zeros((2, 3))])
 
 
 def test_level_range_checks():
@@ -90,28 +89,26 @@ def test_level_range_checks():
     with pytest.raises(ValueError):
         op.lower_block(0)
     with pytest.raises(ValueError):
-        BlockTridiagOperator(sched, None, None, None, None, levels=5)
-    with pytest.raises(ValueError):
         corner_compression(op, 0)
+    with pytest.raises(ValueError):
+        corner_compression(op, 4)
 
 
-def test_lazy_memoization():
+def test_blocks_copied_at_construction():
     sched = make_schedule("single", 3)
-    calls = {"diag": 0}
-
-    def diag(n):
-        calls["diag"] += 1
-        k = sched.size(n)
-        return np.eye(k)
-
-    op = BlockTridiagOperator(
-        sched, diag, lambda n: np.zeros((sched.size(n), sched.size(n + 1))),
-        lambda n: np.zeros((sched.size(n + 1), sched.size(n))), lambda n: 1.0,
-    )
-    first = op.diag_block(2)
-    second = op.diag_block(2)
-    assert first is second
-    assert calls["diag"] == 1
+    diag = [np.eye(k) for k in sched.sizes]
+    upper = [np.ones((a, b)) for a, b in zip(sched.sizes, sched.sizes[1:])]
+    op = BlockTridiagOperator(sched, diag, upper)
+    # writing to the caller's arrays afterwards leaves the operator unchanged
+    diag[1][0, 0] = 7.0
+    upper[0][0, 0] = 7.0
+    assert np.array_equal(op.diag_block(2).array, np.eye(2))
+    assert np.array_equal(op.upper_block(1).array, np.ones((1, 2)))
+    assert op.diag_block(2) is op.diag_block(2)
+    # a ComplexMatrix block is kept as is
+    kept = op.diag_block(3)
+    again = BlockTridiagOperator(sched, [op.diag_block(1), op.diag_block(2), kept])
+    assert again.diag_block(3) is kept
 
 
 def test_concurrent_block_access():
@@ -183,7 +180,7 @@ def test_decay_report_default_bound():
 
 def test_decay_report_flags_violations():
     sched = make_schedule("custom", sizes=(2, 2))
-    op = BlockTridiagOperator.from_blocks(
+    op = BlockTridiagOperator(
         sched,
         [np.eye(2), 3.0 * np.eye(2)],
         decay=lambda n: 1.0,
@@ -198,7 +195,7 @@ def test_decay_report_flags_violations():
 
 def test_decay_bound_validation():
     sched = make_schedule("custom", sizes=(2,))
-    op = BlockTridiagOperator.from_blocks(sched, [np.eye(2)], decay=lambda n: -1.0)
+    op = BlockTridiagOperator(sched, [np.eye(2)], decay=lambda n: -1.0)
     with pytest.raises(ValueError):
         op.decay_bound(1)
     with pytest.raises(ValueError):
@@ -225,7 +222,7 @@ def test_operator_from_matrix_band_enforcement():
     with pytest.raises(ValueError):
         operator_from_matrix(arr, sched)
     op = operator_from_matrix(arr, sched, band_tol=1e-5)
-    # leakage below band_tol is dropped: the provider is the banded projection
+    # leakage below band_tol is dropped: the operator is the banded projection
     assert not corner_compression(op, 3).array.any()
     with pytest.raises(ValueError):
         operator_from_matrix(np.zeros((4, 4)), sched)
@@ -248,7 +245,6 @@ def test_conjugate_blocks_identity_and_haar():
     got = corner_compression(conj, 2).array
     assert operator_norm(got - expected) < 1e-12 * (1.0 + operator_norm(expected))
     assert conj.decay_bound(1) == op.decay_bound(1)
-    bad = conjugate_blocks(op, lambda n: np.eye(4))
-    with pytest.raises(ValueError):
-        bad.diag_block(1)
+    with pytest.raises(ValueError, match="unitary 1"):
+        conjugate_blocks(op, lambda n: np.eye(4))
 
