@@ -160,6 +160,23 @@ def decompose(t, levels=None, *, start=None):
     )
 
 
+def _stripped_tail_norm(result, n):
+    """Operator norm of the quasinilpotent part with couplings 1..n dropped.
+
+    The norm is taken of the window rows K_{n+1}.., columns K_n..K_{depth-1}
+    of the assembled tail: it holds every entry the kept couplings
+    n+1..depth-1 can make nonzero, so its norm is that of the whole tail.
+    An empty window (n >= depth - 1) gives 0.0.
+    """
+    sched = result.schedule
+    depth = sched.levels
+    if n >= depth - 1:
+        return 0.0
+    k = sched.size_through
+    stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
+    return operator_norm(stripped[k(n + 1) :, k(n) : k(depth - 1)])
+
+
 def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
     """Certify the quasinilpotent part of a decomposition corner by corner.
 
@@ -192,8 +209,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
         norm = operator_norm(corner) if kn > 1 else 0.0
         tail = coupling_norms[n:]
         expected = max(tail) if tail else 0.0
-        stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
-        gap = abs(operator_norm(stripped) - expected)
+        gap = abs(_stripped_tail_norm(result, n) - expected)
         worst_gap = max(worst_gap, gap)
         ok = radius <= tol and gap <= 1e-12 * (1.0 + expected)
         records.append(
@@ -248,8 +264,11 @@ def diagonal_part(result):
     for block, _ in result.delta_blocks:
         d = np.diag(block.array).copy()
         diags.append(d)
-        if d.size and float(np.abs(d).max()) > _DIAG_TOL * (1.0 + operator_norm(block)):
-            zero_flag = False
+        # the block norm only matters while the flag is open and max|d| > _DIAG_TOL
+        if zero_flag and d.size:
+            dmax = float(np.abs(d).max())
+            if dmax > _DIAG_TOL and dmax > _DIAG_TOL * (1.0 + operator_norm(block)):
+                zero_flag = False
     upper = result.delta.array.copy()
     np.fill_diagonal(upper, 0.0)
     return DiagonalSplit(

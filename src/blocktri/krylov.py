@@ -49,12 +49,12 @@ class TridiagResult:
 
 
 def _reorthogonalize(w, basis, count):
-    # modified Gram-Schmidt with one reorthogonalization pass
+    # classical Gram-Schmidt applied twice (CGS2) against the first count columns;
+    # (r^H q)^H equals q^H r but conjugates a vector instead of copying q
+    q = basis[:, :count]
     r = np.array(w, dtype=np.complex128)
     for _ in range(2):
-        for j in range(count):
-            col = basis[:, j]
-            r -= col * (col.conj() @ r)
+        r -= q @ (r.conj() @ q).conj()
     return r
 
 
@@ -133,10 +133,11 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
 
     while count < n_dim:
         lo, hi = count - sizes[-1], count
-        images = [m @ basis[:, j] for m in applied for j in range(lo, hi)]
-        level_norm = max((np.linalg.norm(w) for w in images), default=0.0) or 1.0
+        # one block product per operator; columns keep the per-image order
+        images = np.hstack([m @ basis[:, lo:hi] for m in applied])
+        level_norm = float(np.linalg.norm(images, axis=0).max()) or 1.0
         accepted = 0
-        for w in images:
+        for w in images.T:
             r = _reorthogonalize(w, basis, count + accepted)
             rn = np.linalg.norm(r)
             if rn > _RANK_TOL * level_norm:

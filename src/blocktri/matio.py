@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -60,8 +61,8 @@ def read_matrix(path):
     Raises ``MatrixFormatError`` for syntax errors (with line/column), a
     missing or non-integer header, an entry count that disagrees with
     rows*cols, entries that are not [re, im] number pairs, or non-finite
-    values.  OS-level failures (missing file, permissions) propagate as
-    ``OSError``.
+    values (ints beyond the double range included).  OS-level failures
+    (missing file, permissions) propagate as ``OSError``.
     """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
@@ -88,21 +89,47 @@ def read_matrix(path):
         f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}",
         path,
     )
-    data = np.empty(rows * cols, dtype=np.complex128)
+    pairs = _entry_pairs(entries)
+    if pairs is None:
+        _raise_first_bad_entry(entries, path)
+    # a view of the float pairs keeps every bit, the sign of a zero included
+    return ComplexMatrix(pairs.view(np.complex128).reshape(rows, cols))
+
+
+def _entry_pairs(entries):
+    """The entries as one flat float array re_0, im_0, re_1, ... in one pass.
+
+    Returns None unless every entry is a pair of finite ints or floats
+    (bools excluded) that fit a double.
+    """
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        # streams the numbers: faster than np.array on the nested lists, lower peak RSS
+        pairs = np.fromiter(itertools.chain.from_iterable(entries), np.float64, 2 * len(entries))
+    except OverflowError:  # an int beyond the double range
+        return None
+    return pairs if np.isfinite(pairs).all() else None
+
+
+def _raise_first_bad_entry(entries, path):
+    """Raise ``MatrixFormatError`` naming the first entry that is not a finite pair.
+
+    Every entry list that :func:`_entry_pairs` refuses has such an entry.
+    """
     for i, pair in enumerate(entries):
         _require(
             isinstance(pair, list) and len(pair) == 2 and all(_is_number(v) for v in pair),
             f"entry {i} must be a [re, im] number pair, got {pair!r}",
             path,
         )
-        re, im = float(pair[0]), float(pair[1])
-        _require(
-            math.isfinite(re) and math.isfinite(im),
-            f"entry {i} is not finite: {pair!r}",
-            path,
-        )
-        data[i] = complex(re, im)
-    return ComplexMatrix(data.reshape(rows, cols))
+        try:
+            finite = all(math.isfinite(float(v)) for v in pair)
+        except OverflowError:  # an int beyond the double range
+            finite = False
+        _require(finite, f"entry {i} is not finite: {pair!r}", path)
 
 
 def _atomic_write_text(path, text):

@@ -178,6 +178,18 @@ def test_malformed_file_is_format_error(tmp_path, capsys):
     assert ":1:" in err
 
 
+def test_entry_beyond_double_range_is_format_error(tmp_path, capsys):
+    # an int of 400 digits is valid JSON but overflows a double
+    path = str(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        fh.write('{"rows": 1, "cols": 2, "entries": [[1' + "0" * 400 + ", 0], [0, 0]]}")
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 3
+    assert out == ""
+    assert "entry 0 is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_dimension_mismatch_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(86)
     pa, pb = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(27, 27, rng))

@@ -1,5 +1,7 @@
 """Tests for the triangular-plus-quasinilpotent decomposition."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from blocktri import (
     quasinilpotent_part_certificate,
     shift_matrix,
 )
+from blocktri.decompose import _stripped_tail_norm
+from blocktri.operators import _assemble
 from helpers import random_complex, random_operator
 
 
@@ -121,6 +125,40 @@ def test_quasinilpotent_certificate_tail_norms():
     for i, value in enumerate(norms):
         assert value == pytest.approx(2.0 ** (-(i + 1)), rel=1e-12)
     assert operator_norm(result.quasinil) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_windowed_tail_norms_match_full_stripped_matrix():
+    result = decompose(random_complex(81, 81, np.random.default_rng(70)))
+    sched = result.schedule
+    assert sched.sizes == (1, 2, 6, 18, 54)
+    for n in range(1, sched.levels + 1):
+        stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
+        full = operator_norm(stripped)
+        # abs=0.0: the empty windows at n >= 4 must give exactly 0.0
+        assert _stripped_tail_norm(result, n) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_diagonal_part_norms_only_undecided_blocks(monkeypatch):
+    calls = []
+
+    def counting_norm(a):
+        calls.append(np.shape(a))
+        return operator_norm(a)
+
+    # the package's ``decompose`` attribute is the function, so reach the module directly
+    monkeypatch.setattr(sys.modules["blocktri.decompose"], "operator_norm", counting_norm)
+    # a random first block decides the flag: one 1x1 norm, none for later blocks
+    result = decompose(random_complex(27, 27, np.random.default_rng(71)))
+    calls.clear()
+    assert not diagonal_part(result).zero_diagonal
+    assert calls == [(1, 1)]
+    # exactly zero diagonals never need a norm
+    sched = make_schedule("custom", sizes=(2, 3))
+    op = BlockTridiagOperator(sched, [shift_matrix(2), shift_matrix(3)])
+    result = decompose(op)
+    calls.clear()
+    assert diagonal_part(result).zero_diagonal
+    assert calls == []
 
 
 def test_diagonal_part_reassembles_bitwise():

@@ -43,6 +43,21 @@ def test_padded_pair_realizes_saturated_schedule():
             assert match_distance(eigenvalues(m), eigenvalues(t)) <= 1e-8 * operator_norm(m)
 
 
+@pytest.mark.parametrize(
+    "n, count, sizes",
+    [(243, 1, (1, 2, 6, 18, 54, 162)), (125, 2, (1, 4, 20, 100))],
+)
+def test_padded_schedules_at_benchmark_sizes(n, count, sizes):
+    rng = np.random.default_rng(27)
+    ops = [random_complex(n, n, rng) for _ in range(count)]
+    res = block_tridiagonalize(ops, mode="padded")
+    assert res.realized_schedule.sizes == sizes
+    q = res.basis.array
+    assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-12
+    for t in res.transformed:
+        assert verify_block_structure(t, res.realized_schedule).residual < 1e-10
+
+
 def test_padded_clips_last_level():
     # 10 = 1 + 2 + 6 + 1: the last level is clipped to the remaining dimension
     a = random_complex(10, 10, np.random.default_rng(23))

@@ -19,6 +19,11 @@ from blocktri import (
 from helpers import random_complex
 
 
+def write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def test_round_trip_exact(tmp_path):
     rng = np.random.default_rng(71)
     path = str(tmp_path / "m.json")
@@ -33,10 +38,21 @@ def test_round_trip_exact(tmp_path):
 
 def test_round_trip_extreme_magnitudes(tmp_path):
     path = str(tmp_path / "m.json")
-    m = np.array([[1e-300 + 1e300j, -0.0 + 0.0j], [1.0 / 3.0, 7e-45j]])
+    m = np.array(
+        [
+            [1e-300 + 1e300j, complex(-0.0, 0.0)],
+            [complex(0.0, -0.0), complex(-0.0, -0.0)],
+            [1.0 / 3.0, 7e-45j],
+        ]
+    )
     write_matrix(m, path)
     back = read_matrix(path).array
-    assert np.array_equal(back, m)
+    # bitwise: array_equal cannot see the sign of a zero
+    assert back.tobytes() == m.tobytes()
+    # the JSON int -0 reads as +0.0, as float(-0) does
+    write_text(path, '{"rows": 1, "cols": 2, "entries": [[-0.0, -0.0], [-0, 5]]}')
+    back = read_matrix(path).array
+    assert back.tobytes() == np.array([[complex(-0.0, -0.0), complex(0.0, 5.0)]]).tobytes()
 
 
 def test_document_layout_row_major():
@@ -59,11 +75,6 @@ def test_sparse_generators_serialize_sparsely(tmp_path):
     doc = json.loads(open(path).read())
     nonzero = [e for e in doc["entries"] if e != [0.0, 0.0]]
     assert nonzero == [[1.0, 0.0]]
-
-
-def write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +101,31 @@ def test_malformed_documents_raise(tmp_path, payload):
     with pytest.raises(MatrixFormatError) as info:
         read_matrix(path)
     assert "bad.json" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("[[0.0, 0.0], [1.0, true]]", "entry 1 must be a [re, im] number pair, got [1.0, True]"),
+        ("[[0.0, 0.0], [false, 1.0]]", "entry 1 must be a [re, im] number pair, got [False, 1.0]"),
+        ('[[0.0, 0.0], ["0", 1.0]]', "entry 1 must be a [re, im] number pair, got ['0', 1.0]"),
+        ("[[0.0, 0.0], [1.0, 2.0, 3.0]]", "entry 1 must be a [re, im] number pair, got [1.0, 2.0, 3.0]"),
+        ("[[0.0, 0.0], [1.0]]", "entry 1 must be a [re, im] number pair, got [1.0]"),
+        ("[[0.0, 0.0], 5]", "entry 1 must be a [re, im] number pair, got 5"),
+        ("[[0.0, 0.0], [NaN, 1.0]]", "entry 1 is not finite: [nan, 1.0]"),
+        ("[[0.0, -Infinity], [1.0, 0.0]]", "entry 0 is not finite: [0.0, -inf]"),
+        ("[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]", "expected 2 entries for 1x2, got 3"),
+        ("[[0.0, 0.0], [1, 1" + "0" * 400 + "]]", "entry 1 is not finite: [1, 1" + "0" * 400 + "]"),
+    ],
+    ids=["bool-im", "bool-re", "string", "three", "one", "scalar", "nan", "inf", "count", "huge-int"],
+)
+def test_malformed_entry_messages(tmp_path, entries, message):
+    # the first bad entry is named, whatever the entries around it
+    path = str(tmp_path / "bad.json")
+    write_text(path, '{"rows": 1, "cols": 2, "entries": ' + entries + "}")
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_json_syntax_error_carries_position(tmp_path):
