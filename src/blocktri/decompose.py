@@ -206,7 +206,11 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
         kn = sched.size_through(n)
         corner = q[:kn, :kn]
         radius = spectral_radius(corner)
-        norm = operator_norm(corner) if kn > 1 else 0.0
+        norm = 0.0
+        if n > 1:
+            # the corner's nonzero entries all sit in rows K_1..K_n, columns
+            # ..K_{n-1}: that window has the corner's singular values
+            norm = operator_norm(q[sched.size_through(1) : kn, : sched.size_through(n - 1)])
         tail = coupling_norms[n:]
         expected = max(tail) if tail else 0.0
         gap = abs(_stripped_tail_norm(result, n) - expected)

@@ -194,39 +194,27 @@ class SchurForm:
     upper: ComplexMatrix
 
 
-def _swap_adjacent_diag(t, q, i):
-    # unitary similarity exchanging diagonal entries t[i,i] and t[i+1,i+1]
-    a = t[i, i]
-    b = t[i, i + 1]
-    c = t[i + 1, i + 1]
-    x = np.array([b, c - a], dtype=np.complex128)
-    nx = np.linalg.norm(x)
-    scale = abs(a) + abs(b) + abs(c)
-    if nx <= 1e-14 * max(scale, 1e-300):
-        g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    else:
-        x = x / nx
-        g = np.column_stack([x, [-np.conj(x[1]), np.conj(x[0])]])
-    t[i : i + 2, :] = g.conj().T @ t[i : i + 2, :]
-    t[:, i : i + 2] = t[:, i : i + 2] @ g
-    q[:, i : i + 2] = q[:, i : i + 2] @ g
-    t[i + 1, i] = 0.0
+def _reorder_schur(t, q, order):
+    """Reorder the Schur pair (t, q) so that slot k holds old diagonal entry ``order[k]``.
 
-
-def _order_descending_modulus(t, q):
-    # bubble the diagonal into nonincreasing |.| order, ties by (real, imag);
-    # keys are carried alongside so later swaps cannot perturb the ordering
-    n = t.shape[0]
-    diag = np.diag(t).copy()
-    keys = [(-abs(v), v.real, v.imag) for v in diag]
-    target_order = sorted(range(n), key=lambda i: (keys[i], i))
-    pos = list(range(n))
-    for slot in range(n):
-        j = pos.index(target_order[slot])
-        while j > slot:
-            _swap_adjacent_diag(t, q, j - 1)
-            pos[j - 1], pos[j] = pos[j], pos[j - 1]
-            j -= 1
+    Each entry moves into place by LAPACK ``ztrexc`` (a chain of exact
+    unitary swaps of adjacent diagonal entries, updating ``q`` alongside),
+    so the whole reordering costs O(n^3).  Fortran-ordered ``complex128``
+    inputs, as ``scipy.linalg.schur`` returns them, are reordered in place;
+    others are copied first.  Returns the reordered (t, q); raises
+    ``np.linalg.LinAlgError`` when ``ztrexc`` reports failure.
+    """
+    t = np.asfortranarray(t, dtype=np.complex128)
+    q = np.asfortranarray(q, dtype=np.complex128)
+    pos = list(range(t.shape[0]))
+    for slot, idx in enumerate(order):
+        j = pos.index(idx)
+        if j > slot:
+            t, q, info = scipy.linalg.lapack.ztrexc(t, q, j + 1, slot + 1, overwrite_a=1, overwrite_q=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"ztrexc failed with info {info}")
+            pos.insert(slot, pos.pop(j))
+    return t, q
 
 
 def schur(a, *, order=None):
@@ -252,17 +240,21 @@ def schur(a, *, order=None):
     n = arr.shape[0]
     if n == 1 or _strict_lower_max(arr) == 0.0:
         # already upper triangular: take (I, a) so structural zeros survive
-        t = arr.astype(np.complex128).copy()
-        q = np.eye(n, dtype=np.complex128)
+        t = np.array(arr, dtype=np.complex128, order="F")
+        q = np.eye(n, dtype=np.complex128, order="F")
     else:
         try:
             t, q = scipy.linalg.schur(np.array(arr, dtype=np.complex128), output="complex")
         except np.linalg.LinAlgError as exc:
             raise SchurConvergenceError(f"QR iteration failed: {exc}") from exc
-        t = np.ascontiguousarray(t)
-        q = np.ascontiguousarray(q)
     if order == "modulus" and n > 1:
-        _order_descending_modulus(t, q)
+        # nonincreasing |.|, ties by (real, imag), then by position
+        d = np.diag(t)
+        target = sorted(range(n), key=lambda i: (-abs(d[i]), d[i].real, d[i].imag, i))
+        try:
+            t, q = _reorder_schur(t, q, target)
+        except np.linalg.LinAlgError as exc:
+            raise SchurConvergenceError(f"reordering failed: {exc}") from exc
     discarded = _strict_lower_max(t)
     t = np.triu(t)
     norm_a = operator_norm(arr)

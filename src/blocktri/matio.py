@@ -61,7 +61,8 @@ def read_matrix(path):
     Raises ``MatrixFormatError`` for syntax errors (with line/column), a
     missing or non-integer header, an entry count that disagrees with
     rows*cols, entries that are not [re, im] number pairs, or non-finite
-    values (ints beyond the double range included).  OS-level failures
+    values (ints beyond the double range included), and integers longer
+    than the interpreter's digit limit for int parsing.  OS-level failures
     (missing file, permissions) propagate as ``OSError``.
     """
     with open(path, "r", encoding="utf-8") as f:
@@ -72,6 +73,8 @@ def read_matrix(path):
         raise MatrixFormatError(
             f"invalid JSON: {exc.msg}", path=path, line=exc.lineno, column=exc.colno
         ) from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise MatrixFormatError("integer entry has too many digits to parse", path=path) from exc
     _require(isinstance(doc, dict), "top level must be an object", path)
     for key in ("rows", "cols", "entries"):
         _require(key in doc, f"missing field {key!r}", path)

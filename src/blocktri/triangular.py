@@ -1,8 +1,22 @@
 """Simultaneous triangularization of matrix pairs.
 
-The decider is recursive deflation: find a common eigenvector, conjugate
-it into the leading position, recurse on the trailing corner.  Common
-eigenvectors come from the kernel-intersection subspace
+Two routes lead to a witness, and both must pass one residual gate: the
+conjugated inputs keep strict-lower mass below ``tol`` relative to
+1 + ||a|| + ||b||, and the witness is unitary to 1e-10.
+
+The Schur-flag route runs first and costs O(n^3).  When a pair is
+triangularizable and the generic combination a/||a|| + t b/||b|| (t of
+unit modulus, drawn from ``seed``) has distinct eigenvalues, the common
+flag is a reordering of that combination's Schur basis: in the
+combination's eigenbasis b is a permuted triangular matrix, and a greedy
+pass that always takes the eigenvector whose b-image leaks least into the
+remaining ones recovers the order, which ``ztrexc`` then applies to the
+Schur form.  Any failure (a repeated eigenvalue, a non-finite value, a
+failed gate) hands the pair to the second route unchanged.
+
+The second route is recursive deflation: find a common eigenvector,
+conjugate it into the leading position, recurse on the trailing corner.
+Common eigenvectors come from the kernel-intersection subspace
 
     N = intersection over 1 <= k, l <= n-1 of ker([a^k, b^l])
 
@@ -12,7 +26,7 @@ N commutes, so a common eigenvector can be read off eigenspaces there.
 When deflation gets stuck, word sampling over p(a, b) [a, b] looks for a
 polynomial witness that the pair cannot be triangularized: a single
 non-nilpotent product refutes, while exhausting the budget proves
-nothing (verdict "inconclusive").
+nothing (verdict "inconclusive").  Refutation comes only from words.
 """
 
 from __future__ import annotations
@@ -20,8 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import ComplexMatrix, _square_pair, _strict_lower_max, is_nilpotent, operator_norm
+from .linalg import (
+    ComplexMatrix,
+    _reorder_schur,
+    _square_pair,
+    _strict_lower_max,
+    is_nilpotent,
+    operator_norm,
+)
 
 __all__ = [
     "TriangularizationCertificate",
@@ -336,18 +358,95 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=1e-8):
     return None
 
 
-def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
-    """Decide simultaneous triangularizability of a pair by deflation.
+def _schur_flag(aa, bb, na, nb, seed):
+    """Candidate witness from the reordered Schur form of a generic combination, or None.
 
-    On success the certificate carries a unitary witness whose conjugation
-    leaves both inputs with strict-lower mass below ``tol`` relative to
-    1 + ||a|| + ||b||.  When deflation sticks, ``mccoy_sample`` (with its
-    default sample count and nilpotency tolerance) hunts for a refuting
-    word; failing that the verdict is "inconclusive" (deflation is
-    authoritative for success, words only ever refute).
+    None when the combination has an exactly repeated eigenvalue or some
+    value turns non-finite; the caller's gate judges any returned unitary.
+    """
+    n = aa.shape[0]
+    t = np.exp(2j * np.pi * np.random.default_rng(seed).random())
+    a1 = aa / na if na > 0 else aa
+    b1 = bb / nb if nb > 0 else bb
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            tri, q = scipy.linalg.schur(a1 + t * b1, output="complex")
+        except np.linalg.LinAlgError:
+            return None
+        # upper-triangular eigenvector matrix of tri, unit diagonal, by back-substitution
+        lam = np.diag(tri)
+        x = np.eye(n, dtype=np.complex128)
+        for i in range(n - 2, -1, -1):
+            x[i, i + 1 :] = -(tri[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / (lam[i] - lam[i + 1 :])
+        if not np.isfinite(x).all():
+            return None
+        x /= np.linalg.norm(x, axis=0)
+        # b in the combination's eigenbasis: a permuted triangular matrix
+        # when the pair is triangularizable
+        c = scipy.linalg.solve_triangular(x, q.conj().T @ b1 @ q @ x)
+        if not np.isfinite(c).all():
+            return None
+    # greedy flag order: each slot takes the index whose column leaks least
+    # into the rows not yet placed
+    leak = np.abs(c) ** 2
+    np.fill_diagonal(leak, 0.0)
+    mass = leak.sum(axis=0)
+    placed = np.zeros(n, dtype=bool)
+    order = []
+    for _ in range(n):
+        k = int(np.argmin(np.where(placed, np.inf, mass)))
+        order.append(k)
+        placed[k] = True
+        mass -= leak[k]
+    try:
+        _, q = _reorder_schur(tri, q, order)
+    except np.linalg.LinAlgError:
+        return None
+    return q
+
+
+def _gated_certificate(aa, bb, u, tol, scale):
+    """Certificate for witness u: "triangularizable" only when it passes the gate.
+
+    The gate: strict-lower mass of u* a u and u* b u below ``tol`` relative
+    to ``scale`` (1 + ||a|| + ||b||), and ||u* u - I|| below 1e-10.
+    """
+    uh = u.conj().T
+    residual = max(_strict_lower_max(uh @ aa @ u), _strict_lower_max(uh @ bb @ u)) / scale
+    unit_res = operator_norm(uh @ u - np.eye(u.shape[0]))
+    passed = residual < tol and unit_res < 1e-10
+    return TriangularizationCertificate(
+        verdict="triangularizable" if passed else "inconclusive",
+        witness_unitary=ComplexMatrix(u) if passed else None,
+        refuting_word=None,
+        residual=residual,
+        unitarity_residual=unit_res,
+    )
+
+
+def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
+    """Decide simultaneous triangularizability of a pair.
+
+    The Schur-flag route runs first; when its witness fails the gate, or
+    it yields none, deflation runs.  On success the certificate carries a
+    unitary witness whose conjugation leaves both inputs with strict-lower
+    mass below ``tol`` relative to 1 + ||a|| + ||b||.  When deflation
+    sticks, ``mccoy_sample`` (with its default sample count and nilpotency
+    tolerance) hunts for a refuting word; failing that the verdict is
+    "inconclusive" (a gated witness is authoritative for success, words
+    only ever refute).
     """
     aa, bb = _square_pair(a, b)
     n = aa.shape[0]
+    na = operator_norm(aa)
+    nb = operator_norm(bb)
+    scale = 1.0 + na + nb
+    flag = _schur_flag(aa, bb, na, nb, seed)
+    if flag is not None:
+        cert = _gated_certificate(aa, bb, flag, tol, scale)
+        if cert.verdict == "triangularizable":
+            return cert
+
     u = np.eye(n, dtype=np.complex128)
     wa = np.array(aa)
     wb = np.array(bb)
@@ -363,28 +462,8 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
         wb[k:, k:] = h.conj().T @ wb[k:, k:] @ h
         wb[:k, k:] = wb[:k, k:] @ h
         u[:, k:] = u[:, k:] @ h
-
     if deflated:
-        ca = u.conj().T @ aa @ u
-        cb = u.conj().T @ bb @ u
-        scale = 1.0 + operator_norm(aa) + operator_norm(bb)
-        residual = max(_strict_lower_max(ca), _strict_lower_max(cb)) / scale
-        unit_res = operator_norm(u.conj().T @ u - np.eye(n))
-        if residual < tol and unit_res < 1e-10:
-            return TriangularizationCertificate(
-                verdict="triangularizable",
-                witness_unitary=ComplexMatrix(u),
-                refuting_word=None,
-                residual=residual,
-                unitarity_residual=unit_res,
-            )
-        return TriangularizationCertificate(
-            verdict="inconclusive",
-            witness_unitary=None,
-            refuting_word=None,
-            residual=residual,
-            unitarity_residual=unit_res,
-        )
+        return _gated_certificate(aa, bb, u, tol, scale)
 
     if word_len is None:
         word_len = max(4, min(n - 2, 16))

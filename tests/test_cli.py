@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocktri import corner_unit, read_matrix, shift_matrix, write_matrix
 from blocktri.cli import main
@@ -190,6 +191,17 @@ def test_entry_beyond_double_range_is_format_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_overlong_integer_entry_is_format_error(tmp_path, capsys):
+    # 5001 digits: past the interpreter's int-string limit, which json.loads hits first
+    path = str(tmp_path / "long.json")
+    with open(path, "w") as fh:
+        fh.write('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 5000 + ", 0]]}")
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}: integer entry has too many digits to parse\n"
+
+
 def test_dimension_mismatch_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(86)
     pa, pb = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(27, 27, rng))
@@ -209,14 +221,29 @@ def test_unrealizable_levels_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_numerical_failure_exits_4(tmp_path, capsys):
-    path = str(tmp_path / "tiny.json")
-    write_matrix(random_complex(27, 27, np.random.default_rng(1)) * 1e-200, path)
-    # a Schur residual above its tolerance is a numerical failure, not a traceback
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "t.json")
+    write_matrix(random_complex(27, 27, np.random.default_rng(1)), path)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("schur form computation did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "schur", no_convergence)
+    # a failed Schur factorization is a numerical failure, not a traceback
     code, out, err = run_cli(capsys, ["decompose", path])
     assert code == 4
     assert out == ""
     assert err.startswith("error: diagonal block") and err.count("\n") == 1
+
+
+def test_decompose_tiny_power_of_two_scale(tmp_path, capsys):
+    # 2^-600 scaling is exact; the ordered Schur forms must not underflow
+    path = str(tmp_path / "tiny.json")
+    write_matrix(random_complex(27, 27, np.random.default_rng(1)) * 2.0**-600, path)
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified_quasinilpotent"
+    assert err == ""
 
 
 def test_argparse_failures_exit_2(capsys):

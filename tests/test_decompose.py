@@ -138,6 +138,18 @@ def test_windowed_tail_norms_match_full_stripped_matrix():
         assert _stripped_tail_norm(result, n) == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
+def test_level_norms_match_full_corner():
+    result = decompose(random_complex(81, 81, np.random.default_rng(71)))
+    sched = result.schedule
+    q = result.quasinil.array
+    cert = quasinilpotent_part_certificate(result)
+    for rec in cert.levels:
+        kn = sched.size_through(rec.level)
+        full = operator_norm(q[:kn, :kn]) if kn > 1 else 0.0
+        assert rec.norm == pytest.approx(full, rel=1e-12, abs=0.0)
+    assert cert.levels[0].norm == 0.0
+
+
 def test_diagonal_part_norms_only_undecided_blocks(monkeypatch):
     calls = []
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from blocktri import triangular
 from blocktri import (
     common_eigenvector,
     corner_unit,
@@ -13,7 +15,7 @@ from blocktri import (
     simultaneous_triangularize,
     word_value,
 )
-from helpers import conjugated_upper_pair, haar_unitary, random_complex
+from helpers import conjugated_upper_pair, haar_unitary, random_complex, separated_upper
 
 
 def scaled_block_pair(n):
@@ -170,6 +172,13 @@ def test_triangularize_refutes_block_pair():
     assert cert.witness_unitary is None
     comm = a @ b - b @ a
     assert not is_nilpotent(word_value(cert.refuting_word, a, b).array @ comm)
+    # the Schur-flag route fails its gate on every block size; words still refute
+    for n in range(2, 9):
+        a, b = scaled_block_pair(n)
+        cert = simultaneous_triangularize(a, b)
+        assert (cert.verdict, cert.refuting_word) == ("refuted", "x" * (n - 2))
+        cert = simultaneous_triangularize(b, a)
+        assert (cert.verdict, cert.refuting_word) == ("refuted", "y" * (n - 2))
 
 
 def test_triangularize_refutation_is_conjugation_invariant():
@@ -196,3 +205,66 @@ def test_triangularize_deterministic():
     c2 = simultaneous_triangularize(a, b, seed=3)
     assert c1.verdict == c2.verdict
     assert c1.refuting_word == c2.refuting_word
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_schur_flag_route_needs_few_svds(monkeypatch, n):
+    rng = np.random.default_rng(44 + n)
+    u = haar_unitary(n, rng)
+    a = u @ separated_upper(n, rng) @ u.conj().T
+    b = u @ separated_upper(n, rng) @ u.conj().T
+    svds = []
+    for owner, name in ((scipy.linalg, "svdvals"), (np.linalg, "svd")):
+        svds.append(_counting(monkeypatch, owner, name))
+    eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+    cert = simultaneous_triangularize(a, b)
+    assert cert.verdict == "triangularizable"
+    assert cert.residual < 1e-9 and cert.unitarity_residual < 1e-10
+    # two input norms and the unitarity residual; deflation would take thousands
+    assert sum(map(len, svds)) <= 3
+    assert eigvecs == []
+
+
+def test_repeated_combination_eigenvalue_falls_back_to_deflation(monkeypatch):
+    # commuting pairs with a degenerate spectrum: every combination a + t b
+    # has an exactly repeated eigenvalue, so only deflation can decide
+    jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=np.complex128)
+    pairs = [
+        (np.diag([1.0, 1.0, 2.0, 3.0]).astype(np.complex128), np.diag([5.0, 5.0, 1.0, 0.0])),
+        (jordan, jordan @ jordan),
+        (np.eye(4), 2.0 * np.eye(4)),
+    ]
+    for a, b in pairs:
+        eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+        cert = simultaneous_triangularize(a, b)
+        assert cert.verdict == "triangularizable"
+        assert cert.residual < 1e-9
+        assert eigvecs
+
+
+def test_triangularize_verdict_invariant_under_operand_swap():
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        u = haar_unitary(n, rng)
+        a = u @ separated_upper(n, rng) @ u.conj().T
+        b = u @ separated_upper(n, rng) @ u.conj().T
+        assert simultaneous_triangularize(a, b).verdict == "triangularizable"
+        assert simultaneous_triangularize(b, a).verdict == "triangularizable"
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        a = random_complex(n, n, rng)
+        b = random_complex(n, n, rng)
+        assert simultaneous_triangularize(a, b).verdict == simultaneous_triangularize(b, a).verdict
