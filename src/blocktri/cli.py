@@ -153,6 +153,10 @@ def _cmd_triangularize(config):
         "residual": cert.residual,
         "unitarity_residual": cert.unitarity_residual,
         "refuting_word": cert.refuting_word,
+        "route": cert.route,
+        "trace_power": cert.trace_power,
+        "trace": cert.trace,
+        "trace_bound": cert.trace_bound,
     }
     doc = {
         "command": "triangularize",

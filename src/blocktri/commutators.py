@@ -28,7 +28,7 @@ from .linalg import (
     spectral_radius,
 )
 from .operators import BlockSchedule, BlockTridiagOperator, corner_compression, split
-from .triangular import _iter_word_products, simultaneous_triangularize, word_value
+from .triangular import _word_levels, _word_witness, simultaneous_triangularize
 
 __all__ = [
     "LevelRecord",
@@ -82,7 +82,27 @@ class SpectralReport:
     note: str = ""
 
 
-def _record_from_certificate(n, cert, comm, norm, tol, detail):
+def _trace_detail(k, trace, bound):
+    return f"|tr M^{k}| {trace:.3e} > bound {bound:.3e}, M = w(a, b)[a, b]"
+
+
+_ROUTE_DETAIL = {
+    "schur-flag": "whole corner, Schur-flag route",
+    "deflation": "whole corner, deflation",
+    None: "whole corner, undecided by Schur flag, words and deflation",
+}
+
+
+def _route_detail(cert):
+    if cert.route == "words":
+        return "whole corner, word search: " + _trace_detail(
+            cert.trace_power, cert.trace, cert.trace_bound
+        )
+    return _ROUTE_DETAIL[cert.route]
+
+
+def _record_from_certificate(n, cert, comm, norm, tol):
+    detail = _route_detail(cert)
     if cert.verdict == "triangularizable":
         u = cert.witness_unitary.array
         radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
@@ -110,8 +130,8 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     corner is then block upper triangular, diagonal blocks of its word
     products multiply blockwise, and the direct sum of per-block witnesses
     triangularizes the corner.  Returns a LevelRecord, or None to make the
-    caller fall back to whole-corner deflation (some block inconclusive,
-    or a block word that fails to refute at corner scale).
+    caller fall back to the whole corner (some block inconclusive,
+    or a block word whose trace test fails on the corner).
     """
     units = []
     for j in range(1, n + 1):
@@ -123,13 +143,14 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
             block_certs[j] = cert
         if cert.verdict == "refuted":
             word = cert.refuting_word
-            wv = word_value(word, cc, zc).array
-            if is_nilpotent(wv @ comm):
+            witness = _word_witness(word, cc, zc)
+            if witness is None:
                 return None
             return LevelRecord(
                 level=n, radius=spectral_radius(comm), norm=norm, status="refuted",
                 refuting_word=word,
-                detail=f"diagonal block pair {j} refuted; word re-verified on the corner",
+                detail=f"diagonal block pair {j} refuted; word re-verified on the corner: "
+                + _trace_detail(*witness),
             )
         if cert.verdict != "triangularizable":
             return None
@@ -155,7 +176,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     "refuted_hypothesis"; the commutator may still be quasinilpotent,
     refutation only voids this certificate.  When both operators have
     zero lower couplings through a level, per-block certificates are
-    combined instead of deflating the whole corner.
+    combined instead of triangularizing the whole corner.
 
     ``n_max`` defaults to 4 on the pair schedule and 5 on the single
     schedule (capped by the operators' depth), the full depth otherwise.
@@ -181,7 +202,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
             record = _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs)
         if record is None:
             cert = simultaneous_triangularize(ComplexMatrix(cc), ComplexMatrix(zc), **tri_opts)
-            record = _record_from_certificate(n, cert, comm, norm, tol, detail="whole-corner deflation")
+            record = _record_from_certificate(n, cert, comm, norm, tol)
         records.append(record)
         if record.status == "refuted" and first_refuted is None:
             first_refuted = n
@@ -251,7 +272,8 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     """Check the four defining properties of a counterexample pair.
 
     Per level j <= n_max: (i) the scaled block commutator [C_j, Z_j] is
-    nilpotent; (ii) for block size k >= 3, the unscaled power product
+    structurally nilpotent (``is_nilpotent`` is True: its nonzero pattern
+    has no cycle); (ii) for block size k >= 3, the unscaled power product
     A^(k-2) (AB - BA) has spectrum {1, -1, 0, ...} within ``tol`` (the
     unscaled form avoids the k^-k underflow of the scaled one); (iii) the
     corner pairs for j >= 2 are refuted by simultaneous_triangularize;
@@ -271,7 +293,7 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     for j in range(1, n_max + 1):
         cj = pair.c_op.diag_block(j).array
         zj = pair.z_op.diag_block(j).array
-        ok = is_nilpotent(cj @ zj - zj @ cj)
+        ok = is_nilpotent(cj @ zj - zj @ cj) is True
         clauses.append(
             ClauseResult("block_commutator_nilpotent", j, ok, detail=f"block size {sizes[j - 1]}")
         )
@@ -373,11 +395,12 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
         trace_abs = float(abs(np.trace(comm)))
         worst_radius = 0.0
         worst_word = ""
-        for word, prod in _iter_word_products(a, b, word_len):
-            radius = spectral_radius(prod @ comm)
-            if radius > worst_radius:
-                worst_radius = radius
-                worst_word = word
+        for words, prods in _word_levels(a, b, word_len):
+            for word, prod in zip(words, prods):
+                radius = spectral_radius(prod @ comm)
+                if radius > worst_radius:
+                    worst_radius = radius
+                    worst_word = word
         passed = worst_radius <= tol and diag_max == 0.0 and trace_abs == 0.0
         records.append(
             StrippedLevelRecord(

@@ -8,6 +8,7 @@ call concurrently on shared inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
 
 
 _SCHUR_TOL = 1e-10  # acceptance bound on every Schur residual
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class SchurConvergenceError(RuntimeError):
@@ -149,21 +151,99 @@ def spectral_radius(a):
     return float(np.abs(eigenvalues(a)).max())
 
 
-def is_nilpotent(a, tol=1e-8):
-    """Whether ``(a/||a||)^n`` has operator norm at most ``tol`` (n = dimension).
+def _pow2_normalize(arr):
+    """``arr`` times the power of two that puts its largest entry modulus in [1/2, 1).
 
-    The zero matrix counts as nilpotent.  This deliberately avoids
-    eigenvalues: a perturbed Jordan block scatters its spectrum at scale
-    eps**(1/n), while the normalized power test stays decisive.
+    The scaling is exact (entries far below the largest may round into the
+    subnormal range), so every later step sees the same bits whatever power
+    of two the caller's data carried.  The zero matrix comes back unchanged.
+    """
+    top = float(np.abs(arr).max())
+    if top == 0.0:
+        return arr
+    e = -math.frexp(top)[1]
+    half = e // 2  # two factors: 2.0**e alone overflows beyond 2**1023
+    return arr * 2.0**half * 2.0 ** (e - half)
+
+
+def _structurally_nilpotent(arr):
+    """Whether the digraph of the nonzero pattern (i -> j where arr[i, j] != 0) has no cycle.
+
+    Such a matrix is a permuted strictly upper triangular one, so it is
+    nilpotent exactly, whatever its entries.  Sinks are peeled one at a
+    time (Kahn's order); a node whose successors are all gone becomes one.
+    """
+    pattern = arr != 0
+    outdeg = pattern.sum(axis=1)
+    sinks = list(np.flatnonzero(outdeg == 0))
+    peeled = 0
+    while sinks:
+        into = pattern[:, sinks.pop()]
+        peeled += 1
+        outdeg -= into
+        sinks.extend(np.flatnonzero(into & (outdeg == 0)))
+    return peeled == arr.shape[0]
+
+
+def _trace_tests(m, g, length, tol):
+    """Traces |tr M^k| and the thresholds they must exceed, k = 1, 2, over a stack of products.
+
+    ``m`` (shape (..., n, n)) holds computed values of exact products M of
+    ``length`` word letters and a commutator, ``length + 2`` factors from
+    operands whose entries have modulus at most 1; ``g`` holds the same
+    products taken over the operands' entrywise moduli.  By Higham
+    (*Accuracy and Stability of Numerical Algorithms*, 2002, section 3.5:
+    |fl(AB) - AB| <= gamma_n |A||B|), |m - M| <= gamma g + phi entrywise with
+
+        gamma = 4 (length + 3) n eps
+        phi   = 4 (length + 3) n^(length + 3) eta
+
+    where eps is the machine epsilon (the factor 4 covers complex
+    arithmetic and the trace sums) and eta the smallest subnormal, which
+    bounds the absolute error of one underflowing operation; phi carries
+    those errors through the remaining factors.  Every nilpotent M has
+    tr M = tr M^2 = 0, so a computed trace above
+
+        bound_1 = gamma' tr g + 2 n phi
+        bound_2 = 3 gamma' sum(g o g^T) + 3 phi sum(g) + 2 n^2 phi
+
+    (gamma' = gamma + ``tol``, a relative margin) proves M is not
+    nilpotent.  tr M^2 is taken as sum(m o m^T), row sums first, so every
+    sum runs over n terms.  Returns (traces, bounds), each of shape (..., 2).
+    """
+    n = m.shape[-1]
+    gamma = 4.0 * (length + 3) * n * _EPS + tol
+    phi = 4.0 * (length + 3) * 2.0 ** min((length + 3) * math.log2(n) - 1074.0, 1023.0)
+    t1 = np.abs(np.trace(m, axis1=-2, axis2=-1))
+    t2 = np.abs((m * np.swapaxes(m, -1, -2)).sum(axis=-1).sum(axis=-1))
+    b1 = gamma * np.trace(g, axis1=-2, axis2=-1) + 2.0 * n * phi
+    gg = (g * np.swapaxes(g, -1, -2)).sum(axis=-1).sum(axis=-1)
+    b2 = 3.0 * gamma * gg + 3.0 * phi * g.sum(axis=-1).sum(axis=-1) + 2.0 * n * n * phi
+    return np.stack([t1, t2], axis=-1), np.stack([b1, b2], axis=-1)
+
+
+def is_nilpotent(a, tol=1e-8):
+    """Nilpotency of ``a``, taken as exact data: True, False or None.
+
+    True only from structure: the digraph of the nonzero pattern has no
+    cycle, so ``a`` is a permuted strictly upper triangular matrix and
+    a^n = 0 exactly.  False when a trace refutes: after an exact
+    power-of-two scaling, |tr a| or |tr a^2| (both vanish for every
+    nilpotent matrix) exceeds its rounding bound widened by the relative
+    margin ``tol`` (``_trace_tests`` with no word letters).  None when
+    neither holds: ``a`` may be nilpotent but dense, or not nilpotent with
+    vanishing first two traces (a cyclic permutation).  None is falsy, so
+    only True is a positive claim; test it with ``is True``.
     """
     arr = _as_array(a, square=True)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    nrm = operator_norm(arr)
-    if nrm == 0.0:
+    if _structurally_nilpotent(arr):
         return True
-    p = np.linalg.matrix_power(arr / nrm, arr.shape[0])
-    return operator_norm(p) <= tol
+    m = _pow2_normalize(arr)
+    with np.errstate(under="ignore"):
+        traces, bounds = _trace_tests(m, np.abs(m), 0, tol)
+    return False if (traces > bounds).any() else None
 
 
 def shift_matrix(n):

@@ -1,32 +1,40 @@
 """Simultaneous triangularization of matrix pairs.
 
-Two routes lead to a witness, and both must pass one residual gate: the
-conjugated inputs keep strict-lower mass below ``tol`` relative to
-1 + ||a|| + ||b||, and the witness is unitary to 1e-10.
+Each operand is first scaled by an exact power of two (largest entry
+modulus in [1/2, 1)); no verdict depends on positive scaling, so every
+threshold below is relative to the input scale.  Three steps follow, and
+the first that decides wins.
 
-The Schur-flag route runs first and costs O(n^3).  When a pair is
-triangularizable and the generic combination a/||a|| + t b/||b|| (t of
-unit modulus, drawn from ``seed``) has distinct eigenvalues, the common
-flag is a reordering of that combination's Schur basis: in the
-combination's eigenbasis b is a permuted triangular matrix, and a greedy
-pass that always takes the eigenvector whose b-image leaks least into the
-remaining ones recovers the order, which ``ztrexc`` then applies to the
-Schur form.  Any failure (a repeated eigenvalue, a non-finite value, a
-failed gate) hands the pair to the second route unchanged.
+1. The Schur-flag route, O(n^3).  When a pair is triangularizable and the
+   generic combination a/||a|| + t b/||b|| (t of unit modulus, drawn from
+   ``seed``) has distinct eigenvalues, the common flag is a reordering of
+   that combination's Schur basis: in the combination's eigenbasis b is a
+   permuted triangular matrix, and a greedy pass that always takes the
+   eigenvector whose b-image leaks least into the remaining ones recovers
+   the order, which ``ztrexc`` then applies to the Schur form.
 
-The second route is recursive deflation: find a common eigenvector,
-conjugate it into the leading position, recurse on the trailing corner.
-Common eigenvectors come from the kernel-intersection subspace
+2. The word search, O(n^3) per word.  A word w refutes when M = w(a, b)
+   [a, b] has |tr M| or |tr M^2| above a rounding bound carried along the
+   word from the entrywise magnitudes |a| and |b| (``linalg._trace_tests``);
+   every power of a nilpotent matrix has trace 0, so the trace is a
+   witness anyone can recheck.  By McCoy's theorem every pair that is not
+   triangularizable has such a word.  Words are enumerated exhaustively up
+   to a length that a flop budget sets, then sampled.
 
-    N = intersection over 1 <= k, l <= n-1 of ker([a^k, b^l])
+3. Recursive deflation: find a common eigenvector, conjugate it into the
+   leading position, recurse on the trailing corner.  Common eigenvectors
+   come from the kernel-intersection subspace
 
-(numerical kernels via singular-value thresholds); the pair restricted to
-N commutes, so a common eigenvector can be read off eigenspaces there.
+       N = intersection over 1 <= k, l <= n-1 of ker([a^k, b^l])
 
-When deflation gets stuck, word sampling over p(a, b) [a, b] looks for a
-polynomial witness that the pair cannot be triangularized: a single
-non-nilpotent product refutes, while exhausting the budget proves
-nothing (verdict "inconclusive").  Refutation comes only from words.
+   (numerical kernels via singular-value thresholds); the pair restricted
+   to N commutes, so a common eigenvector can be read off eigenspaces
+   there.  Each step takes full SVDs, O(n^4) in all.
+
+A witness from step 1 or 3 counts only when it passes one residual gate:
+the conjugated inputs keep strict-lower mass below ``tol`` relative to
+1 + ||a|| + ||b||, and the witness is unitary to 1e-10.  When no step
+decides, the verdict is "inconclusive".
 """
 
 from __future__ import annotations
@@ -38,10 +46,11 @@ import scipy.linalg
 
 from .linalg import (
     ComplexMatrix,
+    _pow2_normalize,
     _reorder_schur,
     _square_pair,
     _strict_lower_max,
-    is_nilpotent,
+    _trace_tests,
     operator_norm,
 )
 
@@ -54,7 +63,8 @@ __all__ = [
 ]
 
 KERNEL_RTOL = 1e-8  # kernel cut (relative to sigma_max, or absolute on unit-norm inputs)
-_WORD_FLOP_BUDGET = 5e8  # caps the exhaustively enumerated word lengths
+_WORD_FLOP_BUDGET = 2e9  # real flops; caps the exhaustively enumerated word lengths
+_WORD_MARGIN = 1e-8  # relative margin of a refuting trace over its rounding bound
 
 
 @dataclass(frozen=True)
@@ -62,10 +72,12 @@ class TriangularizationCertificate:
     """Outcome of a simultaneous triangularization attempt.
 
     verdict is "triangularizable" (witness present, residuals verified),
-    "refuted" (refuting_word present, its product fails the nilpotency
-    test), or "inconclusive".  ``residual`` is the strict-lower mass of
-    both conjugated inputs relative to 1 + ||a|| + ||b||, when a full
-    conjugation exists.
+    "refuted" (refuting_word present, with the trace test that refutes
+    it: M = w(a, b) [a, b] has |tr M^k| = ``trace`` above ``trace_bound``),
+    or "inconclusive".  ``route`` names what decided the verdict:
+    "schur-flag", "words" or "deflation", None when nothing did.
+    ``residual`` is the strict-lower mass of both conjugated (scaled) inputs
+    relative to 1 + ||a|| + ||b||, when a full conjugation exists.
     """
 
     verdict: str
@@ -73,6 +85,10 @@ class TriangularizationCertificate:
     refuting_word: str | None
     residual: float | None
     unitarity_residual: float | None
+    route: str | None = None
+    trace_power: int | None = None
+    trace: float | None = None
+    trace_bound: float | None = None
 
 
 def _numerical_kernel(m, rtol=KERNEL_RTOL):
@@ -293,43 +309,104 @@ def _word_letters(word):
     return word
 
 
+def _word_product(word, a, b):
+    out = np.eye(a.shape[0], dtype=np.result_type(a, b))
+    for ch in word:
+        out = out @ (a if ch == "x" else b)
+    return out
+
+
 def word_value(word, a, b):
     """Evaluate a word over {x, y} as a product, x -> a, y -> b ('' -> identity)."""
     aa, bb = _square_pair(a, b)
-    out = np.eye(aa.shape[0], dtype=np.complex128)
-    for ch in _word_letters(word):
-        out = out @ (aa if ch == "x" else bb)
-    return ComplexMatrix(out)
+    return ComplexMatrix(_word_product(_word_letters(word), aa, bb))
 
 
 def _exhaustive_cap(n, max_word_len):
-    # keep 2^(L+1) products of n^3 work under the flop budget (and memory sane)
+    # a word costs two complex products (its value w and w [a, b]) and two
+    # real ones (their magnitude bounds): 2 * 8n^3 + 2 * 2n^3 real flops;
+    # the words up to length cap + 1 must fit the budget
     cap = 2
-    while cap < 11 and (2.0 ** (cap + 2)) * 2.0 * n**3 <= _WORD_FLOP_BUDGET:
+    while cap < 11 and (2.0 ** (cap + 2)) * 20.0 * n**3 <= _WORD_FLOP_BUDGET:
         cap += 1
     return min(cap, max_word_len)
 
 
-def _iter_word_products(a, b, max_len):
-    """Yield (word, product) in shortest-then-lexicographic order (x < y)."""
+def _word_levels(a, b, max_len):
+    """Yield (words, products) for word lengths 0..max_len, words in lexicographic order (x < y).
+
+    ``products`` stacks w(a, b) for the level's words in the same order;
+    each level costs two stacked matrix products.
+    """
     n = a.shape[0]
-    prev = [("", np.eye(n, dtype=np.complex128))]
-    yield prev[0]
+    words = [""]
+    prods = np.eye(n, dtype=np.result_type(a, b))[None]
+    yield words, prods
     for _ in range(max_len):
-        cur = []
-        for w, p in prev:
-            for ch, m in (("x", a), ("y", b)):
-                entry = (w + ch, p @ m)
-                cur.append(entry)
-                yield entry
-        prev = cur
+        m = prods.shape[0]
+        flat = prods.reshape(m * n, n)
+        prods = np.stack([(flat @ a).reshape(m, n, n), (flat @ b).reshape(m, n, n)], axis=1)
+        prods = prods.reshape(2 * m, n, n)
+        words = [w + ch for w in words for ch in "xy"]
+        yield words, prods
 
 
-def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=1e-8):
-    """Search for a word w with w(a, b) [a, b] non-nilpotent.
+def _normalized_pair(aa, bb):
+    """(a, b, [a, b], |a|, |b|, |a||b| + |b||a|) after exact power-of-two scaling of each operand.
 
-    Words are enumerated exhaustively in shortest-then-lexicographic order
-    up to a budgeted length cap, then ``samples`` random longer words
+    Refutation is invariant under positive scaling of either operand, and
+    the scaling keeps word products clear of overflow.
+    """
+    a = _pow2_normalize(aa)
+    b = _pow2_normalize(bb)
+    abs_a = np.abs(a)
+    abs_b = np.abs(b)
+    return a, b, a @ b - b @ a, abs_a, abs_b, abs_a @ abs_b + abs_b @ abs_a
+
+
+def _word_traces(p, g, pair, length, tol):
+    """``_trace_tests`` of M = w(a, b) [a, b] for a stack p of word values and g of their magnitudes."""
+    n = p.shape[-1]
+    _, _, comm, _, _, comm_abs = pair
+    m = (p.reshape(-1, n) @ comm).reshape(p.shape)
+    gm = (g.reshape(-1, n) @ comm_abs).reshape(g.shape)
+    return _trace_tests(m, gm, length, tol)
+
+
+def _one_word_traces(word, pair, tol):
+    x, y, _, abs_x, abs_y, _ = pair
+    p = _word_product(word, x, y)
+    g = _word_product(word, abs_x, abs_y)
+    traces, bounds = _word_traces(p[None], g[None], pair, len(word), tol)
+    return traces[0], bounds[0]
+
+
+def _word_witness(word, a, b, tol=_WORD_MARGIN):
+    """(k, trace, bound) when ``word`` refutes the pair (a, b) by its trace test, else None.
+
+    Evaluates the one word on its own, so it rechecks a word the search
+    found in a stacked evaluation.
+    """
+    pair = _normalized_pair(*_square_pair(a, b))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        traces, bounds = _one_word_traces(_word_letters(word), pair, tol)
+    over = traces > bounds
+    if not over.any():
+        return None
+    k = 1 if over[0] else 2
+    return k, float(traces[k - 1]), float(bounds[k - 1])
+
+
+def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=_WORD_MARGIN):
+    """Search for a word w with w(a, b) [a, b] provably not nilpotent.
+
+    A word refutes when, for M = w(a, b) [a, b], |tr M| or |tr M^2|
+    exceeds its rounding bound (``linalg._trace_tests``, with ``tol`` as a
+    relative margin on top of it); each operand is first scaled by an exact
+    power of two, which changes no verdict.  By McCoy's theorem every pair
+    that is not simultaneously triangularizable has such a word.  Words
+    are enumerated exhaustively in shortest-then-lexicographic order up to
+    a length cap set by a flop budget, then ``samples`` random longer words
     (deterministic in ``seed``) are tried; among sampled hits the minimal
     word in (length, lex) order is returned.  Returns the first refuting
     word, or None.  A None can never certify triangularizability.
@@ -337,25 +414,29 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=1e-8):
     aa, bb = _square_pair(a, b)
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
-    comm = aa @ bb - bb @ aa
+    pair = _normalized_pair(aa, bb)
+    x, y, comm, abs_x, abs_y, _ = pair
     if not comm.any():
         return None
-    n = aa.shape[0]
-    cap = _exhaustive_cap(n, max_word_len)
-    for word, prod in _iter_word_products(aa, bb, cap):
-        if not is_nilpotent(prod @ comm, tol):
-            return word
-    if max_word_len > cap and samples > 0:
+    cap = _exhaustive_cap(x.shape[0], max_word_len)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        levels = zip(_word_levels(x, y, cap), _word_levels(abs_x, abs_y, cap))
+        for length, ((words, p), (_, g)) in enumerate(levels):
+            traces, bounds = _word_traces(p, g, pair, length, tol)
+            hits = np.flatnonzero((traces > bounds).any(axis=1))
+            if hits.size:
+                return words[hits[0]]
+        if max_word_len <= cap or samples <= 0:
+            return None
         rng = np.random.default_rng(seed)
         hits = []
         for _ in range(samples):
             length = int(rng.integers(cap + 1, max_word_len + 1))
             word = "".join("xy"[i] for i in rng.integers(0, 2, size=length))
-            if not is_nilpotent(word_value(word, aa, bb).array @ comm, tol):
+            traces, bounds = _one_word_traces(word, pair, tol)
+            if (traces > bounds).any():
                 hits.append(word)
-        if hits:
-            return min(hits, key=lambda w: (len(w), w))
-    return None
+    return min(hits, key=lambda w: (len(w), w)) if hits else None
 
 
 def _schur_flag(aa, bb, na, nb, seed):
@@ -405,11 +486,12 @@ def _schur_flag(aa, bb, na, nb, seed):
     return q
 
 
-def _gated_certificate(aa, bb, u, tol, scale):
+def _gated_certificate(aa, bb, u, tol, scale, route):
     """Certificate for witness u: "triangularizable" only when it passes the gate.
 
     The gate: strict-lower mass of u* a u and u* b u below ``tol`` relative
-    to ``scale`` (1 + ||a|| + ||b||), and ||u* u - I|| below 1e-10.
+    to ``scale`` (1 + ||a|| + ||b||), and ||u* u - I|| below 1e-10.  A
+    witness that fails leaves an "inconclusive" certificate without a route.
     """
     uh = u.conj().T
     residual = max(_strict_lower_max(uh @ aa @ u), _strict_lower_max(uh @ bb @ u)) / scale
@@ -421,61 +503,84 @@ def _gated_certificate(aa, bb, u, tol, scale):
         refuting_word=None,
         residual=residual,
         unitarity_residual=unit_res,
+        route=route if passed else None,
     )
 
 
-def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
-    """Decide simultaneous triangularizability of a pair.
-
-    The Schur-flag route runs first; when its witness fails the gate, or
-    it yields none, deflation runs.  On success the certificate carries a
-    unitary witness whose conjugation leaves both inputs with strict-lower
-    mass below ``tol`` relative to 1 + ||a|| + ||b||.  When deflation
-    sticks, ``mccoy_sample`` (with its default sample count and nilpotency
-    tolerance) hunts for a refuting word; failing that the verdict is
-    "inconclusive" (a gated witness is authoritative for success, words
-    only ever refute).
-    """
-    aa, bb = _square_pair(a, b)
+def _deflate(aa, bb, tol):
+    """Unitary from recursive common-eigenvector deflation, or None when a step finds none."""
     n = aa.shape[0]
-    na = operator_norm(aa)
-    nb = operator_norm(bb)
-    scale = 1.0 + na + nb
-    flag = _schur_flag(aa, bb, na, nb, seed)
-    if flag is not None:
-        cert = _gated_certificate(aa, bb, flag, tol, scale)
-        if cert.verdict == "triangularizable":
-            return cert
-
     u = np.eye(n, dtype=np.complex128)
     wa = np.array(aa)
     wb = np.array(bb)
-    deflated = True
     for k in range(n - 1):
         v = common_eigenvector(wa[k:, k:], wb[k:, k:], tol=tol)
         if v is None:
-            deflated = False
-            break
+            return None
         h = _householder_from_first_column(v)
         wa[k:, k:] = h.conj().T @ wa[k:, k:] @ h
         wa[:k, k:] = wa[:k, k:] @ h
         wb[k:, k:] = h.conj().T @ wb[k:, k:] @ h
         wb[:k, k:] = wb[:k, k:] @ h
         u[:, k:] = u[:, k:] @ h
-    if deflated:
-        return _gated_certificate(aa, bb, u, tol, scale)
+    return u
+
+
+def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
+    """Decide simultaneous triangularizability of a pair.
+
+    Each operand is first scaled by the exact power of two that puts its
+    largest entry modulus in [1/2, 1); neither a witness nor a refuting
+    word depends on positive scaling, and the gate becomes relative to the
+    input scale.  Then, in order:
+
+    1. the Schur-flag route; a witness that passes the gate wins;
+    2. the word search (``mccoy_sample`` with its default sample count and
+       margin, words up to ``word_len`` letters); a refuting word wins once
+       evaluated again on its own, and its trace test goes on the
+       certificate;
+    3. deflation; its witness must pass the same gate.
+
+    On success the certificate carries a unitary witness whose conjugation
+    leaves both scaled inputs with strict-lower mass below ``tol``
+    relative to 1 + ||a|| + ||b||.  Otherwise the verdict is
+    "inconclusive": words only ever refute, and a gated witness is the
+    only proof of success.
+    """
+    aa, bb = _square_pair(a, b)
+    aa = _pow2_normalize(aa)
+    bb = _pow2_normalize(bb)
+    n = aa.shape[0]
+    na = operator_norm(aa)
+    nb = operator_norm(bb)
+    scale = 1.0 + na + nb
+    flag = _schur_flag(aa, bb, na, nb, seed)
+    if flag is not None:
+        cert = _gated_certificate(aa, bb, flag, tol, scale, "schur-flag")
+        if cert.verdict == "triangularizable":
+            return cert
 
     if word_len is None:
         word_len = max(4, min(n - 2, 16))
-    word = mccoy_sample(aa, bb, max_word_len=word_len, seed=seed)
-    if word is not None:
+    word = mccoy_sample(aa, bb, max_word_len=word_len, seed=seed, tol=_WORD_MARGIN)
+    witness = None if word is None else _word_witness(word, aa, bb, _WORD_MARGIN)
+    if witness is not None:
+        k, trace, bound = witness
         return TriangularizationCertificate(
             verdict="refuted",
             witness_unitary=None,
             refuting_word=word,
             residual=None,
             unitarity_residual=None,
+            route="words",
+            trace_power=k,
+            trace=trace,
+            trace_bound=bound,
         )
+
+    u = _deflate(aa, bb, tol)
+    if u is not None:
+        return _gated_certificate(aa, bb, u, tol, scale, "deflation")
     return TriangularizationCertificate(
         verdict="inconclusive",
         witness_unitary=None,

@@ -99,7 +99,10 @@ def test_triangularize_refuted_pair(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["verdict"] == "refuted"
-    assert doc["levels"][0]["refuting_word"] == "xxx"
+    row = doc["levels"][0]
+    assert row["refuting_word"] == "xxx"
+    assert (row["route"], row["trace_power"]) == ("words", 2)
+    assert row["trace"] > row["trace_bound"] > 0.0
 
 
 def test_tridiagonalize_single(tmp_path, capsys):

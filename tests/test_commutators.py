@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from blocktri import (
+    BlockTridiagOperator,
     build_counterexample,
     certify_commutator,
     conjugate_blocks,
     corner_compression,
     decay_report,
+    is_nilpotent,
     make_schedule,
     operator_norm,
     spectrum_union_check,
@@ -80,7 +82,7 @@ def test_verify_counterexample_size_two_block_fails_honestly():
 
 
 def test_verify_counterexample_level_4_is_quiet():
-    # inverse iteration on the stuck corner pair overflows; that must stay silent
+    # no numpy warning may escape the check at block size 100
     pair = build_counterexample(make_schedule("pair", 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -202,3 +204,35 @@ def test_corner_commutator_strictly_lower_for_counterexample():
     zc = corner_compression(pair.z_op, 3).array
     comm = cc @ zc - zc @ cc
     assert not np.triu(comm).any()
+
+
+def test_counterexample_block_commutators_are_structurally_nilpotent():
+    # [C_j, Z_j] = (e_{k-1} e_1^T - e_k e_2^T) / k^2: an acyclic pattern
+    pair = build_counterexample(make_schedule("pair", 4))
+    for j in range(1, 5):
+        c = pair.c_op.diag_block(j).array
+        z = pair.z_op.diag_block(j).array
+        assert is_nilpotent(c @ z - z @ c) is True
+
+
+def test_certify_detail_names_the_route():
+    # c = 2z + 3I commutes with z; couplings are nonzero, so levels 2 and 3
+    # go to the whole corner, where the Schur-flag route decides
+    sched = make_schedule("pair", 3)
+    z = random_operator(sched, np.random.default_rng(60))
+    c = BlockTridiagOperator(
+        sched,
+        [2.0 * z.diag_block(j).array + 3.0 * np.eye(sched.size(j)) for j in (1, 2, 3)],
+        [2.0 * z.upper_block(j).array for j in (1, 2)],
+        [2.0 * z.lower_block(j).array for j in (1, 2)],
+    )
+    report = certify_commutator(c, z, n_max=3)
+    assert report.verdict == "certified_quasinilpotent"
+    assert "fast path" in report.levels[0].detail
+    assert [rec.detail for rec in report.levels[1:]] == ["whole corner, Schur-flag route"] * 2
+    rng = np.random.default_rng(61)
+    report = certify_commutator(random_operator(sched, rng), random_operator(sched, rng), n_max=2)
+    assert report.levels[1].detail.startswith("whole corner, word search: |tr M^")
+    pair = build_counterexample(sched)
+    report = certify_commutator(pair.c_op, pair.z_op, n_max=3)
+    assert "word re-verified on the corner: |tr M^" in report.levels[2].detail

@@ -94,6 +94,41 @@ def test_is_nilpotent():
         is_nilpotent(np.eye(2), tol=-1.0)
 
 
+@pytest.mark.parametrize("n", [50, 100])
+def test_is_nilpotent_refutes_ginibre_commutators(n):
+    # rho/||M|| is about 0.47 here, which a normalized-power test reads as nilpotent
+    rng = np.random.default_rng(n)
+    a = random_complex(n, n, rng)
+    b = random_complex(n, n, rng)
+    assert is_nilpotent(a @ b - b @ a) is False
+
+
+def test_is_nilpotent_undecided_on_cyclic_permutation():
+    # tr M = tr M^2 = 0 and a cycle in the pattern: neither witness applies
+    p = np.roll(np.eye(3), 1, axis=1)
+    assert is_nilpotent(p) is None
+    assert is_nilpotent(p, tol=0.0) is None
+
+
+def test_is_nilpotent_true_only_from_structure():
+    # a permuted strictly triangular pattern is nilpotent whatever the entries
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(7)
+    m = np.triu(random_complex(7, 7, rng), 1)[np.ix_(perm, perm)]
+    assert is_nilpotent(m) is True
+    assert is_nilpotent(1e-300 * m) is True
+    # a dense nilpotent matrix is nilpotent but has no acyclic pattern
+    u = haar_unitary(7, rng)
+    assert is_nilpotent(u @ shift_matrix(7).array @ u.conj().T) is not True
+
+
+def test_is_nilpotent_margin_widens_the_bound():
+    # tr m = 1e-6 and tr m^2 = 2e-6 + 1e-12 against moduli that sum to 4
+    m = np.diag([1.0 + 1e-6, 1j, -1.0, -1j])
+    assert is_nilpotent(m) is False
+    assert is_nilpotent(m, tol=1e-5) is None
+
+
 def test_generators_entrywise():
     s = shift_matrix(4).array
     expected = np.zeros((4, 4))

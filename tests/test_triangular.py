@@ -1,5 +1,7 @@
 """Tests for common eigenvectors, word refutations, and pair triangularization."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,3 +270,92 @@ def test_triangularize_verdict_invariant_under_operand_swap():
         a = random_complex(n, n, rng)
         b = random_complex(n, n, rng)
         assert simultaneous_triangularize(a, b).verdict == simultaneous_triangularize(b, a).verdict
+
+
+def test_words_stay_quiet_at_large_scale():
+    # exact power-of-two normalization keeps words of 2^200-scaled inputs finite
+    a = 2.0**200 * shift_matrix(8).array
+    b = 2.0**200 * corner_unit(8).array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mccoy_sample(a, b, max_word_len=8) == "x" * 6
+        cert = simultaneous_triangularize(a, b)
+    assert (cert.verdict, cert.refuting_word, cert.route) == ("refuted", "x" * 6, "words")
+    assert cert.trace_power in (1, 2)
+    assert cert.trace > cert.trace_bound > 0.0
+
+
+def test_trace_bound_sound_on_conjugated_triangular_pairs():
+    # dense triangular pairs under Haar conjugation are triangularizable up to
+    # rounding: no word may refute them, even with no margin over the bound
+    rng = np.random.default_rng(46)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        u = haar_unitary(n, rng)
+        ka, kb = (int(k) for k in rng.integers(-300, 301, size=2))
+        a = 2.0**ka * (u @ np.triu(random_complex(n, n, rng)) @ u.conj().T)
+        b = 2.0**kb * (u @ np.triu(random_complex(n, n, rng)) @ u.conj().T)
+        assert mccoy_sample(a, b, max_word_len=6, samples=0, tol=0.0) is None, n
+
+
+def test_random_pairs_are_refuted_by_a_trace():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        cert = simultaneous_triangularize(random_complex(n, n, rng), random_complex(n, n, rng))
+        assert cert.verdict == "refuted"
+        assert cert.trace > cert.trace_bound
+
+
+@pytest.mark.parametrize("scale", [1e-12, 2.0**-300], ids=["1e-12", "2^-300"])
+def test_tiny_inputs_are_judged_relative_to_their_scale(scale):
+    # the gate tol * (1 + ||a|| + ||b||) was absolute at this scale and let any
+    # unitary pass as a witness
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((30, 30))
+    b = rng.standard_normal((30, 30))
+    cert = simultaneous_triangularize(scale * a, scale * b)
+    assert (cert.verdict, cert.refuting_word) == ("refuted", "")
+
+
+def _near_triangular_pair():
+    # upper triangular up to a 1e-11 lower entry: the Schur-flag and
+    # deflation witnesses pass the gate, and with no margin the empty word
+    # refutes (tr [a, b]^2 = 2e-22 - 2e-11)
+    a = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=np.complex128)
+    b = np.array([[3.0, 2.0], [1e-11, 4.0]], dtype=np.complex128)
+    return a, b
+
+
+def test_schur_flag_witness_wins_over_a_word(monkeypatch):
+    a, b = _near_triangular_pair()
+    assert mccoy_sample(a, b, tol=0.0) == ""
+    monkeypatch.setattr(triangular, "_WORD_MARGIN", 0.0)
+    cert = simultaneous_triangularize(a, b)
+    assert (cert.verdict, cert.route) == ("triangularizable", "schur-flag")
+
+
+def test_word_wins_over_deflation(monkeypatch):
+    a, b = _near_triangular_pair()
+    monkeypatch.setattr(triangular, "_WORD_MARGIN", 0.0)
+    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
+    eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+    cert = simultaneous_triangularize(a, b)
+    assert (cert.verdict, cert.route, cert.refuting_word) == ("refuted", "words", "")
+    assert cert.trace_power == 2
+    assert eigvecs == []
+    # deflation alone would have certified the pair
+    monkeypatch.setattr(triangular, "mccoy_sample", lambda *args, **kwargs: None)
+    cert = simultaneous_triangularize(a, b)
+    assert (cert.verdict, cert.route) == ("triangularizable", "deflation")
+    assert eigvecs
+
+
+def test_certificate_names_its_route():
+    rng = np.random.default_rng(48)
+    u = haar_unitary(6, rng)
+    a = u @ separated_upper(6, rng) @ u.conj().T
+    b = u @ separated_upper(6, rng) @ u.conj().T
+    assert simultaneous_triangularize(a, b).route == "schur-flag"
+    assert simultaneous_triangularize(*scaled_block_pair(5)).route == "words"
+    assert simultaneous_triangularize(np.eye(4), 2.0 * np.eye(4)).route == "deflation"
