@@ -65,6 +65,7 @@ __all__ = [
 KERNEL_RTOL = 1e-8  # kernel cut (relative to sigma_max, or absolute on unit-norm inputs)
 _WORD_FLOP_BUDGET = 2e9  # real flops; caps the exhaustively enumerated word lengths
 _WORD_MARGIN = 1e-8  # relative margin of a refuting trace over its rounding bound
+_WORD_SAMPLES = 64  # random words tried past the exhaustive cap
 
 
 @dataclass(frozen=True)
@@ -381,39 +382,36 @@ def _one_word_traces(word, pair, tol):
     return traces[0], bounds[0]
 
 
+def _refutation(word, traces, bounds):
+    """(word, k, trace, bound) for the first k in 1, 2 whose trace exceeds its bound."""
+    k = 1 if traces[0] > bounds[0] else 2
+    return word, k, float(traces[k - 1]), float(bounds[k - 1])
+
+
 def _word_witness(word, a, b, tol=_WORD_MARGIN):
     """(k, trace, bound) when ``word`` refutes the pair (a, b) by its trace test, else None.
 
-    Evaluates the one word on its own, so it rechecks a word the search
-    found in a stacked evaluation.
+    For a word found on another pair, such as a diagonal block's word
+    tried on the whole corner.
     """
     pair = _normalized_pair(*_square_pair(a, b))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         traces, bounds = _one_word_traces(_word_letters(word), pair, tol)
-    over = traces > bounds
-    if not over.any():
+    if not (traces > bounds).any():
         return None
-    k = 1 if over[0] else 2
-    return k, float(traces[k - 1]), float(bounds[k - 1])
+    return _refutation(word, traces, bounds)[1:]
 
 
-def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=_WORD_MARGIN):
-    """Search for a word w with w(a, b) [a, b] provably not nilpotent.
+def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
+    """``mccoy_sample``'s search on a square pair: (word, k, trace, bound) of the refuting word, or None.
 
-    A word refutes when, for M = w(a, b) [a, b], |tr M| or |tr M^2|
-    exceeds its rounding bound (``linalg._trace_tests``, with ``tol`` as a
-    relative margin on top of it); each operand is first scaled by an exact
-    power of two, which changes no verdict.  By McCoy's theorem every pair
-    that is not simultaneously triangularizable has such a word.  Words
-    are enumerated exhaustively in shortest-then-lexicographic order up to
-    a length cap set by a flop budget, then ``samples`` random longer words
-    (deterministic in ``seed``) are tried; among sampled hits the minimal
-    word in (length, lex) order is returned.  Returns the first refuting
-    word, or None.  A None can never certify triangularizability.
+    The trace test is proved on the evaluation that found the word: the
+    rounding bound holds for every summation order, stacked or not.
     """
-    aa, bb = _square_pair(a, b)
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     pair = _normalized_pair(aa, bb)
     x, y, comm, abs_x, abs_y, _ = pair
     if not comm.any():
@@ -425,7 +423,8 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=_WORD_MARGIN):
             traces, bounds = _word_traces(p, g, pair, length, tol)
             hits = np.flatnonzero((traces > bounds).any(axis=1))
             if hits.size:
-                return words[hits[0]]
+                i = hits[0]
+                return _refutation(words[i], traces[i], bounds[i])
         if max_word_len <= cap or samples <= 0:
             return None
         rng = np.random.default_rng(seed)
@@ -435,8 +434,27 @@ def mccoy_sample(a, b, max_word_len=6, samples=64, seed=0, tol=_WORD_MARGIN):
             word = "".join("xy"[i] for i in rng.integers(0, 2, size=length))
             traces, bounds = _one_word_traces(word, pair, tol)
             if (traces > bounds).any():
-                hits.append(word)
-    return min(hits, key=lambda w: (len(w), w)) if hits else None
+                hits.append(_refutation(word, traces, bounds))
+    return min(hits, key=lambda hit: (len(hit[0]), hit[0])) if hits else None
+
+
+def mccoy_sample(a, b, max_word_len=6, samples=_WORD_SAMPLES, seed=0, tol=_WORD_MARGIN):
+    """Search for a word w with w(a, b) [a, b] provably not nilpotent.
+
+    A word refutes when, for M = w(a, b) [a, b], |tr M| or |tr M^2|
+    exceeds its rounding bound (``linalg._trace_tests``, with ``tol`` as a
+    relative margin on top of it, so it must be nonnegative); each operand
+    is first scaled by an exact power of two, which changes no verdict.
+    By McCoy's theorem every pair that is not simultaneously
+    triangularizable has such a word.  Words are enumerated exhaustively
+    in shortest-then-lexicographic order up to a length cap set by a flop
+    budget, then ``samples`` random longer words (deterministic in
+    ``seed``) are tried; among sampled hits the minimal word in
+    (length, lex) order is returned.  Returns the first refuting word, or
+    None.  A None can never certify triangularizability.
+    """
+    hit = _mccoy_search(*_square_pair(a, b), max_word_len, samples, seed, tol)
+    return None if hit is None else hit[0]
 
 
 def _schur_flag(aa, bb, na, nb, seed):
@@ -536,9 +554,8 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
 
     1. the Schur-flag route; a witness that passes the gate wins;
     2. the word search (``mccoy_sample`` with its default sample count and
-       margin, words up to ``word_len`` letters); a refuting word wins once
-       evaluated again on its own, and its trace test goes on the
-       certificate;
+       margin, words up to ``word_len`` letters); a refuting word wins, and
+       the trace test that refutes it goes on the certificate;
     3. deflation; its witness must pass the same gate.
 
     On success the certificate carries a unitary witness whose conjugation
@@ -562,10 +579,9 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
 
     if word_len is None:
         word_len = max(4, min(n - 2, 16))
-    word = mccoy_sample(aa, bb, max_word_len=word_len, seed=seed, tol=_WORD_MARGIN)
-    witness = None if word is None else _word_witness(word, aa, bb, _WORD_MARGIN)
-    if witness is not None:
-        k, trace, bound = witness
+    hit = _mccoy_search(aa, bb, word_len, _WORD_SAMPLES, seed, _WORD_MARGIN)
+    if hit is not None:
+        word, k, trace, bound = hit
         return TriangularizationCertificate(
             verdict="refuted",
             witness_unitary=None,

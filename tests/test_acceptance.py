@@ -70,8 +70,8 @@ def test_criterion_2_mccoy_refutation():
         assert len(word) <= n - 2
         if len(word) == n - 2:
             assert word == "x" * (n - 2)
-        assert not is_nilpotent(word_value(word, a, b).array @ comm, tol=1e-10)
-        assert not is_nilpotent(np.linalg.matrix_power(a, n - 2) @ comm, tol=1e-10)
+        assert is_nilpotent(word_value(word, a, b).array @ comm, tol=1e-10) is False
+        assert is_nilpotent(np.linalg.matrix_power(a, n - 2) @ comm, tol=1e-10) is False
         assert is_nilpotent(comm, tol=1e-10)
     print("ACCEPTANCE 2: PASS (x^(n-2) refutes for every 3 <= n <= 12)")
 

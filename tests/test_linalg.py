@@ -84,12 +84,12 @@ def test_eigenvalues_dense_matches_numpy():
 def test_is_nilpotent():
     assert is_nilpotent(np.zeros((3, 3)))
     assert is_nilpotent(shift_matrix(9))
-    assert not is_nilpotent(np.eye(2))
-    assert not is_nilpotent(np.diag([1.0, -1.0]))
+    assert is_nilpotent(np.eye(2)) is False
+    assert is_nilpotent(np.diag([1.0, -1.0])) is False
     # scale invariance: normalization keeps tiny non-nilpotent matrices decisive
-    assert not is_nilpotent(1e-200 * np.diag([1.0, -1.0]))
+    assert is_nilpotent(1e-200 * np.diag([1.0, -1.0])) is False
     perturbed = shift_matrix(8).array + 1e-5 * np.eye(8)
-    assert not is_nilpotent(perturbed)
+    assert is_nilpotent(perturbed) is False
     with pytest.raises(ValueError):
         is_nilpotent(np.eye(2), tol=-1.0)
 

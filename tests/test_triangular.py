@@ -101,6 +101,15 @@ def test_mccoy_sample_commuting_returns_none():
     assert mccoy_sample(a, a @ a, max_word_len=5) is None
 
 
+def test_mccoy_sample_rejects_negative_margin():
+    # a negative margin would push the bounds below zero and let any
+    # nonzero trace refute a triangularizable pair
+    a, b, _ = conjugated_upper_pair(5, np.random.default_rng(35))
+    for pair in ((a, b), (a, a)):
+        with pytest.raises(ValueError, match="tol"):
+            mccoy_sample(*pair, tol=-1.0)
+
+
 def test_mccoy_never_refutes_triangularizable_pairs():
     # McCoy necessity: a triangularizable pair admits no refuting word
     rng = np.random.default_rng(36)
@@ -122,7 +131,7 @@ def test_mccoy_refutations_verify():
             continue
         hits += 1
         comm = a @ b - b @ a
-        assert not is_nilpotent(word_value(word, a, b).array @ comm)
+        assert is_nilpotent(word_value(word, a, b).array @ comm) is False
     assert hits > 0
 
 
@@ -173,7 +182,7 @@ def test_triangularize_refutes_block_pair():
     assert cert.refuting_word == "xxx"
     assert cert.witness_unitary is None
     comm = a @ b - b @ a
-    assert not is_nilpotent(word_value(cert.refuting_word, a, b).array @ comm)
+    assert is_nilpotent(word_value(cert.refuting_word, a, b).array @ comm) is False
     # the Schur-flag route fails its gate on every block size; words still refute
     for n in range(2, 9):
         a, b = scaled_block_pair(n)
@@ -345,7 +354,7 @@ def test_word_wins_over_deflation(monkeypatch):
     assert cert.trace_power == 2
     assert eigvecs == []
     # deflation alone would have certified the pair
-    monkeypatch.setattr(triangular, "mccoy_sample", lambda *args, **kwargs: None)
+    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
     cert = simultaneous_triangularize(a, b)
     assert (cert.verdict, cert.route) == ("triangularizable", "deflation")
     assert eigvecs
