@@ -28,7 +28,7 @@ from .commutators import (
 )
 from .decompose import decompose, diagonal_part, quasinilpotent_part_certificate
 from .krylov import block_tridiagonalize, verify_block_structure
-from .linalg import SchurConvergenceError, operator_norm
+from .linalg import SchurConvergenceError, _norm_excess, operator_norm
 from .matio import (
     matrix_document,
     read_matrix,
@@ -106,9 +106,8 @@ def _schedule_from_config(config, default_levels=3):
 def _operators_from_files(paths):
     mats = [read_matrix(p) for p in paths]
     tri = block_tridiagonalize([m.array for m in mats], mode="padded")
-    band_tol = 1e-8 * (1.0 + max(operator_norm(m) for m in mats))
     ops = [
-        operator_from_matrix(t.array, tri.realized_schedule, band_tol=band_tol)
+        operator_from_matrix(t.array, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
         for t in tri.transformed
     ]
     checks = [verify_block_structure(t, tri.realized_schedule) for t in tri.transformed]
@@ -261,11 +260,10 @@ def _cmd_decompose(config):
     result = decompose(t, levels=config.levels)
     cert = quasinilpotent_part_certificate(result, tol=config.tolerances["radius"])
     split = diagonal_part(result)
-    norm_t = operator_norm(t)
     residuals = result.residuals
     passed = (
         residuals["unitarity"] <= config.tolerances["unit"]
-        and residuals["reconstruction"] <= config.tolerances["recon"] * (1.0 + norm_t)
+        and _norm_excess(residuals["reconstruction"], config.tolerances["recon"], (t,)) is None
         and residuals["triangularity"] == 0.0
         and cert.verdict == "certified_quasinilpotent"
     )

@@ -108,8 +108,9 @@ def decompose(t, levels=None, *, start=None):
         tri = block_tridiagonalize([arr], start=start, mode="padded")
         sched = tri.realized_schedule
         w = tri.basis.array
-        band_tol = 1e-9 * (1.0 + operator_norm(arr))
-        source = operator_from_matrix(tri.transformed[0].array, sched, band_tol=band_tol)
+        source = operator_from_matrix(
+            tri.transformed[0].array, sched, band_tol=1e-9, band_scale=(arr,)
+        )
         target = arr
 
     depth = sched.levels

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array
+from .linalg import ComplexMatrix, _as_array, _pow2_normalize
 from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedule
 
 __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure", "BandCheck"]
@@ -133,8 +133,10 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
 
     while count < n_dim:
         lo, hi = count - sizes[-1], count
-        # one block product per operator; columns keep the per-image order
+        # one block product per operator; columns keep the per-image order.  The exact
+        # power-of-two scaling keeps the vector norms clear of underflow and overflow
         images = np.hstack([m @ basis[:, lo:hi] for m in applied])
+        _pow2_normalize(images, out=images)
         level_norm = float(np.linalg.norm(images, axis=0).max()) or 1.0
         accepted = 0
         for w in images.T:

@@ -113,6 +113,31 @@ def operator_norm(a):
     return float(scipy.linalg.svdvals(arr)[0])
 
 
+def _norm_excess(r, tol, scales=(), offset=1.0):
+    """Exact ||r||_2 when it exceeds tol * (offset + max ||s||_2 over ``scales``), else None.
+
+    ``r`` is a matrix, or a float that is already the exact value.  Since
+    ||r||_2 <= ||r||_F and max |s_ij| <= ||s||_2 (Golub & Van Loan,
+    *Matrix Computations*, section 2.3), the gate passes without an SVD
+    when ||r||_F <= tol * (offset + max |s_ij|).  Only when that screen
+    fails are the exact 2-norms taken and compared, so the gate decides as
+    one on exact 2-norms alone; the two can differ only where ||r||_2 lies
+    within rounding of the bound.  ||r||_F is BLAS ``nrm2`` of the
+    raveled matrix, which rescales as it sums: it neither underflows nor
+    overflows where the 2-norm does not (a 2-D ``np.linalg.norm`` gives
+    0.0 for entries of 1e-170 and overflows at 1e300).
+    """
+    exact = isinstance(r, float)
+    # no finiteness check: a nonfinite r fails the screen, and operator_norm raises on it
+    screen = r if exact else float(scipy.linalg.norm(r.ravel(), check_finite=False))
+    peak = max((float(np.abs(s).max()) for s in scales), default=0.0)
+    if screen <= tol * (offset + peak):
+        return None
+    value = r if exact else operator_norm(r)
+    norm = max((operator_norm(s) for s in scales), default=0.0)
+    return value if value > tol * (offset + norm) else None
+
+
 def _strict_lower_max(arr):
     if arr.shape[0] <= 1:
         return 0.0
@@ -151,19 +176,22 @@ def spectral_radius(a):
     return float(np.abs(eigenvalues(a)).max())
 
 
-def _pow2_normalize(arr):
+def _pow2_normalize(arr, out=None):
     """``arr`` times the power of two that puts its largest entry modulus in [1/2, 1).
 
     The scaling is exact (entries far below the largest may round into the
     subnormal range), so every later step sees the same bits whatever power
     of two the caller's data carried.  The zero matrix comes back unchanged.
+    ``out=arr`` scales in place.
     """
     top = float(np.abs(arr).max())
     if top == 0.0:
         return arr
     e = -math.frexp(top)[1]
     half = e // 2  # two factors: 2.0**e alone overflows beyond 2**1023
-    return arr * 2.0**half * 2.0 ** (e - half)
+    out = np.multiply(arr, 2.0**half, out=out)
+    out *= 2.0 ** (e - half)
+    return out
 
 
 def _structurally_nilpotent(arr):
@@ -337,18 +365,17 @@ def schur(a, *, order=None):
             raise SchurConvergenceError(f"reordering failed: {exc}") from exc
     discarded = _strict_lower_max(t)
     t = np.triu(t)
-    norm_a = operator_norm(arr)
-    if discarded > _SCHUR_TOL * (1.0 + operator_norm(t)):
+    if _norm_excess(discarded, _SCHUR_TOL, (t,)) is not None:
         raise SchurConvergenceError(
             f"triangular factor residual {discarded:.3e} above tolerance", residual=discarded
         )
-    unit_res = operator_norm(q.conj().T @ q - np.eye(n))
-    if unit_res > _SCHUR_TOL:
+    unit_res = _norm_excess(q.conj().T @ q - np.eye(n), _SCHUR_TOL)
+    if unit_res is not None:
         raise SchurConvergenceError(
             f"unitarity residual {unit_res:.3e} above tolerance", residual=unit_res
         )
-    recon_res = operator_norm(q @ t @ q.conj().T - arr)
-    if recon_res > _SCHUR_TOL * norm_a:
+    recon_res = _norm_excess(q @ t @ q.conj().T - arr, _SCHUR_TOL, (arr,), offset=0.0)
+    if recon_res is not None:
         raise SchurConvergenceError(
             f"reconstruction residual {recon_res:.3e} above tolerance", residual=recon_res
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array, operator_norm
+from .linalg import ComplexMatrix, _as_array, _norm_excess, operator_norm
 
 __all__ = [
     "BlockSchedule",
@@ -317,13 +317,14 @@ def decay_report(op, n_max):
     return DecayReport(rows=tuple(rows), violations=tuple(violations), passed=not violations)
 
 
-def operator_from_matrix(m, schedule, *, band_tol=0.0):
+def operator_from_matrix(m, schedule, *, band_tol=0.0, band_scale=()):
     """Cut a dense block-tridiagonal matrix into an operator's blocks.
 
     The matrix size must equal the schedule's total dimension.  Entries
-    outside the band larger than ``band_tol`` in modulus raise
-    ``ValueError``; smaller leakage is dropped (the operator represents
-    the banded projection).
+    outside the band larger in modulus than ``band_tol`` times
+    1 + the largest operator norm of the matrices in ``band_scale`` (an
+    absolute ``band_tol`` when it is empty) raise ``ValueError``; smaller
+    leakage is dropped (the operator represents the banded projection).
     """
     arr = _as_array(m, square=True)
     size = arr.shape[0]
@@ -332,7 +333,7 @@ def operator_from_matrix(m, schedule, *, band_tol=0.0):
             f"schedule covers {schedule.cumsums[-1]} dims, matrix has {size}"
         )
     worst = _off_band_max(arr, schedule)
-    if worst > band_tol:
+    if _norm_excess(worst, band_tol, band_scale) is not None:
         raise ValueError(f"matrix has off-band mass {worst:.3e} above band_tol")
     lev = _level_slices(schedule)
     return BlockTridiagOperator(

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,37 @@ def test_decompose_tiny_power_of_two_scale(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["verdict"] == "certified_quasinilpotent"
     assert err == ""
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e300, 2.0**600, 2.0**-600])
+def test_decompose_is_scale_safe(tmp_path, capsys, scale):
+    # the Krylov vector norms must neither underflow nor overflow
+    path = str(tmp_path / "t.json")
+    write_matrix(random_complex(27, 27, np.random.default_rng(7)) * scale, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["decompose", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "certified_quasinilpotent"
+    assert doc["realized_sizes"] == [1, 2, 6, 18]
+
+
+def test_decompose_svd_budget(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "t.json")
+    write_matrix(random_complex(243, 243, np.random.default_rng(243)), path)
+    shapes = []
+    svdvals = scipy.linalg.svdvals
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 0
+    # the norm gates are screened; only the two reported residuals take a full SVD
+    assert [s for s in shapes if s[0] == s[1] >= 162] == [(243, 243), (243, 243)]
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -1,7 +1,10 @@
 """Tests for the dense kernel: matrices, norms, spectra, Schur forms."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocktri import (
     ComplexMatrix,
@@ -15,6 +18,7 @@ from blocktri import (
     shift_matrix,
     spectral_radius,
 )
+from blocktri.linalg import _norm_excess
 from helpers import haar_unitary, random_complex
 
 
@@ -189,6 +193,90 @@ def test_schur_modulus_order():
 def test_schur_rejects_unknown_order():
     with pytest.raises(ValueError):
         schur(np.eye(2), order="rows")
+
+
+@pytest.mark.parametrize("factor", ["unitary", "upper"])
+def test_schur_failing_gates_raise_the_exact_residual(monkeypatch, factor):
+    a = random_complex(12, 12, np.random.default_rng(41))
+    t0, q0 = scipy.linalg.schur(a, output="complex")
+    noise = 1e-8 * random_complex(12, 12, np.random.default_rng(43))
+    returned = {}
+
+    def perturbed_schur(arr, output):
+        t, q = t0.copy(order="F"), q0.copy(order="F")
+        if factor == "unitary":
+            q += noise
+        else:
+            t += np.triu(noise)
+        returned.update(t=t, q=q)
+        return t, q
+
+    monkeypatch.setattr(scipy.linalg, "schur", perturbed_schur)
+    with pytest.raises(SchurConvergenceError) as info:
+        schur(a)
+    t, q = returned["t"], returned["q"]
+    if factor == "unitary":
+        assert str(info.value).startswith("unitarity residual")
+        expected = operator_norm(q.conj().T @ q - np.eye(12))
+    else:
+        assert str(info.value).startswith("reconstruction residual")
+        expected = operator_norm(q @ np.triu(t) @ q.conj().T - a)
+    assert info.value.residual == expected
+
+
+def _exact_gate(r, tol, scales, offset):
+    # the gate as decided from full SVDs alone
+    value = r if isinstance(r, float) else operator_norm(r)
+    norm = max((operator_norm(s) for s in scales), default=0.0)
+    return value if value > tol * (offset + norm) else None
+
+
+@pytest.mark.parametrize("k", [-600, -300, 0, 300, 600])
+def test_norm_excess_decides_as_the_exact_gate(k):
+    rng = np.random.default_rng(47)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            r = random_complex(n, n, rng) * 2.0**k
+            scales = (random_complex(n, n, rng) * 2.0**k, random_complex(n, n, rng) * 2.0**(k - 1))
+            for offset in (0.0, 1.0):
+                ratio = operator_norm(r) / (offset + max(operator_norm(s) for s in scales))
+                # clearly failing, passing only by the exact 2-norms, passing by the screen
+                for tol in (0.5 * ratio, 1.5 * ratio, 100.0 * ratio):
+                    for given in (r, operator_norm(r)):
+                        expected = _exact_gate(given, tol, scales, offset)
+                        assert _norm_excess(given, tol, scales, offset) == expected
+
+
+def test_norm_excess_takes_svds_only_when_the_screen_fails(monkeypatch):
+    shapes = []
+    svdvals = scipy.linalg.svdvals
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    r = np.eye(9)  # ||r||_2 = 1, ||r||_F = 3
+    assert _norm_excess(r, 3.0) is None
+    assert shapes == []
+    # ||r||_2 <= 1 < ||r||_F: the screen fails and the exact 2-norm passes
+    assert _norm_excess(r, 1.0) is None
+    assert shapes == [(9, 9)]
+    assert _norm_excess(r, 0.5) == 1.0
+
+
+def test_norm_excess_is_scale_safe():
+    tiny = np.full((4, 4), 1e-170 + 0j)
+    huge = np.full((4, 4), 1e300 + 0j)
+    # a 2-D Frobenius norm squares the entries, so it underflows to 0.0 here
+    assert np.linalg.norm(tiny) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _norm_excess(tiny, 1e-200) == operator_norm(tiny)
+        assert _norm_excess(huge, 1e-9) == operator_norm(huge)
+        assert _norm_excess(1e-9 * huge, 1e-9, (huge,), offset=0.0) is None
 
 
 def test_schur_convergence_error_fields():

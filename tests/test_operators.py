@@ -226,6 +226,11 @@ def test_operator_from_matrix_band_enforcement():
     assert not corner_compression(op, 3).array.any()
     with pytest.raises(ValueError):
         operator_from_matrix(np.zeros((4, 4)), sched)
+    # band_scale makes the tolerance relative: 1e-6 <= 1e-7 * (1 + ||4 J||) = 1.3e-6,
+    # which only the exact norm 12 shows (the screen sees max entry 4)
+    operator_from_matrix(arr, sched, band_tol=1e-7, band_scale=(4.0 * np.ones((3, 3)),))
+    with pytest.raises(ValueError):
+        operator_from_matrix(arr, sched, band_tol=1e-7, band_scale=(np.eye(3),))
 
 
 def test_conjugate_blocks_identity_and_haar():
