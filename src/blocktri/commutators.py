@@ -82,6 +82,15 @@ class SpectralReport:
     note: str = ""
 
 
+def _corner_commutator(a, b, level):
+    """[a, b] = ab - ba of the level's corners; FloatingPointError when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = a @ b - b @ a
+    if not np.isfinite(comm).all():
+        raise FloatingPointError(f"corner commutator at level {level} overflows double precision")
+    return comm
+
+
 def _trace_detail(k, trace, bound):
     return f"|tr M^{k}| {trace:.3e} > bound {bound:.3e}, M = w(a, b)[a, b]"
 
@@ -180,6 +189,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
 
     ``n_max`` defaults to 4 on the pair schedule and 5 on the single
     schedule (capped by the operators' depth), the full depth otherwise.
+    Raises ``FloatingPointError`` when a corner commutator overflows.
     """
     if c.schedule != z.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
@@ -195,7 +205,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     for n in range(1, n_max + 1):
         cc = corner_compression(c, n).array
         zc = corner_compression(z, n).array
-        comm = cc @ zc - zc @ cc
+        comm = _corner_commutator(cc, zc, n)
         norm = operator_norm(comm)
         record = None
         if c.lower_zero_through(n) and z.lower_zero_through(n):
@@ -335,8 +345,10 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
 def spectrum_union_check(blocks, tol=None):
     """Whether the spectrum of the block-diagonal assembly equals the union of block spectra.
 
-    Both sides are compared as multisets through a minimum-cost pairing;
-    ``tol`` defaults to 1e-8 times the largest block norm.
+    Both sides are compared as multisets by their exact bottleneck
+    distance (``match_distance``): the check passes when some pairing
+    moves no eigenvalue by more than ``tol``, which defaults to 1e-8 times
+    the largest block norm.
     """
     mats = [_as_array(b, square=True, name="block") for b in blocks]
     if not mats:
@@ -373,7 +385,8 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     has spectral radius <= tol, and the diagonal and trace of the corner
     commutator vanish exactly (no tolerance; entries below the block
     subdiagonal are structural zeros, so products never touch the
-    diagonal).
+    diagonal).  Raises ``FloatingPointError`` when a corner commutator
+    overflows.
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
@@ -390,7 +403,7 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     for n in range(1, n_max + 1):
         a = corner_compression(q1, n).array
         b = corner_compression(q2, n).array
-        comm = a @ b - b @ a
+        comm = _corner_commutator(a, b, n)
         diag_max = float(np.abs(np.diag(comm)).max())
         trace_abs = float(abs(np.trace(comm)))
         worst_radius = 0.0

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
+import scipy.sparse
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 __all__ = [
     "ComplexMatrix",
@@ -382,12 +383,22 @@ def schur(a, *, order=None):
     return SchurForm(unitary=ComplexMatrix(q), upper=ComplexMatrix(t))
 
 
+def _perfect_matching(adjacent):
+    """Whether the bipartite graph of the true entries of ``adjacent`` has a perfect matching."""
+    match = maximum_bipartite_matching(scipy.sparse.csr_array(adjacent), perm_type="column")
+    return bool((match >= 0).all())
+
+
 def match_distance(ev1, ev2):
     """Smallest max pairing distance between two equal-size eigenvalue multisets.
 
-    Uses a minimum-cost assignment, so the returned value is an upper
-    bound on the optimal max-matching distance; a small value certifies
-    the multisets agree to that accuracy.
+    The exact bottleneck assignment value of the computed distances
+    |u_i - v_j| (Burkard, Dell'Amico & Martello, *Assignment Problems*,
+    2009, ch. 6): the least t such that the pairs within t admit a perfect
+    matching (Hopcroft & Karp 1973).  Every element must be paired, so no
+    t below t0 = max(largest row minimum, largest column minimum) works;
+    t0 is tested first, and when it fails the sorted distinct distances
+    above it are bisected.
     """
     u = np.asarray(ev1, dtype=np.complex128).reshape(-1)
     v = np.asarray(ev2, dtype=np.complex128).reshape(-1)
@@ -396,5 +407,18 @@ def match_distance(ev1, ev2):
     if u.size == 0:
         return 0.0
     cost = np.abs(u[:, None] - v[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.isfinite(cost).all():
+        raise ValueError("multisets must be finite")
+    t0 = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if _perfect_matching(cost <= t0):
+        return float(t0)
+    # t0 fails, so some distance exceeds it; the largest admits every pair
+    levels = np.unique(cost[cost > t0])
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])

@@ -1,12 +1,17 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import blocktri
 from blocktri import corner_unit, read_matrix, shift_matrix, write_matrix
 from blocktri.cli import main
 from helpers import conjugated_upper_pair, random_complex
@@ -126,6 +131,17 @@ def test_tridiagonalize_pair(tmp_path, capsys):
     assert [row["size"] for row in doc["levels"]] == [1, 4, 20]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e300, 2.0**600, 2.0**-600])
+def test_tridiagonalize_band_gate_is_relative(tmp_path, capsys, scale):
+    path = str(tmp_path / "t.json")
+    write_matrix(random_complex(27, 27, np.random.default_rng(7)) * scale, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["tridiagonalize", path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
+
+
 def test_decompose_and_out_file(tmp_path, capsys):
     rng = np.random.default_rng(84)
     path = str(tmp_path / "m.json")
@@ -240,6 +256,20 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: diagonal block") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["certify", "stripped-checks"])
+@pytest.mark.parametrize("scale", [1e300, 2.0**600])
+def test_overflowing_commutator_exits_4(tmp_path, capsys, command, scale):
+    rng = np.random.default_rng(7)
+    a = random_complex(25, 25, rng) * scale
+    b = random_complex(25, 25, rng) * scale
+    pa, pb = write_pair(tmp_path, a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [command, pa, pb])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: corner commutator at level ") and err.count("\n") == 1
+
+
 def test_decompose_tiny_power_of_two_scale(tmp_path, capsys):
     # 2^-600 scaling is exact; the ordered Schur forms must not underflow
     path = str(tmp_path / "tiny.json")
@@ -317,3 +347,20 @@ def test_witness_round_trips_from_report(tmp_path, capsys):
     flat = np.array([complex(re, im) for re, im in witness["entries"]])
     u = flat.reshape(witness["rows"], witness["cols"])
     assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-10
+
+
+def test_pipelines_do_not_import_scipy_optimize():
+    # match_distance is the only assignment solver, and counterexample --verify its only CLI caller
+    script = (
+        "import sys\n"
+        "import blocktri.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "code = blocktri.cli.main(['counterexample', '--verify', '--schedule', 'pair', '--levels', '3'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(blocktri.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

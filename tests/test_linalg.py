@@ -1,5 +1,6 @@
 """Tests for the dense kernel: matrices, norms, spectra, Schur forms."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -295,6 +296,36 @@ def test_match_distance():
     assert match_distance(vals, shifted) == pytest.approx(3e-9, rel=1e-6)
     with pytest.raises(ValueError):
         match_distance(vals, vals[:5])
+    assert match_distance([], []) == 0.0
+
+
+def _bottleneck_by_permutations(u, v):
+    cost = np.abs(u[:, None] - v[None, :])
+    rows = range(u.size)
+    return min(max(cost[i, p[i]] for i in rows) for p in itertools.permutations(rows))
+
+
+def _multiset_pairs(rng):
+    for n in range(1, 7):
+        for _ in range(12):
+            yield random_complex(1, n, rng).ravel(), random_complex(1, n, rng).ravel()
+            # a Gaussian-integer grid: exact ties and repeated values
+            grid = rng.integers(-2, 3, size=(4, n))
+            yield grid[0] + 1j * grid[1], grid[2] + 1j * grid[3]
+            # a cluster at 0 beside 1 and -1, as in the counterexample's power spectrum
+            target = np.zeros(n, dtype=np.complex128)
+            target[:2] = [1.0, -1.0][:n]
+            yield target + 1e-12 * random_complex(1, n, rng).ravel(), target
+
+
+def test_match_distance_is_the_bottleneck_value():
+    rng = np.random.default_rng(29)
+    for u, v in _multiset_pairs(rng):
+        for scale in (1.0, 2.0 ** int(rng.integers(-600, 601))):
+            su, sv = scale * u, scale * v
+            assert match_distance(su, sv) == _bottleneck_by_permutations(su, sv)
+    # the least-sum pairing (0-0, 3-(-2j)) has max sqrt(13); pairing crosswise gives 3
+    assert match_distance([0.0, 3.0], [0.0, -2j]) == 3.0
 
 
 def test_unitary_invariance_of_norms():
