@@ -28,7 +28,7 @@ from .decompose import (
     diagonal_part,
     quasinilpotent_part_certificate,
 )
-from .krylov import BandCheck, TridiagResult, block_tridiagonalize, verify_block_structure
+from .krylov import TridiagResult, block_tridiagonalize, verify_block_structure
 from .linalg import (
     ComplexMatrix,
     SchurConvergenceError,
@@ -73,7 +73,6 @@ from .triangular import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandCheck",
     "BlockSchedule",
     "BlockTridiagOperator",
     "ClauseResult",

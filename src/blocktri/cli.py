@@ -110,8 +110,7 @@ def _operators_from_files(paths):
         operator_from_matrix(t.array, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
         for t in tri.transformed
     ]
-    checks = [verify_block_structure(t, tri.realized_schedule) for t in tri.transformed]
-    return ops, tri, [c.residual for c in checks]
+    return ops, tri, [verify_block_structure(t, tri.realized_schedule) for t in tri.transformed]
 
 
 def _cmd_tridiagonalize(config):
@@ -120,7 +119,7 @@ def _cmd_tridiagonalize(config):
     mats = [read_matrix(p) for p in config.inputs]
     tri = block_tridiagonalize([m.array for m in mats], mode="padded")
     sched = tri.realized_schedule
-    residuals = [verify_block_structure(t, sched).residual for t in tri.transformed]
+    residuals = [verify_block_structure(t, sched) for t in tri.transformed]
     rows = [
         {"level": n, "size": sched.sizes[n - 1], "cumulative": sched.cumsums[n - 1]}
         for n in range(1, sched.levels + 1)

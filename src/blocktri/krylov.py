@@ -27,7 +27,7 @@ import numpy as np
 from .linalg import ComplexMatrix, _as_array, _pow2_normalize
 from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedule
 
-__all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure", "BandCheck"]
+__all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure"]
 
 _RANK_TOL = 1e-10  # relative rank threshold for new Krylov directions
 _PAD_TOL = 1e-6  # independence threshold for completion vectors
@@ -173,23 +173,15 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
     )
 
 
-@dataclass(frozen=True)
-class BandCheck:
-    residual: float
-    tol: float
-    passed: bool
-
-
-def verify_block_structure(a, schedule, tol=1e-10):
+def verify_block_structure(a, schedule):
     """Max modulus of entries outside the block-tridiagonal band of ``a``.
 
     The schedule must cover the matrix (cumulative size >= N); trailing
-    levels past N are clipped.  ``passed`` compares the residual against
-    ``tol`` as given (callers scale it as they see fit).
+    levels past N are clipped.  Callers decide on the residual with their
+    own gate.
     """
     arr = _as_array(a, square=True)
     n = arr.shape[0]
     if schedule.cumsums[-1] < n:
         raise ValueError(f"schedule covers {schedule.cumsums[-1]} dims, matrix has {n}")
-    residual = _off_band_max(arr, schedule)
-    return BandCheck(residual=residual, tol=tol, passed=residual < tol)
+    return _off_band_max(arr, schedule)

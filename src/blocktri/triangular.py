@@ -22,14 +22,13 @@ the first that decides wins.
    to a length that a flop budget sets, then sampled.
 
 3. Recursive deflation: find a common eigenvector, conjugate it into the
-   leading position, recurse on the trailing corner.  Common eigenvectors
-   come from the kernel-intersection subspace
-
-       N = intersection over 1 <= k, l <= n-1 of ker([a^k, b^l])
-
-   (numerical kernels via singular-value thresholds); the pair restricted
-   to N commutes, so a common eigenvector can be read off eigenspaces
-   there.  Each step takes full SVDs, O(n^4) in all.
+   leading position, recurse on the trailing corner.  Every common
+   eigenvector is an eigenvector of the combination a/||a|| + t b/||b||,
+   so ``common_eigenvector`` searches only that combination's eigenspaces,
+   read off one reordered Schur form: each is trimmed to its largest
+   subspace invariant under a and b, where the combination is scalar, so a
+   and b commute there and an eigenvector of a is a common eigenvector.
+   One Schur form, O(n^3), per step; O(n^4) in all.
 
 A witness from step 1 or 3 counts only when it passes one residual gate:
 the conjugated inputs keep strict-lower mass below ``tol`` relative to
@@ -62,7 +61,9 @@ __all__ = [
     "word_value",
 ]
 
-KERNEL_RTOL = 1e-8  # kernel cut (relative to sigma_max, or absolute on unit-norm inputs)
+_KERNEL_TOL = 1e-8  # absolute kernel and outflow cut on unit-norm operands
+_COMBINATION_PHASE = np.exp(1j)  # t in common_eigenvector's combination a/||a|| + t b/||b||
+_CLUSTER_TOL = 1e-7  # combination eigenvalues this close share one eigenspace search
 _WORD_FLOP_BUDGET = 2e9  # real flops; caps the exhaustively enumerated word lengths
 _WORD_MARGIN = 1e-8  # relative margin of a refuting trace over its rounding bound
 _WORD_SAMPLES = 64  # random words tried past the exhaustive cap
@@ -92,53 +93,25 @@ class TriangularizationCertificate:
     trace_bound: float | None = None
 
 
-def _numerical_kernel(m, rtol=KERNEL_RTOL):
-    """Orthonormal kernel basis; all singular values <= rtol*s[0] count as zero."""
-    u, s, vh = np.linalg.svd(m)
-    cols = m.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(cols, dtype=np.complex128)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
-    return np.ascontiguousarray(vh[rank:].conj().T)
+def _invariant_part(v, a1, b1):
+    """Orthonormal basis of the largest subspace of span(v) invariant under a1 and b1.
 
-
-def _kernel_intersection_basis(a, b, na, nb):
-    """Basis of N = intersection of ker([a^k, b^l]) over 1 <= k, l < n.
-
-    N coincides with the largest subspace of ker([a, b]) invariant under
-    both a and b: on such a subspace the restrictions commute, so every
-    power commutator dies there, and conversely N itself is invariant and
-    killed by [a, b].  The computation uses that characterization: start
-    from the kernel of [a, b] and trim until the a- and b-images stay in
-    the span.  Inputs are normalized by their norms ``na`` and ``nb`` so
-    rank thresholds are scale free.  Returns an orthonormal n x d basis,
-    or None when N is numerically trivial.
+    Trims the span until the a1- and b1-images stay in it.  The operands
+    are normalized, so the cut is absolute: escape mass below _KERNEL_TOL
+    counts as staying put (a relative cut would read pure roundoff of an
+    invariant subspace as full-rank outflow and trim it to nothing).  The
+    basis may have no columns.
     """
-    n = a.shape[0]
-    if n == 1:
-        return np.eye(1, dtype=np.complex128)
-    a1 = a / na if na > 0 else a
-    b1 = b / nb if nb > 0 else b
-    # absolute cut on the normalized scale: a relative one (rtol * s[0]) can
-    # fall below the noise left by earlier deflation truncations and miss the
-    # kernel direction entirely
-    _, s, vh = np.linalg.svd(a1 @ b1 - b1 @ a1)
-    rank = int(np.count_nonzero(s > KERNEL_RTOL))
-    v = np.ascontiguousarray(vh[rank:].conj().T)
-    while 0 < v.shape[1] < n:
+    while v.shape[1] > 0:
         av = a1 @ v
         bv = b1 @ v
         outflow = np.vstack([av - v @ (v.conj().T @ av), bv - v @ (v.conj().T @ bv)])
         _, s, vh = np.linalg.svd(outflow)
-        # absolute threshold: the inputs are normalized, so escape mass below
-        # KERNEL_RTOL counts as staying put (a relative one would read pure
-        # roundoff of an invariant subspace as full-rank outflow and trim it
-        # to nothing)
-        rank = int(np.count_nonzero(s > KERNEL_RTOL))
+        rank = int(np.count_nonzero(s > _KERNEL_TOL))
         if rank == 0:
-            break  # already invariant under both
-        v = v @ np.ascontiguousarray(vh[rank:].conj().T)
-    return v if v.shape[1] > 0 else None
+            break
+        v = v @ vh[rank:].conj().T
+    return v
 
 
 def _validate_candidate(a, b, v, tol, na, nb):
@@ -149,159 +122,71 @@ def _validate_candidate(a, b, v, tol, na, nb):
     return ra <= tol * na and rb <= tol * nb
 
 
-def _refine_candidate(a, b, v, na, nb):
-    """Joint Rayleigh-quotient step: the smallest right singular vector of
-    the stacked, normalized shifts minimizes the joint residual at the
-    current quotients."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    a1 = a / na if na > 0 else a
-    b1 = b / nb if nb > 0 else b
-    for _ in range(2):
-        lam = np.vdot(v, a1 @ v)
-        mu = np.vdot(v, b1 @ v)
-        _, _, vh = np.linalg.svd(np.vstack([a1 - lam * eye, b1 - mu * eye]))
-        v = vh[-1].conj()
-    return v
-
-
-def _inverse_polish(m, v, iters=2):
-    """Inverse iteration from the Rayleigh quotient.
-
-    Machine-accurate for simple eigenvalues; a near-singular solve blowing
-    up is the desired outcome (the direction collapses onto the
-    eigenvector), so only exact singularity or overflow stops early.
-    """
-    n = m.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    for _ in range(iters):
-        lam = np.vdot(v, m @ v)
-        try:
-            w = np.linalg.solve(m - lam * eye, v)
-        except np.linalg.LinAlgError:
-            return v
-        with np.errstate(over="ignore"):
-            nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            return v
-        v = w / nw
-    return v
-
-
-def _best_variant(a, b, v, tol, na, nb):
-    """Best validated polish of candidate v, or None.
-
-    Accepting the first gate-passing vector lets its residual become the
-    next deflation step's perturbation, and that noise compounds until no
-    candidate can pass; polishing to the achievable floor keeps every
-    truncation near machine scale.
-    """
-
-    def quality(x):
-        ra = np.linalg.norm(a @ x - np.vdot(x, a @ x) * x)
-        rb = np.linalg.norm(b @ x - np.vdot(x, b @ x) * x)
-        return max(ra / na if na > 0 else ra, rb / nb if nb > 0 else rb)
-
-    best = v
-    best_q = quality(v)
-    if best_q <= 1e-3:
-        for cand in (
-            _inverse_polish(a, v),
-            _inverse_polish(b, v),
-            _refine_candidate(a, b, v, na, nb),
-        ):
-            q = quality(cand)
-            if q < best_q:
-                best, best_q = cand, q
-    return best if _validate_candidate(a, b, best, tol, na, nb) else None
-
-
 def common_eigenvector(a, b, tol=1e-9):
     """Unit vector v with a v ~ lambda v and b v ~ mu v, or None.
 
     A returned vector is validated: ||a v - <v, a v> v|| <= tol ||a|| and
-    likewise for b.  Among valid candidates the one whose a-eigenvalue is
-    minimal in lexicographic (real, imag) order wins, then the minimal
-    b-eigenvalue, then the smallest index.
+    likewise for b.  Every common eigenvector is an eigenvector of the
+    combination c = a/||a|| + t b/||b|| (t = ``_COMBINATION_PHASE``), so
+    the search runs inside c's eigenspaces, read off one complex Schur
+    form.  c's eigenvalues are walked in (real, imag) order; each one not
+    yet visited, lambda, opens a cluster with the unvisited eigenvalues
+    within ``_CLUSTER_TOL`` of it.  The cluster is reordered to the front
+    of the Schur form, lambda first; its eigenspace Q1 ker(T11 - lambda I)
+    is trimmed to its largest subspace S invariant under a and b, and the
+    eigenvectors of a on S are tried in (real, imag) order of their
+    eigenvalues, then by index.  c is scalar on S, so b is a function of a
+    there and each of them is a common eigenvector up to rounding.  A
+    candidate that fails validation gets one joint Rayleigh step (the
+    smallest right singular vector of the stacked shifts
+    [a/||a|| - alpha I; b/||b|| - beta I]) and is validated again; the
+    first valid vector is returned.
     """
     aa, bb = _square_pair(a, b)
     n = aa.shape[0]
-    na = operator_norm(aa)
-    nb = operator_norm(bb)
     if n == 1:
         return np.ones(1, dtype=np.complex128)
-    comm_norm = operator_norm(aa @ bb - bb @ aa)
-    if comm_norm <= 1e-14 * (1.0 + na * nb):
-        basis = np.eye(n, dtype=np.complex128)
-    else:
-        basis = _kernel_intersection_basis(aa, bb, na, nb)
-
-    if basis is not None and basis.shape[1] == 1:
-        v = basis[:, 0] / np.linalg.norm(basis[:, 0])
-        got = _best_variant(aa, bb, v, tol, na, nb)
-        if got is not None:
-            return got
-    elif basis is not None and basis.shape[1] > 1:
-        av = basis.conj().T @ aa @ basis
-        bv = basis.conj().T @ bb @ basis
-        d = basis.shape[1]
-        evals = np.linalg.eigvals(av)
-        order = np.lexsort((evals.imag, evals.real))
-        cluster_tol = 1e-7 * (1.0 + operator_norm(av))
-        centers = []
-        for idx in order:
-            lam = evals[idx]
-            if not centers or abs(lam - centers[-1]) > cluster_tol:
-                centers.append(lam)
-        for lam in centers:
-            w = _numerical_kernel(av - lam * np.eye(d))
-            if w.shape[1] == 0:
-                continue
-            bw = w.conj().T @ bv @ w
-            mu_vals, mu_vecs = np.linalg.eig(bw)
-            mu_order = np.lexsort((np.arange(mu_vals.size), mu_vals.imag, mu_vals.real))
-            for idx in mu_order:
-                v = basis @ (w @ mu_vecs[:, idx])
-                nv = np.linalg.norm(v)
-                if nv == 0.0:
-                    continue
-                got = _best_variant(aa, bb, v / nv, tol, na, nb)
-                if got is not None:
-                    return got
-    # the kernel route produced nothing valid; its basis extraction can be
-    # noisier than the eigenproblem itself, so sweep plain eigenvectors of
-    # each operator before giving up (validation alone decides, as above)
-    return _eigenvector_sweep(aa, bb, tol, na, nb)
-
-
-def _eigenvector_sweep(aa, bb, tol, na, nb):
-    for m in (aa, bb):
-        evals, vecs = np.linalg.eig(m)
-        order = np.lexsort((np.arange(evals.size), evals.imag, evals.real))
-        for idx in order:
-            v = vecs[:, idx]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                continue
-            got = _best_variant(aa, bb, v / nv, tol, na, nb)
-            if got is not None:
-                return got
+    na = operator_norm(aa)
+    nb = operator_norm(bb)
+    a1 = aa / na if na > 0 else aa
+    b1 = bb / nb if nb > 0 else bb
+    try:
+        tri, q = scipy.linalg.schur(a1 + _COMBINATION_PHASE * b1, output="complex")
+    except np.linalg.LinAlgError:
+        return None
+    lam = np.diag(tri)
+    eye = np.eye(n, dtype=np.complex128)
+    unvisited = np.ones(n, dtype=bool)
+    for i in np.lexsort((lam.imag, lam.real)):
+        if not unvisited[i]:
+            continue
+        near = unvisited & (np.abs(lam - lam[i]) <= _CLUSTER_TOL)
+        near[i] = False
+        members = [i, *np.flatnonzero(near)]
+        unvisited[members] = False
+        m = len(members)
+        try:
+            t, z = _reorder_schur(np.array(tri, order="F"), np.array(q, order="F"), members)
+        except np.linalg.LinAlgError:
+            continue
+        _, s, vh = np.linalg.svd(t[:m, :m] - lam[i] * np.eye(m))
+        kernel = vh[int(np.count_nonzero(s > _KERNEL_TOL)) :].conj().T
+        space = _invariant_part(z[:, :m] @ kernel, a1, b1)
+        if space.shape[1] == 0:
+            continue
+        alpha, w = np.linalg.eig(space.conj().T @ a1 @ space)
+        for j in np.lexsort((np.arange(alpha.size), alpha.imag, alpha.real)):
+            v = space @ w[:, j]
+            v /= np.linalg.norm(v)
+            if _validate_candidate(aa, bb, v, tol, na, nb):
+                return v
+            # one joint Rayleigh step: the smallest right singular vector of
+            # the stacked shifts minimizes the joint residual at v's quotients
+            shifts = np.vstack([a1 - np.vdot(v, a1 @ v) * eye, b1 - np.vdot(v, b1 @ v) * eye])
+            v = np.linalg.svd(shifts)[2][-1].conj()
+            if _validate_candidate(aa, bb, v, tol, na, nb):
+                return v
     return None
-
-
-def _householder_from_first_column(v):
-    """Unitary whose first column is v (up to the phase fixing <e1, v> >= 0)."""
-    n = v.size
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
-    w = v / phase
-    u = np.zeros(n, dtype=np.complex128)
-    u[0] = 1.0
-    u -= w
-    nu2 = np.vdot(u, u).real
-    h = np.eye(n, dtype=np.complex128)
-    if nu2 > 1e-30:
-        h -= (2.0 / nu2) * np.outer(u, u.conj())
-    return h
 
 
 def _word_letters(word):
@@ -525,17 +410,25 @@ def _gated_certificate(aa, bb, u, tol, scale, route):
     )
 
 
-def _deflate(aa, bb, tol):
-    """Unitary from recursive common-eigenvector deflation, or None when a step finds none."""
+def _deflate(aa, bb, tol, scale):
+    """Unitary from recursive common-eigenvector deflation, or None when a step finds none.
+
+    A corner whose Frobenius norm is below the gate's resolution
+    ``tol * scale`` is searched as zero: no unitary can lift any of its
+    entries past the gate, and rounding noise normalized to unit norm
+    would hide the directions the other operand shares.
+    """
     n = aa.shape[0]
     u = np.eye(n, dtype=np.complex128)
     wa = np.array(aa)
     wb = np.array(bb)
     for k in range(n - 1):
-        v = common_eigenvector(wa[k:, k:], wb[k:, k:], tol=tol)
+        corners = (wa[k:, k:], wb[k:, k:])
+        ca, cb = (c if np.linalg.norm(c) >= tol * scale else 0.0 * c for c in corners)
+        v = common_eigenvector(ca, cb, tol=tol)
         if v is None:
             return None
-        h = _householder_from_first_column(v)
+        h = np.linalg.qr(v[:, None], mode="complete")[0]  # unitary, first column v up to phase
         wa[k:, k:] = h.conj().T @ wa[k:, k:] @ h
         wa[:k, k:] = wa[:k, k:] @ h
         wb[k:, k:] = h.conj().T @ wb[k:, k:] @ h
@@ -594,7 +487,7 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
             trace_bound=bound,
         )
 
-    u = _deflate(aa, bb, tol)
+    u = _deflate(aa, bb, tol, scale)
     if u is not None:
         return _gated_certificate(aa, bb, u, tol, scale, "deflation")
     return TriangularizationCertificate(

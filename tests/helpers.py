@@ -29,6 +29,31 @@ def conjugated_upper_pair(n, rng):
     return a, b, u
 
 
+def degenerate_diagonal_pair(n, rng):
+    """Commuting pair U diag(d) U*, U diag(d^2 - 3d) U* with repeated integer entries in d."""
+    u = haar_unitary(n, rng)
+    d = rng.integers(-2, 3, size=n).astype(np.complex128)
+    return u @ np.diag(d) @ u.conj().T, u @ np.diag(d * d - 3 * d) @ u.conj().T
+
+
+def jordan_pair(n, rng):
+    """Commuting pair (t, t^2), t = U J U* for a Jordan matrix J.
+
+    J has blocks of sizes 1 to 3 with integer eigenvalues in [-2, 2], so
+    eigenvalues repeat and some eigenspaces are smaller than their
+    algebraic multiplicity.
+    """
+    t = np.zeros((n, n), dtype=np.complex128)
+    i = 0
+    while i < n:
+        k = min(int(rng.integers(1, 4)), n - i)
+        t[i : i + k, i : i + k] = float(rng.integers(-2, 3)) * np.eye(k) + np.eye(k, k=1)
+        i += k
+    u = haar_unitary(n, rng)
+    t = u @ t @ u.conj().T
+    return t, t @ t
+
+
 def random_operator(schedule, rng, coupling_scale=1.0):
     """Operator with dense random blocks on the given schedule."""
     sizes = schedule.sizes

@@ -24,8 +24,8 @@ def test_padded_single_realizes_saturated_schedule():
         assert res.stabilized_dim is None
         q = res.basis.array
         assert operator_norm(q.conj().T @ q - np.eye(27)) < 1e-12
-        check = verify_block_structure(res.transformed[0], res.realized_schedule)
-        assert check.passed, check.residual
+        residual = verify_block_structure(res.transformed[0], res.realized_schedule)
+        assert residual < 1e-10, residual
         dist = match_distance(eigenvalues(a), eigenvalues(res.transformed[0]))
         assert dist <= 1e-8 * operator_norm(a)
 
@@ -38,8 +38,8 @@ def test_padded_pair_realizes_saturated_schedule():
         res = block_tridiagonalize([a, b], mode="padded")
         assert res.realized_schedule.sizes == (1, 4, 20)
         for m, t in zip((a, b), res.transformed):
-            check = verify_block_structure(t, res.realized_schedule)
-            assert check.passed, check.residual
+            residual = verify_block_structure(t, res.realized_schedule)
+            assert residual < 1e-10, residual
             assert match_distance(eigenvalues(m), eigenvalues(t)) <= 1e-8 * operator_norm(m)
 
 
@@ -55,7 +55,7 @@ def test_padded_schedules_at_benchmark_sizes(n, count, sizes):
     q = res.basis.array
     assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-12
     for t in res.transformed:
-        assert verify_block_structure(t, res.realized_schedule).residual < 1e-10
+        assert verify_block_structure(t, res.realized_schedule) < 1e-10
 
 
 def test_padded_clips_last_level():
@@ -63,7 +63,7 @@ def test_padded_clips_last_level():
     a = random_complex(10, 10, np.random.default_rng(23))
     res = block_tridiagonalize([a], mode="padded")
     assert res.realized_schedule.sizes == (1, 2, 6, 1)
-    assert verify_block_structure(res.transformed[0], res.realized_schedule).passed
+    assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
 
 
 def test_adaptive_stabilizes_on_reducing_subspace():
@@ -74,7 +74,7 @@ def test_adaptive_stabilizes_on_reducing_subspace():
     res = block_tridiagonalize([a], start=start, mode="adaptive")
     assert res.stabilized_dim == 4
     # complement couplings vanish: the transform stays block tridiagonal
-    assert verify_block_structure(res.transformed[0], res.realized_schedule).passed
+    assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
     t = res.transformed[0].array
     k = res.stabilized_dim
     assert operator_norm(t[k:, :k]) < 1e-10
@@ -86,7 +86,7 @@ def test_adaptive_generic_fills_space():
     res = block_tridiagonalize([a], mode="adaptive")
     assert res.stabilized_dim is None
     assert res.realized_schedule.cumsums[-1] == 12
-    assert verify_block_structure(res.transformed[0], res.realized_schedule).passed
+    assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
     # adaptive level sizes never exceed the saturated targets
     assert res.realized_schedule.sizes[0] == 1
     for prev, cur in zip(res.realized_schedule.sizes, res.realized_schedule.sizes[1:]):
@@ -122,8 +122,8 @@ def test_verify_block_structure_reports_residual():
     sched = make_schedule("custom", sizes=(1, 1, 1))
     arr = np.zeros((3, 3))
     arr[0, 2] = 2e-9
-    check = verify_block_structure(arr, sched, tol=1e-10)
-    assert not check.passed
-    assert check.residual == pytest.approx(2e-9)
+    residual = verify_block_structure(arr, sched)
+    assert not residual < 1e-10
+    assert residual == pytest.approx(2e-9)
     with pytest.raises(ValueError):
         verify_block_structure(np.zeros((5, 5)), sched)

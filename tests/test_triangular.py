@@ -17,7 +17,14 @@ from blocktri import (
     simultaneous_triangularize,
     word_value,
 )
-from helpers import conjugated_upper_pair, haar_unitary, random_complex, separated_upper
+from helpers import (
+    conjugated_upper_pair,
+    degenerate_diagonal_pair,
+    haar_unitary,
+    jordan_pair,
+    random_complex,
+    separated_upper,
+)
 
 
 def scaled_block_pair(n):
@@ -263,6 +270,39 @@ def test_repeated_combination_eigenvalue_falls_back_to_deflation(monkeypatch):
         assert cert.verdict == "triangularizable"
         assert cert.residual < 1e-9
         assert eigvecs
+    # Haar-conjugated commuting pairs at larger sizes: rounding splits their
+    # repeated eigenvalues enough for the Schur flag to decide most of them,
+    # so the flag and the words are switched off to exercise deflation alone
+    rng = np.random.default_rng(49)
+    pairs = [degenerate_diagonal_pair(n, rng) for n in range(3, 21)]
+    pairs += [jordan_pair(n, rng) for n in range(3, 13)]
+    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
+    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
+    for a, b in pairs:
+        cert = simultaneous_triangularize(a, b)
+        assert (cert.verdict, cert.route) == ("triangularizable", "deflation"), a.shape
+        assert cert.residual < 1e-9
+    # and deflation alone certifies no random pair
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        cert = simultaneous_triangularize(random_complex(n, n, rng), random_complex(n, n, rng))
+        assert cert.verdict == "inconclusive", n
+
+
+def test_deflation_keeps_a_vector_close_to_e1(monkeypatch):
+    # a commuting pair diagonal in a basis rotated by tau off the standard
+    # one: each deflation step must put a common eigenvector that is within
+    # tau of e1 into the leading column, not e1 itself
+    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
+    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
+    for tau in (1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9):
+        v = np.eye(3, dtype=np.complex128)
+        v[:2, :2] = [[np.cos(tau), -np.sin(tau)], [np.sin(tau), np.cos(tau)]]
+        a = v @ np.diag([-1.0, 1.0, 0.0]) @ v.conj().T
+        b = v @ np.diag([1.0, -1.0, 0.5]) @ v.conj().T
+        cert = simultaneous_triangularize(a, b)
+        assert (cert.verdict, cert.route) == ("triangularizable", "deflation"), tau
+        assert cert.residual < 1e-9
 
 
 def test_triangularize_verdict_invariant_under_operand_swap():
