@@ -215,9 +215,15 @@ def _cmd_counterexample(config):
     sched = _schedule_from_config(config)
     pair = build_counterexample(sched)
     if config.verify:
+        n_max = min(sched.levels, config.levels or sched.levels)
+        if 2 in sched.sizes[:n_max]:
+            raise ValueError(
+                f"block size 2 (level {sched.sizes.index(2) + 1}) is outside the counterexample family: "
+                "shift(2) and corner_unit(2) have commutator diag(1, -1), which is not nilpotent"
+            )
         report = verify_counterexample(
             pair,
-            n_max=min(sched.levels, config.levels or sched.levels),
+            n_max=n_max,
             tol=config.tolerances["radius"],
             word_len=config.word_len,
             seed=config.seed,

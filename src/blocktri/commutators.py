@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     ComplexMatrix,
     _as_array,
+    _block_diag,
     corner_unit,
     eigenvalues,
     is_nilpotent,
@@ -164,7 +164,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
         if cert.verdict != "triangularizable":
             return None
         units.append(cert.witness_unitary.array)
-    u = units[0] if len(units) == 1 else scipy.linalg.block_diag(*units)
+    u = _block_diag(units)
     radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
     status = "certified" if radius <= tol * (1.0 + norm) else "inconclusive"
     residual = max(block_certs[j].residual for j in range(1, n + 1))
@@ -353,7 +353,7 @@ def spectrum_union_check(blocks, tol=None):
     mats = [_as_array(b, square=True, name="block") for b in blocks]
     if not mats:
         raise ValueError("need at least one block")
-    assembly = scipy.linalg.block_diag(*mats).astype(np.complex128)
+    assembly = _block_diag(mats)
     union = np.concatenate([eigenvalues(m) for m in mats])
     if tol is None:
         tol = 1e-8 * max(operator_norm(m) for m in mats)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .commutators import LevelRecord, SpectralReport
 from .krylov import block_tridiagonalize
@@ -23,6 +22,7 @@ from .linalg import (
     ComplexMatrix,
     SchurConvergenceError,
     _as_array,
+    _block_diag,
     _strict_lower_max,
     operator_norm,
     schur,
@@ -135,7 +135,7 @@ def decompose(t, levels=None, *, start=None):
     quasinil = _assemble(sched, None, None, q_blocks)
     conjugated = delta + quasinil
 
-    u = scipy.linalg.block_diag(*units).astype(np.complex128)
+    u = _block_diag(units)
     u0 = w @ u if w is not None else u
     residuals = {
         "unitarity": operator_norm(u0.conj().T @ u0 - np.eye(size)),

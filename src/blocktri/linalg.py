@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from . import _lapack
 
 __all__ = [
     "ComplexMatrix",
@@ -111,7 +110,7 @@ def _square_pair(a, b):
 def operator_norm(a):
     """Largest singular value of ``a``."""
     arr = _as_array(a)
-    return float(scipy.linalg.svdvals(arr)[0])
+    return float(_lapack.svdvals(arr)[0])
 
 
 def _norm_excess(r, tol, scales=(), offset=1.0):
@@ -130,7 +129,7 @@ def _norm_excess(r, tol, scales=(), offset=1.0):
     """
     exact = isinstance(r, float)
     # no finiteness check: a nonfinite r fails the screen, and operator_norm raises on it
-    screen = r if exact else float(scipy.linalg.norm(r.ravel(), check_finite=False))
+    screen = r if exact else float(_lapack.nrm2(r.ravel()))
     peak = max((float(np.abs(s).max()) for s in scales), default=0.0)
     if screen <= tol * (offset + peak):
         return None
@@ -303,15 +302,27 @@ class SchurForm:
     upper: ComplexMatrix
 
 
+def _block_diag(blocks):
+    """The complex128 direct sum of square blocks, in order along the diagonal."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=np.complex128)
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        out[start:stop, start:stop] = b
+        start = stop
+    return out
+
+
 def _reorder_schur(t, q, order):
     """Reorder the Schur pair (t, q) so that slot k holds old diagonal entry ``order[k]``.
 
     Each entry moves into place by LAPACK ``ztrexc`` (a chain of exact
     unitary swaps of adjacent diagonal entries, updating ``q`` alongside),
     so the whole reordering costs O(n^3).  Fortran-ordered ``complex128``
-    inputs, as ``scipy.linalg.schur`` returns them, are reordered in place;
-    others are copied first.  Returns the reordered (t, q); raises
-    ``np.linalg.LinAlgError`` when ``ztrexc`` reports failure.
+    inputs are reordered in place; others are copied first.  Returns the
+    reordered (t, q); raises ``np.linalg.LinAlgError`` when ``ztrexc``
+    reports failure.
     """
     t = np.asfortranarray(t, dtype=np.complex128)
     q = np.asfortranarray(q, dtype=np.complex128)
@@ -319,7 +330,7 @@ def _reorder_schur(t, q, order):
     for slot, idx in enumerate(order):
         j = pos.index(idx)
         if j > slot:
-            t, q, info = scipy.linalg.lapack.ztrexc(t, q, j + 1, slot + 1, overwrite_a=1, overwrite_q=1)
+            t, q, info = _lapack.ztrexc(t, q, j + 1, slot + 1, overwrite_a=1, overwrite_q=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"ztrexc failed with info {info}")
             pos.insert(slot, pos.pop(j))
@@ -353,7 +364,7 @@ def schur(a, *, order=None):
         q = np.eye(n, dtype=np.complex128, order="F")
     else:
         try:
-            t, q = scipy.linalg.schur(np.array(arr, dtype=np.complex128), output="complex")
+            t, q = _lapack.schur(arr)
         except np.linalg.LinAlgError as exc:
             raise SchurConvergenceError(f"QR iteration failed: {exc}") from exc
     if order == "modulus" and n > 1:
@@ -384,9 +395,46 @@ def schur(a, *, order=None):
 
 
 def _perfect_matching(adjacent):
-    """Whether the bipartite graph of the true entries of ``adjacent`` has a perfect matching."""
-    match = maximum_bipartite_matching(scipy.sparse.csr_array(adjacent), perm_type="column")
-    return bool((match >= 0).all())
+    """Whether the bipartite graph of the true entries of square ``adjacent`` has a perfect matching.
+
+    Kuhn's augmenting-path search (Kuhn 1955): a greedy pass matches each
+    row to a free column where it can, then every row left over is matched
+    by a depth-first search for an alternating path that ends at a free
+    column.  A row with no such path proves that no perfect matching
+    exists (Berge 1957).  The search keeps its own stack, so long paths
+    cannot reach the recursion limit.
+    """
+    neighbours = [np.flatnonzero(row).tolist() for row in adjacent]
+    owner = [-1] * adjacent.shape[1]
+    left = []
+    for row, cols in enumerate(neighbours):
+        col = next((c for c in cols if owner[c] < 0), -1)
+        if col < 0:
+            left.append(row)
+        else:
+            owner[col] = row
+    for root in left:
+        seen = bytearray(len(owner))
+        rows, cols, stack = [root], [], [iter(neighbours[root])]
+        while stack:
+            col = next((c for c in stack[-1] if not seen[c]), -1)
+            if col < 0:  # dead end: back up one step of the path
+                stack.pop()
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen[col] = 1
+            cols.append(col)
+            if owner[col] < 0:  # augment: each row on the path takes the next column
+                for r, c in zip(rows, cols):
+                    owner[c] = r
+                break
+            rows.append(owner[col])
+            stack.append(iter(neighbours[owner[col]]))
+        else:
+            return False
+    return True
 
 
 def match_distance(ev1, ev2):
@@ -395,7 +443,7 @@ def match_distance(ev1, ev2):
     The exact bottleneck assignment value of the computed distances
     |u_i - v_j| (Burkard, Dell'Amico & Martello, *Assignment Problems*,
     2009, ch. 6): the least t such that the pairs within t admit a perfect
-    matching (Hopcroft & Karp 1973).  Every element must be paired, so no
+    matching (``_perfect_matching``).  Every element must be paired, so no
     t below t0 = max(largest row minimum, largest column minimum) works;
     t0 is tested first, and when it fails the sorted distinct distances
     above it are bisected.

@@ -41,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .linalg import (
     ComplexMatrix,
     _pow2_normalize,
@@ -151,7 +151,7 @@ def common_eigenvector(a, b, tol=1e-9):
     a1 = aa / na if na > 0 else aa
     b1 = bb / nb if nb > 0 else bb
     try:
-        tri, q = scipy.linalg.schur(a1 + _COMBINATION_PHASE * b1, output="complex")
+        tri, q = _lapack.schur(a1 + _COMBINATION_PHASE * b1)
     except np.linalg.LinAlgError:
         return None
     lam = np.diag(tri)
@@ -354,7 +354,7 @@ def _schur_flag(aa, bb, na, nb, seed):
     b1 = bb / nb if nb > 0 else bb
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            tri, q = scipy.linalg.schur(a1 + t * b1, output="complex")
+            tri, q = _lapack.schur(a1 + t * b1)
         except np.linalg.LinAlgError:
             return None
         # upper-triangular eigenvector matrix of tri, unit diagonal, by back-substitution
@@ -367,7 +367,7 @@ def _schur_flag(aa, bb, na, nb, seed):
         x /= np.linalg.norm(x, axis=0)
         # b in the combination's eigenbasis: a permuted triangular matrix
         # when the pair is triangularizable
-        c = scipy.linalg.solve_triangular(x, q.conj().T @ b1 @ q @ x)
+        c = _lapack.solve_upper(x, q.conj().T @ b1 @ q @ x)
         if not np.isfinite(c).all():
             return None
     # greedy flag order: each slot takes the index whose column leaks least

@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import blocktri
-from blocktri import corner_unit, read_matrix, shift_matrix, write_matrix
+from blocktri import _lapack, corner_unit, read_matrix, shift_matrix, write_matrix
 from blocktri.cli import main
 from helpers import conjugated_upper_pair, random_complex
 
@@ -248,7 +247,7 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("schur form computation did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "schur", no_convergence)
+    monkeypatch.setattr(_lapack, "schur", no_convergence)
     # a failed Schur factorization is a numerical failure, not a traceback
     code, out, err = run_cli(capsys, ["decompose", path])
     assert code == 4
@@ -298,13 +297,13 @@ def test_decompose_svd_budget(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "t.json")
     write_matrix(random_complex(243, 243, np.random.default_rng(243)), path)
     shapes = []
-    svdvals = scipy.linalg.svdvals
+    svdvals = _lapack.svdvals
 
     def counting(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svdvals(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    monkeypatch.setattr(_lapack, "svdvals", counting)
     code, out, err = run_cli(capsys, ["decompose", path])
     assert code == 0
     # the norm gates are screened; only the two reported residuals take a full SVD
@@ -349,18 +348,76 @@ def test_witness_round_trips_from_report(tmp_path, capsys):
     assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-10
 
 
-def test_pipelines_do_not_import_scipy_optimize():
-    # match_distance is the only assignment solver, and counterexample --verify its only CLI caller
+# the six pipelines (triangularize on a triangularizable and a random pair),
+# with the exit code each gives on the files below
+PIPELINES = (
+    (["tridiagonalize", "{m}"], 0),
+    (["triangularize", "{u}", "{v}"], 0),
+    (["triangularize", "{a}", "{b}"], 1),
+    (["certify", "{a}", "{b}"], 1),
+    (["counterexample", "--verify", "--schedule", "pair", "--levels", "3"], 0),
+    (["decompose", "{m}"], 0),
+    (["stripped-checks", "{a}", "{b}"], 0),
+)
+
+
+def run_pipelines(tmp_path, prelude, check):
+    """Run every pipeline in one fresh interpreter; returns its stdout.
+
+    ``prelude`` runs before blocktri is imported, ``check`` after the
+    import and after each pipeline.
+    """
+    rng = np.random.default_rng(89)
+    files = {"m": str(tmp_path / "m.json")}
+    write_matrix(random_complex(27, 27, rng), files["m"])
+    files["a"], files["b"] = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(25, 25, rng))
+    u, v, _ = conjugated_upper_pair(6, rng)
+    files["u"], files["v"] = str(tmp_path / "u.json"), str(tmp_path / "v.json")
+    write_matrix(u, files["u"])
+    write_matrix(v, files["v"])
+    runs = [([arg.format(**files) for arg in argv], code) for argv, code in PIPELINES]
     script = (
         "import sys\n"
+        f"{prelude}\n"
         "import blocktri.cli\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "code = blocktri.cli.main(['counterexample', '--verify', '--schedule', 'pair', '--levels', '3'])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        f"{check}\n"
+        f"for argv, expected in {runs!r}:\n"
+        "    code = blocktri.cli.main(argv)\n"
+        "    assert code == expected, (argv, code)\n"
+        f"    {check}\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(blocktri.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(blocktri.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_pipelines_do_not_import_scipy_packages(tmp_path):
+    # _lapack loads scipy's compiled LAPACK/BLAS by file: no scipy package initialiser runs
+    check = "assert not {'scipy.linalg', 'scipy.sparse', 'scipy.optimize'} & set(sys.modules), sorted(sys.modules)"
+    run_pipelines(tmp_path, "", check)
+
+
+def test_pipelines_run_through_the_scipy_linalg_fallback(tmp_path):
+    # with the by-file load made impossible, the same extension modules come
+    # through scipy.linalg, and every report keeps its bytes
+    direct = run_pipelines(tmp_path, "", "")
+    prelude = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES[:] = []"
+    fallback = run_pipelines(tmp_path, prelude, "assert 'scipy.linalg' in sys.modules")
+    assert fallback == direct
+
+
+@pytest.mark.parametrize("levels", ["2", "3", "5"])
+def test_counterexample_verify_refuses_a_size_two_block(capsys, levels):
+    # the single schedule's second block has size 2; its commutator diag(1, -1)/4 is not nilpotent
+    code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", "single", "--levels", levels])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: block size 2 (level 2) is outside the counterexample family") and err.count("\n") == 1
+
+
+def test_counterexample_verify_single_schedule_first_level_passes(capsys):
+    code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", "single", "--levels", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True

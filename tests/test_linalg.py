@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from blocktri import _lapack
 from blocktri import (
     ComplexMatrix,
     SchurConvergenceError,
@@ -19,7 +20,7 @@ from blocktri import (
     shift_matrix,
     spectral_radius,
 )
-from blocktri.linalg import _norm_excess
+from blocktri.linalg import _norm_excess, _perfect_matching
 from helpers import haar_unitary, random_complex
 
 
@@ -203,7 +204,7 @@ def test_schur_failing_gates_raise_the_exact_residual(monkeypatch, factor):
     noise = 1e-8 * random_complex(12, 12, np.random.default_rng(43))
     returned = {}
 
-    def perturbed_schur(arr, output):
+    def perturbed_schur(arr):
         t, q = t0.copy(order="F"), q0.copy(order="F")
         if factor == "unitary":
             q += noise
@@ -212,7 +213,7 @@ def test_schur_failing_gates_raise_the_exact_residual(monkeypatch, factor):
         returned.update(t=t, q=q)
         return t, q
 
-    monkeypatch.setattr(scipy.linalg, "schur", perturbed_schur)
+    monkeypatch.setattr(_lapack, "schur", perturbed_schur)
     with pytest.raises(SchurConvergenceError) as info:
         schur(a)
     t, q = returned["t"], returned["q"]
@@ -252,13 +253,13 @@ def test_norm_excess_decides_as_the_exact_gate(k):
 
 def test_norm_excess_takes_svds_only_when_the_screen_fails(monkeypatch):
     shapes = []
-    svdvals = scipy.linalg.svdvals
+    svdvals = _lapack.svdvals
 
     def counting(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svdvals(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+    monkeypatch.setattr(_lapack, "svdvals", counting)
     r = np.eye(9)  # ||r||_2 = 1, ||r||_F = 3
     assert _norm_excess(r, 3.0) is None
     assert shapes == []
@@ -326,6 +327,21 @@ def test_match_distance_is_the_bottleneck_value():
             assert match_distance(su, sv) == _bottleneck_by_permutations(su, sv)
     # the least-sum pairing (0-0, 3-(-2j)) has max sqrt(13); pairing crosswise gives 3
     assert match_distance([0.0, 3.0], [0.0, -2j]) == 3.0
+
+
+def test_perfect_matching_agrees_with_permutations():
+    # random bipartite graphs, sparse to dense, so both the greedy pass and
+    # the augmenting paths decide some, and some have no perfect matching
+    rng = np.random.default_rng(31)
+    answers = set()
+    for n in range(1, 7):
+        for density in (0.2, 0.4, 0.6, 0.8):
+            for _ in range(20):
+                adjacent = rng.random((n, n)) < density
+                expected = any(all(adjacent[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+                assert _perfect_matching(adjacent) == expected
+                answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_unitary_invariance_of_norms():
