@@ -31,6 +31,7 @@ __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure"]
 
 _RANK_TOL = 1e-10  # relative rank threshold for new Krylov directions
 _PAD_TOL = 1e-6  # independence threshold for completion vectors
+_PANEL = 64  # candidates decided per block step of the Gram-Schmidt
 
 
 @dataclass(frozen=True)
@@ -48,14 +49,47 @@ class TridiagResult:
     stabilized_dim: int | None
 
 
-def _reorthogonalize(w, basis, count):
-    # classical Gram-Schmidt applied twice (CGS2) against the first count columns;
-    # (r^H q)^H equals q^H r but conjugates a vector instead of copying q
-    q = basis[:, :count]
-    r = np.array(w, dtype=np.complex128)
-    for _ in range(2):
-        r -= q @ (r.conj() @ q).conj()
-    return r
+def _append_orthonormal(basis, count, cands, tol, stop):
+    """Append to ``basis`` the columns of ``cands`` that keep a residual above ``tol``.
+
+    Reorthogonalized block classical Gram-Schmidt (BCGS2; Barlow &
+    Smoktunowicz, Numer. Math. 123, 2013), panel by panel.  A panel of
+    candidates is projected against ``basis[:, :count]`` by block products,
+    and its columns are decided in order: each is projected twice against
+    the columns the panel has kept, and kept when its residual norm exceeds
+    ``tol``.  The kept columns are then projected against the earlier basis
+    a second time and orthonormalized again, in order.  Appending stops
+    when ``count`` reaches ``stop``.  ``cands`` is overwritten.  Returns the
+    new column count and the number of candidates examined.
+    """
+    for lo in range(0, cands.shape[1], _PANEL):
+        q = basis[:, :count]
+        panel = cands[:, lo : lo + _PANEL]
+        panel -= q @ (q.conj().T @ panel)
+        first = count
+        examined = panel.shape[1]
+        for j, r in enumerate(panel.T):
+            # (r^H p)^H equals p^H r but conjugates a vector instead of copying p
+            p = basis[:, first:count]
+            for _ in range(2):
+                r -= p @ (r.conj() @ p).conj()
+            rn = np.linalg.norm(r)
+            if rn > tol:
+                basis[:, count] = r / rn
+                count += 1
+                if count == stop:
+                    examined = j + 1
+                    break
+        kept = basis[:, first:count]
+        kept -= q @ (q.conj().T @ kept)
+        for j in range(first, count):
+            r = basis[:, j]
+            p = basis[:, first:j]
+            r -= p @ (r.conj() @ p).conj()
+            r /= np.linalg.norm(r)
+        if count == stop:
+            return count, lo + examined
+    return count, cands.shape[1]
 
 
 def _complete(basis, count, want, cursor):
@@ -70,14 +104,11 @@ def _complete(basis, count, want, cursor):
     n_dim = basis.shape[0]
     stop = count + want
     while count < stop and cursor < n_dim:
-        e = np.zeros(n_dim, dtype=np.complex128)
-        e[cursor] = 1.0
-        cursor += 1
-        r = _reorthogonalize(e, basis, count)
-        rn = np.linalg.norm(r)
-        if rn > _PAD_TOL:
-            basis[:, count] = r / rn
-            count += 1
+        batch = min(stop - count, n_dim - cursor)
+        cands = np.zeros((n_dim, batch), dtype=np.complex128)
+        cands[cursor + np.arange(batch), np.arange(batch)] = 1.0
+        count, used = _append_orthonormal(basis, count, cands, _PAD_TOL, stop)
+        cursor += used
     return count, cursor
 
 
@@ -138,13 +169,8 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
         images = np.hstack([m @ basis[:, lo:hi] for m in applied])
         _pow2_normalize(images, out=images)
         level_norm = float(np.linalg.norm(images, axis=0).max()) or 1.0
-        accepted = 0
-        for w in images.T:
-            r = _reorthogonalize(w, basis, count + accepted)
-            rn = np.linalg.norm(r)
-            if rn > _RANK_TOL * level_norm:
-                basis[:, count + accepted] = r / rn
-                accepted += 1
+        filled, _ = _append_orthonormal(basis, count, images, _RANK_TOL * level_norm, n_dim)
+        accepted = filled - count
         if mode == "adaptive":
             if accepted == 0:
                 stabilized = count

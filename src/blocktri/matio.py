@@ -3,8 +3,10 @@
 Matrices travel as JSON documents {"rows": r, "cols": c, "entries":
 [[re, im], ...]} with entries flat in row-major order.  Floats are
 serialized through repr, which round-trips every finite double exactly,
-so read(write(m)) == m bitwise.  All writes go through a temp file plus
-rename, so readers never observe a partial file.
+so read(write(m)) == m bitwise.  Reads check the written layout and the
+JSON number grammar on the bytes and parse the numbers with numpy; any
+other document goes through ``json``, to the same bits.  All writes go
+through a temp file plus rename, so readers never observe a partial file.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -58,21 +61,160 @@ def _require(cond, message, path):
 def read_matrix(path):
     """Parse a matrix document; returns a ComplexMatrix.
 
-    Raises ``MatrixFormatError`` for syntax errors (with line/column), a
-    missing or non-integer header, an entry count that disagrees with
-    rows*cols, entries that are not [re, im] number pairs, or non-finite
-    values (ints beyond the double range included), and integers longer
-    than the interpreter's digit limit for int parsing.  OS-level failures
-    (missing file, permissions) propagate as ``OSError``.
+    A document in the layout :func:`write_matrix` produces (the ``rows``,
+    ``cols`` and ``entries`` fields in that order, any JSON whitespace) is
+    checked and parsed by :func:`_strict_pairs`; every other document goes
+    through ``json``, which reads the same numbers to the same bits.
+
+    Raises ``MatrixFormatError`` for text that is not UTF-8, syntax errors
+    (with line/column), nesting too deep to parse, a missing or non-integer
+    header, an entry count that disagrees with rows*cols, entries that are
+    not [re, im] number pairs, or non-finite values (ints beyond the double
+    range included), and integers longer than the interpreter's digit limit
+    for int parsing.  OS-level failures (missing file, permissions)
+    propagate as ``OSError``.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
+    parsed = _strict_pairs(data)
+    rows, cols, pairs = parsed if parsed is not None else _json_pairs(data, path)
+    # a view of the float pairs keeps every bit, the sign of a zero included
+    return ComplexMatrix(pairs.view(np.complex128).reshape(rows, cols))
+
+
+def _byte_table(default, entries):
+    """A 256-byte ``bytes.translate`` table: ``default`` except ``table[key] = value`` per entry."""
+    table = bytearray([default]) * 256
+    for keys, value in entries:
+        for key in keys:
+            table[key] = value
+    return bytes(table)
+
+
+# Byte classes of the strict document grammar: other, whitespace, [ , ] - + 0 1-9 . e/E
+_X, _W, _O, _K, _C, _M, _P, _Z, _D, _T, _E = range(11)
+_SPACES = b" \t\n\r"
+_CLASS = _byte_table(_X, [
+    (_SPACES, _W), (b"[", _O), (b",", _K), (b"]", _C), (b"-", _M), (b"+", _P),
+    (b"0", _Z), (b"123456789", _D), (b".", _T), (b"eE", _E),
+])  # fmt: skip
+# What may follow each class once whitespace is dropped: the numbers come in
+# [re, im] pairs, and a number is -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+_FOLLOWS = {
+    _O: (_M, _Z, _D), _K: (_M, _Z, _D, _O), _C: (_K,), _M: (_Z, _D), _P: (_Z, _D),
+    _Z: (_Z, _D, _T, _E, _K, _C), _D: (_Z, _D, _T, _E, _K, _C), _T: (_Z, _D), _E: (_M, _P, _Z, _D),
+}  # fmt: skip
+# Each pair of adjacent classes, coded 16 * first + second, gets a tag: _ILLEGAL
+# where the grammar forbids it, and its own tag where it can start or end a
+# leading zero or the integer -0
+_LEGAL, _ILLEGAL, _OPEN_ZERO, _ZERO_DIGIT, _OPEN_MINUS, _MINUS_ZERO, _ZERO_CLOSE = range(7)
+_TAGS = _byte_table(_ILLEGAL, [
+    ([16 * first + second for first, seconds in _FOLLOWS.items() for second in seconds], _LEGAL),
+    ([16 * _O + _Z, 16 * _K + _Z], _OPEN_ZERO), ([16 * _Z + _Z, 16 * _Z + _D], _ZERO_DIGIT),
+    ([16 * _O + _M, 16 * _K + _M], _OPEN_MINUS), ([16 * _M + _Z], _MINUS_ZERO),
+    ([16 * _Z + _K, 16 * _Z + _C], _ZERO_CLOSE),
+])  # fmt: skip
+_NOT_MARK = bytes([_M, _P, _Z, _D])  # deleting these leaves the brackets, commas, '.' and 'e'
+_DOT_E = bytes([_T, _E])
+_PAIR = bytes([_O, _K, _C, _K])  # the structure of one [re, im] pair and the comma after it
+_RE, _IM = bytes([_O, _K]), bytes([_K, _C])  # the structure around a real and an imaginary part
+_UNBRACKET = bytes.maketrans(b"[]\t\n\r", b"     ")
+_SPACE = rb"[ \t\n\r]*"
+_HEADER = re.compile(
+    _SPACE.join([rb"", rb"\{", rb'"rows"', rb":", rb"([1-9][0-9]{0,17})", rb",", rb'"cols"', rb":",
+                 rb"([1-9][0-9]{0,17})", rb",", rb'"entries"', rb":", rb"\["])
+)  # fmt: skip
+_TRAILER = re.compile(rb"\]" + _SPACE + rb"\}" + _SPACE + rb"\Z")
+_CHUNK = 1 << 18  # bytes checked per step; bounds the temporaries
+
+
+def _strict_pairs(data):
+    """(rows, cols, flat float pairs) of a strict matrix document, or None.
+
+    The document must be the header ``{"rows": r, "cols": c, "entries": [``,
+    then r*c ``[re, im]`` pairs, then ``]}``, with JSON whitespace between
+    tokens and every number in the JSON grammar.  The bytes are checked in
+    chunks that end at a comma, so no number or whitespace run straddles
+    two chunks, and each chunk's numbers are read by one ``np.fromstring``,
+    which rounds as Python's ``float`` does.  Returns None for anything
+    else, a wrong entry count and non-finite values included.
+    """
+    head = _HEADER.match(data)
+    tail = data.rfind(b"]")
+    if head is None or tail < head.end() or _TRAILER.match(data, tail) is None:
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    parts = []
+    structs = numbers = 0  # brackets and commas, and numbers, before the chunk
+    lo = head.end()
+    while lo < tail:
+        cut = data.find(b",", lo + _CHUNK, tail)
+        hi = tail if cut < 0 else cut
+        chunk = data[lo : hi + (cut >= 0)]  # with the comma it ends at, to check the pair around it
+        k = chunk.translate(_CLASS, _SPACES)
+        kk = np.frombuffer(k, dtype=np.uint8)
+        pairs = (kk[:-1] * np.uint8(16) + kk[1:]).tobytes()
+        tags = np.frombuffer(pairs.translate(_TAGS), dtype=np.uint8)
+        if tags.size == 0 or (tags == _ILLEGAL).any():
+            return None
+        # a leading 0 of an integer part must be all of it
+        zero_digit = tags[1:] == _ZERO_DIGIT
+        if (zero_digit & (tags[:-1] == _OPEN_ZERO)).any() or (
+            zero_digit[1:] & (tags[1:-1] == _MINUS_ZERO) & (tags[:-2] == _OPEN_MINUS)
+        ).any():
+            return None
+        # '.' comes at most once in a number, 'e' at most once, and '.' before 'e'
+        marks = k.translate(None, _NOT_MARK)
+        first = np.frombuffer(marks[:-1], dtype=np.uint8)
+        second = np.frombuffer(marks[1:], dtype=np.uint8)
+        if (((first == _T) | (first == _E)) & ((second == _T) | (first == second))).any():
+            return None
+        struct = marks.translate(None, _DOT_E)
+        phase = structs % 4
+        if struct != (_PAIR * (len(struct) // 4 + 2))[phase : phase + len(struct)]:
+            return None
+        # whitespace may not split a number: the runs of number bytes must be the numbers
+        text = data[lo + (lo > head.end()) : hi].translate(_UNBRACKET)
+        number = np.frombuffer(text, dtype=np.uint8)
+        number = (number != ord(" ")) & (number != ord(","))
+        runs = number[0] + np.count_nonzero(number[1:] > number[:-1])
+        if runs != struct.count(_RE) + struct.count(_IM):
+            return None
+        part = np.fromstring(text, sep=",")
+        if np.signbit(part[part == 0]).any():
+            # the JSON integer -0 reads as +0.0, as float(-0) does; it ends at the
+            # (4p + 2)th or (4p + 3)th bracket or comma of the document, entry p
+            at = np.flatnonzero(
+                (tags[:-2] == _OPEN_MINUS) & (tags[1:-1] == _MINUS_ZERO) & (tags[2:] == _ZERO_CLOSE)
+            )
+            closer = structs + np.searchsorted(np.flatnonzero(np.isin(kk, (_O, _K, _C))), at + 3)
+            part[2 * (closer // 4) + (closer % 4 == 2) - numbers] = 0.0
+        structs += len(struct) - (cut >= 0)
+        numbers += part.size
+        parts.append(part)
+        lo = hi
+    if structs != 4 * rows * cols - 1:
+        return None
+    pairs = np.concatenate(parts)
+    return (rows, cols, pairs) if np.isfinite(pairs).all() else None
+
+
+def _json_pairs(data, path):
+    """(rows, cols, flat float pairs) through ``json``; raises the ``MatrixFormatError`` naming the fault."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"not UTF-8 text: {exc}", path=path) from exc
+    # the newline translation of a text-mode read, so line and column match the file as read
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(
             f"invalid JSON: {exc.msg}", path=path, line=exc.lineno, column=exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise MatrixFormatError("invalid JSON: arrays or objects nest too deeply", path=path) from exc
     except ValueError as exc:  # an integer past Python's int-string digit limit
         raise MatrixFormatError("integer entry has too many digits to parse", path=path) from exc
     _require(isinstance(doc, dict), "top level must be an object", path)
@@ -95,8 +237,7 @@ def read_matrix(path):
     pairs = _entry_pairs(entries)
     if pairs is None:
         _raise_first_bad_entry(entries, path)
-    # a view of the float pairs keeps every bit, the sign of a zero included
-    return ComplexMatrix(pairs.view(np.complex128).reshape(rows, cols))
+    return rows, cols, pairs
 
 
 def _entry_pairs(entries):

@@ -221,6 +221,30 @@ def test_overlong_integer_entry_is_format_error(tmp_path, capsys):
     assert err == f"error: {path}: integer entry has too many digits to parse\n"
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            b'{"rows": 1, "cols": 1, "entries": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+            "invalid JSON: arrays or objects nest too deeply",
+        ),
+        (
+            b'{"rows": 1, "cols": 1, "entries": [[0.0, 0.0\xff]]}',
+            "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 44: invalid start byte",
+        ),
+    ],
+    ids=["deep-nesting", "not-utf-8"],
+)
+def test_unreadable_document_is_format_error(tmp_path, capsys, payload, message):
+    path = str(tmp_path / "bad.json")
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_dimension_mismatch_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(86)
     pa, pb = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(27, 27, rng))

@@ -6,10 +6,12 @@ import scipy.linalg
 
 from blocktri import (
     block_tridiagonalize,
+    corner_unit,
     eigenvalues,
     make_schedule,
     match_distance,
     operator_norm,
+    shift_matrix,
     verify_block_structure,
 )
 from helpers import random_complex
@@ -91,6 +93,62 @@ def test_adaptive_generic_fills_space():
     assert res.realized_schedule.sizes[0] == 1
     for prev, cur in zip(res.realized_schedule.sizes, res.realized_schedule.sizes[1:]):
         assert cur <= 2 * prev
+
+
+def _dependent_inputs(name):
+    rng = np.random.default_rng(31)
+    if name == "shift":
+        return [shift_matrix(12).array]
+    if name == "corner":
+        return [corner_unit(12).array]
+    if name == "shift-corner":
+        return [shift_matrix(12).array, corner_unit(12).array]
+    if name == "rank-one":
+        return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)]
+    if name == "hermitian":  # each image under a equals the one under its adjoint
+        h = random_complex(9, 9, rng)
+        return [h + h.conj().T]
+    if name == "block-pair":
+        return [
+            scipy.linalg.block_diag(random_complex(4, 4, rng), random_complex(5, 5, rng)) for _ in range(2)
+        ]
+    assert name == "reducing"
+    return [scipy.linalg.block_diag(random_complex(3, 3, rng), random_complex(6, 6, rng))]
+
+
+# realized sizes and stabilized dimensions, as the per-column Gram-Schmidt gave them
+@pytest.mark.parametrize(
+    "name, mode, sizes, stabilized",
+    [
+        ("shift", "adaptive", (1,) * 12, None),
+        ("shift", "padded", (1, 2, 6, 3), None),
+        ("corner", "adaptive", (1, 1, 10), 2),
+        ("corner", "padded", (1, 2, 6, 3), None),
+        ("shift-corner", "adaptive", (1, 2, 2, 2, 2, 2, 1), None),
+        ("shift-corner", "padded", (1, 4, 7), None),
+        ("rank-one", "adaptive", (1, 2, 7), 3),
+        ("rank-one", "padded", (1, 2, 6, 1), None),
+        ("hermitian", "adaptive", (1,) * 9, None),
+        ("hermitian", "padded", (1, 2, 6), None),
+        ("block-pair", "adaptive", (1, 3, 5), 4),
+        ("block-pair", "padded", (1, 4, 4), None),
+        ("reducing", "adaptive", (1, 2, 6), 3),
+        ("reducing", "padded", (1, 2, 6), None),
+    ],
+)
+def test_dependent_images_keep_their_sizes(name, mode, sizes, stabilized):
+    ops = _dependent_inputs(name)
+    res = block_tridiagonalize(ops, mode=mode)
+    assert res.realized_schedule.sizes == sizes
+    assert res.stabilized_dim == stabilized
+    q = res.basis.array
+    assert operator_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
+    for t in res.transformed:
+        assert verify_block_structure(t, res.realized_schedule) < 1e-10
+    if (name, mode) == ("block-pair", "padded"):
+        # e_1..e_4 lie in the first block, which the Krylov space fills, so the
+        # level's completion skips them and takes e_5 as it is
+        assert np.array_equal(q[:, 4], np.eye(9)[4])
 
 
 def test_start_vector_validation():

@@ -2,10 +2,14 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blocktri import matio
 from blocktri import (
     MatrixFormatError,
     corner_unit,
@@ -84,6 +88,7 @@ def test_sparse_generators_serialize_sparsely(tmp_path):
         "[1, 2, 3]",
         '{"rows": 1, "cols": 1}',
         '{"rows": 0, "cols": 1, "entries": []}',
+        '{"rows": 1, "cols": 1, "entries": []}',
         '{"rows": true, "cols": 1, "entries": [[0.0, 0.0]]}',
         '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0]]}',
         '{"rows": 1, "cols": 1, "entries": [[0.0]]}',
@@ -93,11 +98,23 @@ def test_sparse_generators_serialize_sparsely(tmp_path):
         '{"rows": 1, "cols": 1, "entries": [[NaN, 0.0]]}',
         '{"rows": 1, "cols": 1, "entries": 7}',
         '{"rows": 1.5, "cols": 1, "entries": [[0.0, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[01, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[.5, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[5., 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[+1, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[1e, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[1 0, 0.0]]}',
+        '{"rows": 1, "cols": 2, "entries": [[1.0, [2.0, 3.0], 4.0]]}',
+        pytest.param(
+            '{"rows": 1, "cols": 1, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}", id="deep-nesting"
+        ),
+        pytest.param(b'{"rows": 1, "cols": 1, "entries": [[0.0, 0.0\xff]]}', id="not-utf-8"),
     ],
 )
 def test_malformed_documents_raise(tmp_path, payload):
     path = str(tmp_path / "bad.json")
-    write_text(path, payload)
+    with open(path, "wb") as fh:
+        fh.write(payload if isinstance(payload, bytes) else payload.encode())
     with pytest.raises(MatrixFormatError) as info:
         read_matrix(path)
     assert "bad.json" in str(info.value)
@@ -126,6 +143,120 @@ def test_malformed_entry_messages(tmp_path, entries, message):
     with pytest.raises(MatrixFormatError) as info:
         read_matrix(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_strict_grammar_edge_numbers(tmp_path):
+    # -0 is the integer zero; 1E+05 and exponent leading zeros are JSON numbers
+    path = str(tmp_path / "m.json")
+    text = '{"rows": 2,\n "cols": 2, "entries":\t[[-0, 1E+05], [1e-05, -0.0e00], [ -0 ,0],[2.5E-0003,-1]]}'
+    write_text(path, text)
+    data = text.encode()
+    assert matio._strict_pairs(data) is not None
+    back = read_matrix(path).array
+    expected = np.array([[complex(0.0, 1e5), complex(1e-5, -0.0)], [0j, complex(2.5e-3, -1.0)]])
+    assert back.tobytes() == expected.tobytes()
+
+
+def test_written_files_take_the_strict_parser(tmp_path):
+    path = str(tmp_path / "m.json")
+    m = random_complex(9, 7, np.random.default_rng(72))
+    write_matrix(m, path)
+    with open(path, "rb") as fh:
+        rows, cols, pairs = matio._strict_pairs(fh.read())
+    assert (rows, cols) == (9, 7)
+    assert pairs.view(np.complex128).tobytes() == m.tobytes()
+
+
+_DIGITS = "0123456789"
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308).map(repr),  # subnormals
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(2**53, 2**64).map(str),
+    st.sampled_from(["-0", "-0.0", "0", "0.0", "5e-324", "1E+05", "1e-05", "-0E-000"]),
+    st.builds(  # any JSON number: mantissas of 17 digits and more, E/e±0N exponents
+        lambda sign, lead, rest, frac, exp: sign + (lead + rest if lead != "0" else "0") + frac + exp,
+        st.sampled_from(["", "-"]),
+        st.sampled_from(_DIGITS),
+        st.text(_DIGITS, max_size=25),
+        st.one_of(st.just(""), st.text(_DIGITS, min_size=1, max_size=40).map(lambda d: "." + d)),
+        st.one_of(
+            st.just(""),
+            st.builds(
+                lambda e, sign, d: e + sign + d,
+                st.sampled_from("eE"),
+                st.sampled_from(["", "+", "-"]),
+                st.builds(
+                    str.__add__, st.sampled_from(["", "0", "000"]), st.text(_DIGITS, min_size=1, max_size=2)
+                ),
+            ),
+        ),
+    ),
+)
+# tokens outside the grammar, or in it but not a finite number pair
+_BAD_TOKENS = st.sampled_from([
+    "01", "-01", "00", ".5", "5.", "+1", "1e", "1e+", "-", "--1", "1.2.3", "1e5e5", "1e5.5", "1 2",
+    "NaN", "Infinity", "-Infinity", "0x10", "1_0", "true", "null", '"1"', "", "1,", "[1]", "1e400",
+    "1" + "0" * 400, "\\u0031", "1\u00a0", "\udcff",  # the last one writes the byte 0xff
+])  # fmt: skip
+_SPACE = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def _documents(draw):
+    """(document bytes, whether its fields are in the written layout)."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = rows * cols + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    numbers = [draw(_NUMBERS) for _ in range(2 * count)]
+    if numbers and draw(st.integers(0, 3)) == 0:
+        numbers[draw(st.integers(0, len(numbers) - 1))] = draw(_BAD_TOKENS)
+
+    def join(items):
+        return "[" + draw(_SPACE) + ("," + draw(_SPACE)).join(item + draw(_SPACE) for item in items) + "]"
+
+    pairs = []
+    for re, im in zip(numbers[::2], numbers[1::2]):
+        extra = [draw(_NUMBERS)] if draw(st.integers(0, 20)) == 0 else []
+        pairs.append(join([re, im] + extra))
+    fields = {"rows": str(rows), "cols": str(cols), "entries": join(pairs), "note": '"extra"'}
+    layout = ["rows", "cols", "entries"]
+    others = [["cols", "rows", "entries"], ["entries", "rows", "cols"], layout + ["note"]]
+    keys = draw(st.sampled_from([layout] * 6 + others))
+    members = [f'"{key}"{draw(_SPACE)}:{draw(_SPACE)}{fields[key]}{draw(_SPACE)}' for key in keys]
+    body = ("," + draw(_SPACE)).join(members)
+    text = draw(_SPACE) + "{" + draw(_SPACE) + body + "}" + draw(_SPACE)
+    return text.encode("utf-8", "surrogateescape"), keys == layout
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(document=_documents(), chunk=st.sampled_from([1, 5, 64, 1 << 18]))
+def test_strict_parser_agrees_with_json(tmp_path_factory, document, chunk):
+    # what the strict parser accepts, json reads to the same bits; what it
+    # refuses raises the json validator's own error; and it accepts every
+    # document in the written layout that json reads
+    data, in_layout = document
+    path = str(tmp_path_factory.mktemp("strict") / "m.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        rows, cols, pairs = matio._json_pairs(data, path)
+        expected = pairs.view(np.complex128).reshape(rows, cols)
+    except MatrixFormatError as exc:
+        expected = str(exc)
+    with mock.patch.object(matio, "_CHUNK", chunk):
+        strict = matio._strict_pairs(data)
+        try:
+            got = read_matrix(path).array
+        except MatrixFormatError as exc:
+            got = str(exc)
+    if isinstance(expected, str):
+        assert strict is None
+        assert got == expected
+    else:
+        assert got.tobytes() == expected.tobytes()
+        assert (strict is not None) == in_layout
+        if strict is not None:
+            assert strict[2].tobytes() == expected.tobytes()
 
 
 def test_json_syntax_error_carries_position(tmp_path):
