@@ -32,6 +32,7 @@ __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure"]
 _RANK_TOL = 1e-10  # relative rank threshold for new Krylov directions
 _PAD_TOL = 1e-6  # independence threshold for completion vectors
 _PANEL = 64  # candidates decided per block step of the Gram-Schmidt
+_REORTH = 0.5**0.5  # kept residuals shorter than this share of their candidate get a third pass
 
 
 @dataclass(frozen=True)
@@ -54,41 +55,41 @@ def _append_orthonormal(basis, count, cands, tol, stop):
 
     Reorthogonalized block classical Gram-Schmidt (BCGS2; Barlow &
     Smoktunowicz, Numer. Math. 123, 2013), panel by panel.  A panel of
-    candidates is projected against ``basis[:, :count]`` by block products,
-    and its columns are decided in order: each is projected twice against
-    the columns the panel has kept, and kept when its residual norm exceeds
-    ``tol``.  The kept columns are then projected against the earlier basis
-    a second time and orthonormalized again, in order.  Appending stops
-    when ``count`` reaches ``stop``.  ``cands`` is overwritten.  Returns the
-    new column count and the number of candidates examined.
+    candidates is projected twice against ``basis[:, :count]`` by block
+    products, which leaves each projected candidate c a component of order
+    eps*||c|| along that basis.  Its columns are then decided in order:
+    each is projected twice against the columns the panel has kept, and
+    kept when its residual r exceeds ``tol``.  A kept residual shorter than
+    ``_REORTH`` * ||c|| would carry that roundoff into its unit vector
+    enlarged by ||c|| / ||r||, where later candidates pick it up, so it is
+    projected once more against the whole basis before it is normalized.
+    Appending stops when ``count`` reaches ``stop``.  ``cands`` is
+    overwritten.  Returns the new column count and the number of candidates
+    examined.
     """
     for lo in range(0, cands.shape[1], _PANEL):
         q = basis[:, :count]
         panel = cands[:, lo : lo + _PANEL]
-        panel -= q @ (q.conj().T @ panel)
+        for _ in range(2):
+            panel -= q @ (q.conj().T @ panel)
+        norms = np.linalg.norm(panel, axis=0)
         first = count
-        examined = panel.shape[1]
         for j, r in enumerate(panel.T):
             # (r^H p)^H equals p^H r but conjugates a vector instead of copying p
             p = basis[:, first:count]
             for _ in range(2):
                 r -= p @ (r.conj() @ p).conj()
             rn = np.linalg.norm(r)
-            if rn > tol:
-                basis[:, count] = r / rn
-                count += 1
-                if count == stop:
-                    examined = j + 1
-                    break
-        kept = basis[:, first:count]
-        kept -= q @ (q.conj().T @ kept)
-        for j in range(first, count):
-            r = basis[:, j]
-            p = basis[:, first:j]
-            r -= p @ (r.conj() @ p).conj()
-            r /= np.linalg.norm(r)
-        if count == stop:
-            return count, lo + examined
+            if rn <= tol:
+                continue
+            if rn < _REORTH * norms[j]:
+                p = basis[:, :count]
+                r -= p @ (r.conj() @ p).conj()
+                rn = np.linalg.norm(r)
+            basis[:, count] = r / rn
+            count += 1
+            if count == stop:
+                return count, lo + j + 1
     return count, cands.shape[1]
 
 

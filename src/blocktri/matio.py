@@ -82,49 +82,20 @@ def read_matrix(path):
     return ComplexMatrix(pairs.view(np.complex128).reshape(rows, cols))
 
 
-def _byte_table(default, entries):
-    """A 256-byte ``bytes.translate`` table: ``default`` except ``table[key] = value`` per entry."""
-    table = bytearray([default]) * 256
-    for keys, value in entries:
-        for key in keys:
-            table[key] = value
-    return bytes(table)
-
-
-# Byte classes of the strict document grammar: other, whitespace, [ , ] - + 0 1-9 . e/E
-_X, _W, _O, _K, _C, _M, _P, _Z, _D, _T, _E = range(11)
-_SPACES = b" \t\n\r"
-_CLASS = _byte_table(_X, [
-    (_SPACES, _W), (b"[", _O), (b",", _K), (b"]", _C), (b"-", _M), (b"+", _P),
-    (b"0", _Z), (b"123456789", _D), (b".", _T), (b"eE", _E),
-])  # fmt: skip
-# What may follow each class once whitespace is dropped: the numbers come in
-# [re, im] pairs, and a number is -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
-_FOLLOWS = {
-    _O: (_M, _Z, _D), _K: (_M, _Z, _D, _O), _C: (_K,), _M: (_Z, _D), _P: (_Z, _D),
-    _Z: (_Z, _D, _T, _E, _K, _C), _D: (_Z, _D, _T, _E, _K, _C), _T: (_Z, _D), _E: (_M, _P, _Z, _D),
-}  # fmt: skip
-# Each pair of adjacent classes, coded 16 * first + second, gets a tag: _ILLEGAL
-# where the grammar forbids it, and its own tag where it can start or end a
-# leading zero or the integer -0
-_LEGAL, _ILLEGAL, _OPEN_ZERO, _ZERO_DIGIT, _OPEN_MINUS, _MINUS_ZERO, _ZERO_CLOSE = range(7)
-_TAGS = _byte_table(_ILLEGAL, [
-    ([16 * first + second for first, seconds in _FOLLOWS.items() for second in seconds], _LEGAL),
-    ([16 * _O + _Z, 16 * _K + _Z], _OPEN_ZERO), ([16 * _Z + _Z, 16 * _Z + _D], _ZERO_DIGIT),
-    ([16 * _O + _M, 16 * _K + _M], _OPEN_MINUS), ([16 * _M + _Z], _MINUS_ZERO),
-    ([16 * _Z + _K, 16 * _Z + _C], _ZERO_CLOSE),
-])  # fmt: skip
-_NOT_MARK = bytes([_M, _P, _Z, _D])  # deleting these leaves the brackets, commas, '.' and 'e'
-_DOT_E = bytes([_T, _E])
-_PAIR = bytes([_O, _K, _C, _K])  # the structure of one [re, im] pair and the comma after it
-_RE, _IM = bytes([_O, _K]), bytes([_K, _C])  # the structure around a real and an imaginary part
-_UNBRACKET = bytes.maketrans(b"[]\t\n\r", b"     ")
-_SPACE = rb"[ \t\n\r]*"
+_SPACE = rb"[ \t\n\r]*+"
+_NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
+_PAIR = rb"\[" + _SPACE + _NUMBER + _SPACE + rb"," + _SPACE + _NUMBER + _SPACE + rb"\]" + _SPACE
 _HEADER = re.compile(
     _SPACE.join([rb"", rb"\{", rb'"rows"', rb":", rb"([1-9][0-9]{0,17})", rb",", rb'"cols"', rb":",
                  rb"([1-9][0-9]{0,17})", rb",", rb'"entries"', rb":", rb"\["])
 )  # fmt: skip
+# a run of [re, im] pairs separated by commas, and the bracket-comma that ends one
+_PAIRS = re.compile(_SPACE + _PAIR + rb"(?:," + _SPACE + _PAIR + rb")*+")
+_PAIR_END = re.compile(rb"\]" + _SPACE + rb",")
 _TRAILER = re.compile(rb"\]" + _SPACE + rb"\}" + _SPACE + rb"\Z")
+# the JSON integer -0, which json reads as int 0 and so as +0.0
+_INT_MINUS_ZERO = re.compile(rb"(?<![eE])-0(?=[ \t\n\r,\]])")
+_UNBRACKET = bytes.maketrans(b"[]\t\n\r", b"     ")
 _CHUNK = 1 << 18  # bytes checked per step; bounds the temporaries
 
 
@@ -133,11 +104,11 @@ def _strict_pairs(data):
 
     The document must be the header ``{"rows": r, "cols": c, "entries": [``,
     then r*c ``[re, im]`` pairs, then ``]}``, with JSON whitespace between
-    tokens and every number in the JSON grammar.  The bytes are checked in
-    chunks that end at a comma, so no number or whitespace run straddles
-    two chunks, and each chunk's numbers are read by one ``np.fromstring``,
-    which rounds as Python's ``float`` does.  Returns None for anything
-    else, a wrong entry count and non-finite values included.
+    tokens and every number in the JSON grammar.  The pairs are checked by
+    one regular expression in chunks that end between two pairs, and each
+    chunk's numbers are read by one ``np.fromstring``, which rounds as
+    Python's ``float`` does.  Returns None for anything else, a wrong entry
+    count and non-finite values included.
     """
     head = _HEADER.match(data)
     tail = data.rfind(b"]")
@@ -145,58 +116,25 @@ def _strict_pairs(data):
         return None
     rows, cols = int(head[1]), int(head[2])
     parts = []
-    structs = numbers = 0  # brackets and commas, and numbers, before the chunk
     lo = head.end()
-    while lo < tail:
-        cut = data.find(b",", lo + _CHUNK, tail)
-        hi = tail if cut < 0 else cut
-        chunk = data[lo : hi + (cut >= 0)]  # with the comma it ends at, to check the pair around it
-        k = chunk.translate(_CLASS, _SPACES)
-        kk = np.frombuffer(k, dtype=np.uint8)
-        pairs = (kk[:-1] * np.uint8(16) + kk[1:]).tobytes()
-        tags = np.frombuffer(pairs.translate(_TAGS), dtype=np.uint8)
-        if tags.size == 0 or (tags == _ILLEGAL).any():
+    while True:
+        cut = _PAIR_END.search(data, lo + _CHUNK, tail)
+        hi = tail if cut is None else cut.end() - 1  # the comma between two pairs
+        if _PAIRS.fullmatch(data, lo, hi) is None:
             return None
-        # a leading 0 of an integer part must be all of it
-        zero_digit = tags[1:] == _ZERO_DIGIT
-        if (zero_digit & (tags[:-1] == _OPEN_ZERO)).any() or (
-            zero_digit[1:] & (tags[1:-1] == _MINUS_ZERO) & (tags[:-2] == _OPEN_MINUS)
-        ).any():
-            return None
-        # '.' comes at most once in a number, 'e' at most once, and '.' before 'e'
-        marks = k.translate(None, _NOT_MARK)
-        first = np.frombuffer(marks[:-1], dtype=np.uint8)
-        second = np.frombuffer(marks[1:], dtype=np.uint8)
-        if (((first == _T) | (first == _E)) & ((second == _T) | (first == second))).any():
-            return None
-        struct = marks.translate(None, _DOT_E)
-        phase = structs % 4
-        if struct != (_PAIR * (len(struct) // 4 + 2))[phase : phase + len(struct)]:
-            return None
-        # whitespace may not split a number: the runs of number bytes must be the numbers
-        text = data[lo + (lo > head.end()) : hi].translate(_UNBRACKET)
-        number = np.frombuffer(text, dtype=np.uint8)
-        number = (number != ord(" ")) & (number != ord(","))
-        runs = number[0] + np.count_nonzero(number[1:] > number[:-1])
-        if runs != struct.count(_RE) + struct.count(_IM):
-            return None
-        part = np.fromstring(text, sep=",")
+        part = np.fromstring(data[lo:hi].translate(_UNBRACKET), sep=",")
         if np.signbit(part[part == 0]).any():
-            # the JSON integer -0 reads as +0.0, as float(-0) does; it ends at the
-            # (4p + 2)th or (4p + 3)th bracket or comma of the document, entry p
-            at = np.flatnonzero(
-                (tags[:-2] == _OPEN_MINUS) & (tags[1:-1] == _MINUS_ZERO) & (tags[2:] == _ZERO_CLOSE)
-            )
-            closer = structs + np.searchsorted(np.flatnonzero(np.isin(kk, (_O, _K, _C))), at + 3)
-            part[2 * (closer // 4) + (closer % 4 == 2) - numbers] = 0.0
-        structs += len(struct) - (cut >= 0)
-        numbers += part.size
+            # the k-th number of the chunk follows k commas
+            text = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+            commas = np.flatnonzero(text == ord(","))
+            at = [m.start() - lo for m in _INT_MINUS_ZERO.finditer(data, lo, hi)]
+            part[np.searchsorted(commas, at)] = 0.0
         parts.append(part)
-        lo = hi
-    if structs != 4 * rows * cols - 1:
-        return None
-    pairs = np.concatenate(parts)
-    return (rows, cols, pairs) if np.isfinite(pairs).all() else None
+        if cut is None:
+            break
+        lo = hi + 1
+    pairs = np.concatenate(parts)  # two numbers per pair, as the expression checked
+    return (rows, cols, pairs) if pairs.size == 2 * rows * cols and np.isfinite(pairs).all() else None
 
 
 def _json_pairs(data, path):

@@ -14,7 +14,7 @@ from blocktri import (
     shift_matrix,
     verify_block_structure,
 )
-from helpers import random_complex
+from helpers import haar_unitary, random_complex
 
 
 def test_padded_single_realizes_saturated_schedule():
@@ -95,25 +95,51 @@ def test_adaptive_generic_fills_space():
         assert cur <= 2 * prev
 
 
+def _rotated(mats, n):
+    """Embed ``mats`` in C^n and conjugate by a fixed unitary, so the arithmetic rounds.
+
+    Returns the operators and the image of e_1 as the start vector.
+    """
+    u = haar_unitary(n, np.random.default_rng(0))
+    ops = []
+    for m in mats:
+        big = np.zeros((n, n), dtype=np.complex128)
+        big[: m.shape[0], : m.shape[1]] = m
+        ops.append(u @ big @ u.conj().T)
+    return ops, u[:, 0]
+
+
 def _dependent_inputs(name):
+    """Operators and start vector (None for e_1) whose images are dependent."""
     rng = np.random.default_rng(31)
     if name == "shift":
-        return [shift_matrix(12).array]
+        return [shift_matrix(12).array], None
     if name == "corner":
-        return [corner_unit(12).array]
+        return [corner_unit(12).array], None
     if name == "shift-corner":
-        return [shift_matrix(12).array, corner_unit(12).array]
+        return [shift_matrix(12).array, corner_unit(12).array], None
     if name == "rank-one":
-        return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)]
+        return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)], None
     if name == "hermitian":  # each image under a equals the one under its adjoint
         h = random_complex(9, 9, rng)
-        return [h + h.conj().T]
+        return [h + h.conj().T], None
     if name == "block-pair":
         return [
             scipy.linalg.block_diag(random_complex(4, 4, rng), random_complex(5, 5, rng)) for _ in range(2)
-        ]
-    assert name == "reducing"
-    return [scipy.linalg.block_diag(random_complex(3, 3, rng), random_complex(6, 6, rng))]
+        ], None
+    if name == "reducing":
+        return [scipy.linalg.block_diag(random_complex(3, 3, rng), random_complex(6, 6, rng))], None
+    if name == "rotated-chain":
+        # a s = s + 1e-6 x and a* s = s + x: the second image lies in the span of
+        # s and the first image's new direction, which is kept from a residual of 1e-6
+        return _rotated([np.array([[1.0, 1.0], [1e-6, 0.0]])], 4)
+    assert name == "rotated-nested"
+    # the images s + x and s + x + 1e-8 y differ by a short residual along y, and
+    # the next image is y itself
+    a = np.array([[1.0, 1.0, 1e-8], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    b = np.zeros((3, 3))
+    b[2, 0] = 1.0
+    return _rotated([a, b], 6)
 
 
 # realized sizes and stabilized dimensions, as the per-column Gram-Schmidt gave them
@@ -134,11 +160,15 @@ def _dependent_inputs(name):
         ("block-pair", "padded", (1, 4, 4), None),
         ("reducing", "adaptive", (1, 2, 6), 3),
         ("reducing", "padded", (1, 2, 6), None),
+        ("rotated-chain", "adaptive", (1, 1, 2), 2),
+        ("rotated-chain", "padded", (1, 2, 1), None),
+        ("rotated-nested", "adaptive", (1, 3, 2), 4),
+        ("rotated-nested", "padded", (1, 4, 1), None),
     ],
 )
 def test_dependent_images_keep_their_sizes(name, mode, sizes, stabilized):
-    ops = _dependent_inputs(name)
-    res = block_tridiagonalize(ops, mode=mode)
+    ops, start = _dependent_inputs(name)
+    res = block_tridiagonalize(ops, start=start, mode=mode)
     assert res.realized_schedule.sizes == sizes
     assert res.stabilized_dim == stabilized
     q = res.basis.array
