@@ -30,7 +30,6 @@ from .decompose import (
 )
 from .krylov import TridiagResult, block_tridiagonalize, verify_block_structure
 from .linalg import (
-    ComplexMatrix,
     SchurConvergenceError,
     SchurForm,
     corner_unit,
@@ -76,7 +75,6 @@ __all__ = [
     "BlockSchedule",
     "BlockTridiagOperator",
     "ClauseResult",
-    "ComplexMatrix",
     "CounterexamplePair",
     "CounterexampleReport",
     "DecayReport",

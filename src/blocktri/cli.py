@@ -9,7 +9,8 @@ Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
 malformed matrix files and dimension mismatches, 4 for numerical failures
 (a Schur factorization that misses its residual targets, a LAPACK error,
-or a corner commutator that overflows double precision).
+or a corner commutator that overflows double precision) and for running
+out of memory.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ def _schedule_from_config(config, default_levels=3):
 
 def _operators_from_files(paths):
     mats = [read_matrix(p) for p in paths]
-    tri = block_tridiagonalize([m.array for m in mats], mode="padded")
+    tri = block_tridiagonalize(mats, mode="padded")
     ops = [
-        operator_from_matrix(t.array, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
+        operator_from_matrix(t, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
         for t in tri.transformed
     ]
     return ops, tri, [verify_block_structure(t, tri.realized_schedule) for t in tri.transformed]
@@ -117,7 +118,7 @@ def _cmd_tridiagonalize(config):
     if not 1 <= len(config.inputs) <= 2:
         raise _UsageError("tridiagonalize takes one or two matrix files")
     mats = [read_matrix(p) for p in config.inputs]
-    tri = block_tridiagonalize([m.array for m in mats], mode="padded")
+    tri = block_tridiagonalize(mats, mode="padded")
     sched = tri.realized_schedule
     residuals = [verify_block_structure(t, sched) for t in tri.transformed]
     rows = [
@@ -355,7 +356,7 @@ def build_parser():
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--schedule", choices=("pair", "single", "custom"), default="pair")
     sp.add_argument("--sizes", type=_size_list, default=None)
-    sp.add_argument("--levels", type=_positive_int, default=3)
+    sp.add_argument("--levels", type=_positive_int, default=None)
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
     sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-9)
     _add_output_args(sp)
@@ -420,6 +421,9 @@ def main(argv=None):
     except (SchurConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # before ValueError: LinAlgError subclasses it, but is no input error
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:  # MatrixFormatError included
         print(f"error: {exc}", file=sys.stderr)

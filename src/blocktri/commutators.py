@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ComplexMatrix,
     _as_array,
     _block_diag,
     corner_unit,
@@ -113,7 +112,7 @@ def _route_detail(cert):
 def _record_from_certificate(n, cert, comm, norm, tol):
     detail = _route_detail(cert)
     if cert.verdict == "triangularizable":
-        u = cert.witness_unitary.array
+        u = cert.witness_unitary
         radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
         status = "certified" if radius <= tol * (1.0 + norm) else "inconclusive"
         return LevelRecord(
@@ -146,9 +145,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     for j in range(1, n + 1):
         cert = block_certs.get(j)
         if cert is None:
-            cert = simultaneous_triangularize(
-                c.diag_block(j).array, z.diag_block(j).array, **tri_opts
-            )
+            cert = simultaneous_triangularize(c.diag_block(j), z.diag_block(j), **tri_opts)
             block_certs[j] = cert
         if cert.verdict == "refuted":
             word = cert.refuting_word
@@ -163,7 +160,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
             )
         if cert.verdict != "triangularizable":
             return None
-        units.append(cert.witness_unitary.array)
+        units.append(cert.witness_unitary)
     u = _block_diag(units)
     radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
     status = "certified" if radius <= tol * (1.0 + norm) else "inconclusive"
@@ -203,15 +200,15 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     records = []
     first_refuted = None
     for n in range(1, n_max + 1):
-        cc = corner_compression(c, n).array
-        zc = corner_compression(z, n).array
+        cc = corner_compression(c, n)
+        zc = corner_compression(z, n)
         comm = _corner_commutator(cc, zc, n)
         norm = operator_norm(comm)
         record = None
         if c.lower_zero_through(n) and z.lower_zero_through(n):
             record = _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs)
         if record is None:
-            cert = simultaneous_triangularize(ComplexMatrix(cc), ComplexMatrix(zc), **tri_opts)
+            cert = simultaneous_triangularize(cc, zc, **tri_opts)
             record = _record_from_certificate(n, cert, comm, norm, tol)
         records.append(record)
         if record.status == "refuted" and first_refuted is None:
@@ -255,8 +252,8 @@ def build_counterexample(schedule):
     def bound(n):
         return 1.0 / sizes[min(n, len(sizes)) - 1]
 
-    c_blocks = [shift_matrix(k).array / k for k in sizes]
-    z_blocks = [corner_unit(k).array / k for k in sizes]
+    c_blocks = [shift_matrix(k) / k for k in sizes]
+    z_blocks = [corner_unit(k) / k for k in sizes]
     return CounterexamplePair(
         schedule=schedule,
         c_op=BlockTridiagOperator(schedule, c_blocks, decay=bound),
@@ -301,8 +298,8 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
         word_len = max(4, min(needed) if needed else 0)
     clauses = []
     for j in range(1, n_max + 1):
-        cj = pair.c_op.diag_block(j).array
-        zj = pair.z_op.diag_block(j).array
+        cj = pair.c_op.diag_block(j)
+        zj = pair.z_op.diag_block(j)
         ok = is_nilpotent(cj @ zj - zj @ cj) is True
         clauses.append(
             ClauseResult("block_commutator_nilpotent", j, ok, detail=f"block size {sizes[j - 1]}")
@@ -311,8 +308,8 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
         k = sizes[j - 1]
         if k < 3:
             continue
-        a = pair.c_op.diag_block(j).array * k
-        b = pair.z_op.diag_block(j).array * k
+        a = pair.c_op.diag_block(j) * k
+        b = pair.z_op.diag_block(j) * k
         val = np.linalg.matrix_power(a, k - 2) @ (a @ b - b @ a)
         target = np.zeros(k, dtype=np.complex128)
         target[0] = 1.0
@@ -333,8 +330,8 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
             detail += f", word {cert.refuting_word}"
         clauses.append(ClauseResult("corner_pair_refuted", j, cert.verdict == "refuted", detail=detail))
     for j in range(1, n_max + 1):
-        cc = corner_compression(pair.c_op, j).array
-        zc = corner_compression(pair.z_op, j).array
+        cc = corner_compression(pair.c_op, j)
+        zc = corner_compression(pair.z_op, j)
         radius = spectral_radius(cc @ zc - zc @ cc)
         clauses.append(
             ClauseResult("corner_commutator_radius_zero", j, radius == 0.0, detail=f"radius {radius!r}")
@@ -401,8 +398,8 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     _, q2 = split(k2)
     records = []
     for n in range(1, n_max + 1):
-        a = corner_compression(q1, n).array
-        b = corner_compression(q2, n).array
+        a = corner_compression(q1, n)
+        b = corner_compression(q2, n)
         comm = _corner_commutator(a, b, n)
         diag_max = float(np.abs(np.diag(comm)).max())
         trace_abs = float(abs(np.trace(comm)))

@@ -19,10 +19,10 @@ import numpy as np
 from .commutators import LevelRecord, SpectralReport
 from .krylov import block_tridiagonalize
 from .linalg import (
-    ComplexMatrix,
     SchurConvergenceError,
     _as_array,
     _block_diag,
+    _read_only,
     _strict_lower_max,
     operator_norm,
     schur,
@@ -58,16 +58,16 @@ class DecompositionResult:
     the bitwise sum delta + quasinil (their supports are disjoint), and
     ``residuals`` reports unitarity of u0, strict-lower mass of delta
     (exactly 0.0 by assembly), and the honest reconstruction distance
-    ``||u0* T u0 - conjugated||``.
+    ``||u0* T u0 - conjugated||``.  Every array is read-only.
     """
 
-    u0: ComplexMatrix
+    u0: np.ndarray
     delta_blocks: tuple
     q_blocks: tuple
     schedule: object
-    delta: ComplexMatrix
-    quasinil: ComplexMatrix
-    conjugated: ComplexMatrix
+    delta: np.ndarray
+    quasinil: np.ndarray
+    conjugated: np.ndarray
     residuals: dict
 
 
@@ -94,7 +94,7 @@ def decompose(t, levels=None, *, start=None):
             raise ValueError(f"levels {levels} outside operator range 1..{t.levels}")
         sched = t.schedule.truncated(levels)
         w = None
-        target = corner_compression(t, levels).array
+        target = corner_compression(t, levels)
         source = t
     else:
         arr = _as_array(t, square=True, name="t")
@@ -107,28 +107,26 @@ def decompose(t, levels=None, *, start=None):
                 )
         tri = block_tridiagonalize([arr], start=start, mode="padded")
         sched = tri.realized_schedule
-        w = tri.basis.array
-        source = operator_from_matrix(
-            tri.transformed[0].array, sched, band_tol=1e-9, band_scale=(arr,)
-        )
+        w = tri.basis
+        source = operator_from_matrix(tri.transformed[0], sched, band_tol=1e-9, band_scale=(arr,))
         target = arr
 
     depth = sched.levels
     units = []
     delta_diag = []
     for n in range(1, depth + 1):
-        block = source.diag_block(n).array
+        block = source.diag_block(n)
         try:
             form = schur(block, order="modulus")
         except SchurConvergenceError as exc:
             raise SchurConvergenceError(f"diagonal block {n}: {exc}", residual=exc.residual) from exc
-        units.append(form.unitary.array)
-        delta_diag.append(form.upper.array)
+        units.append(form.unitary)
+        delta_diag.append(form.upper)
     delta_upper = []
     q_blocks = []
     for n in range(1, depth):
-        delta_upper.append(units[n - 1].conj().T @ source.upper_block(n).array @ units[n])
-        q_blocks.append(units[n].conj().T @ source.lower_block(n).array @ units[n - 1])
+        delta_upper.append(_read_only(units[n - 1].conj().T @ source.upper_block(n) @ units[n]))
+        q_blocks.append(_read_only(units[n].conj().T @ source.lower_block(n) @ units[n - 1]))
 
     size = sched.cumsums[-1]
     delta = _assemble(sched, delta_diag, delta_upper, None)
@@ -142,21 +140,14 @@ def decompose(t, levels=None, *, start=None):
         "triangularity": _strict_lower_max(delta),
         "reconstruction": operator_norm(u0.conj().T @ target @ u0 - conjugated),
     }
-    delta_blocks = tuple(
-        (
-            ComplexMatrix(delta_diag[n - 1]),
-            ComplexMatrix(delta_upper[n - 1]) if n < depth else None,
-        )
-        for n in range(1, depth + 1)
-    )
     return DecompositionResult(
-        u0=ComplexMatrix(u0),
-        delta_blocks=delta_blocks,
-        q_blocks=tuple(ComplexMatrix(b) for b in q_blocks),
+        u0=_read_only(u0),
+        delta_blocks=tuple(zip(delta_diag, delta_upper + [None])),
+        q_blocks=tuple(q_blocks),
         schedule=sched,
-        delta=ComplexMatrix(delta),
-        quasinil=ComplexMatrix(quasinil),
-        conjugated=ComplexMatrix(conjugated),
+        delta=_read_only(delta),
+        quasinil=_read_only(quasinil),
+        conjugated=_read_only(conjugated),
         residuals=residuals,
     )
 
@@ -194,7 +185,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
         n_max = depth
     if not 1 <= n_max <= depth:
         raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
-    q = result.quasinil.array
+    q = result.quasinil
     size = q.shape[0]
     level_of = _level_of(sched, size)
     band = (level_of[:, None] - level_of[None, :]) == 1
@@ -248,12 +239,13 @@ class DiagonalSplit:
 
     ``normal[n-1]`` is the diagonal of Delta_n; ``zero_diagonal`` is True
     when every block diagonal stays within ``_DIAG_TOL`` (relative to
-    1 + the block norm), the all-nilpotent-blocks case.
+    1 + the block norm), the all-nilpotent-blocks case.  Every array is
+    read-only.
     """
 
     normal: tuple
-    strict_upper: ComplexMatrix
-    quasinil: ComplexMatrix
+    strict_upper: np.ndarray
+    quasinil: np.ndarray
     zero_diagonal: bool
 
 
@@ -267,18 +259,18 @@ def diagonal_part(result):
     diags = []
     zero_flag = True
     for block, _ in result.delta_blocks:
-        d = np.diag(block.array).copy()
+        d = _read_only(np.diag(block).copy())
         diags.append(d)
         # the block norm only matters while the flag is open and max|d| > _DIAG_TOL
         if zero_flag and d.size:
             dmax = float(np.abs(d).max())
             if dmax > _DIAG_TOL and dmax > _DIAG_TOL * (1.0 + operator_norm(block)):
                 zero_flag = False
-    upper = result.delta.array.copy()
+    upper = result.delta.copy()
     np.fill_diagonal(upper, 0.0)
     return DiagonalSplit(
         normal=tuple(diags),
-        strict_upper=ComplexMatrix(upper),
+        strict_upper=_read_only(upper),
         quasinil=result.quasinil,
         zero_diagonal=zero_flag,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array, _pow2_normalize
+from .linalg import _as_array, _pow2_normalize, _read_only
 from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedule
 
 __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure"]
@@ -37,14 +37,14 @@ _REORTH = 0.5**0.5  # kept residuals shorter than this share of their candidate 
 
 @dataclass(frozen=True)
 class TridiagResult:
-    """Basis + realized schedule + transformed matrices.
+    """Basis + realized schedule + transformed matrices, all arrays read-only.
 
     ``stabilized_dim`` is the dimension at which the adaptive sweep found a
     joint reducing subspace, or None when the sweep filled the whole space
     (always None in padded mode).
     """
 
-    basis: ComplexMatrix
+    basis: np.ndarray
     realized_schedule: BlockSchedule
     transformed: tuple
     stabilized_dim: int | None
@@ -190,10 +190,9 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
         count = filled
 
     realized = make_schedule("custom", sizes=tuple(sizes))
-    q = ComplexMatrix(basis)
-    transformed = tuple(ComplexMatrix(basis.conj().T @ m @ basis) for m in mats)
+    transformed = tuple(_read_only(basis.conj().T @ m @ basis) for m in mats)
     return TridiagResult(
-        basis=q,
+        basis=_read_only(basis),
         realized_schedule=realized,
         transformed=transformed,
         stabilized_dim=stabilized,

@@ -1,9 +1,10 @@
 """Dense complex linear algebra: norms, spectra, Schur forms, generators.
 
-Everything operates on :class:`ComplexMatrix` values or anything
-``np.asarray`` accepts, and returns plain floats/arrays or new
-``ComplexMatrix`` instances.  All routines are pure functions, safe to
-call concurrently on shared inputs.
+Matrices are ``complex128`` ndarrays.  Every public routine takes anything
+``np.asarray`` accepts and validates it once, on entry, through
+``_as_array`` (2-D, nonempty, finite); it returns floats, new ndarrays, or
+a :class:`SchurForm` whose factors are read-only.  All routines are pure
+functions, safe to call concurrently on shared inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from . import _lapack
 
 __all__ = [
-    "ComplexMatrix",
     "SchurForm",
     "SchurConvergenceError",
     "operator_norm",
@@ -42,59 +42,23 @@ class SchurConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class ComplexMatrix:
-    """Immutable dense complex matrix with finite entries.
-
-    Wraps a private, read-only, row-major ``complex128`` copy of its input.
-    ``np.asarray`` works directly on a ``ComplexMatrix``, so numpy routines
-    accept it without unwrapping.
-
-    Raises ``ValueError`` for non-2-D input, empty dimensions, or
-    non-finite entries.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries):
-        a = _as_array(np.array(entries, dtype=np.complex128, order="C"))
-        a.setflags(write=False)
-        self._a = a
-
-    @property
-    def shape(self):
-        return self._a.shape
-
-    @property
-    def array(self):
-        """The underlying read-only ``complex128`` array."""
-        return self._a
-
-    def __array__(self, dtype=None, copy=None):
-        # copy=True gives a writable copy; copy=False refuses a dtype change
-        if dtype is None or (copy is not None and np.dtype(dtype) == self._a.dtype):
-            return self._a.copy() if copy else self._a
-        if copy is False:
-            raise ValueError(f"converting a complex128 matrix to {np.dtype(dtype)} needs a copy")
-        return self._a.astype(dtype)
-
-    def __repr__(self):
-        return f"ComplexMatrix({self._a.shape[0]}x{self._a.shape[1]})"
-
-
 def _as_array(m, square=False, name="matrix"):
-    """Coerce input to a 2-D finite complex128 array (no copy for ComplexMatrix)."""
-    if isinstance(m, ComplexMatrix):
-        a = m.array
-    else:
-        a = np.asarray(m, dtype=np.complex128)
-        if a.ndim != 2:
-            raise ValueError(f"{name} must be 2-D, got {a.ndim}-D data")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"{name} dimensions must be positive, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} entries must be finite")
+    """Coerce input to a 2-D finite complex128 array, copying only to convert."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got {a.ndim}-D data")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"{name} dimensions must be positive, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _read_only(a):
+    """``a`` itself, made read-only: how results hand out the arrays they hold."""
+    a.setflags(write=False)
     return a
 
 
@@ -281,7 +245,7 @@ def shift_matrix(n):
     a = np.zeros((n, n), dtype=np.complex128)
     if n > 1:
         a[np.arange(n - 1), np.arange(1, n)] = 1.0
-    return ComplexMatrix(a)
+    return a
 
 
 def corner_unit(n):
@@ -291,15 +255,15 @@ def corner_unit(n):
     a = np.zeros((n, n), dtype=np.complex128)
     if n > 1:
         a[n - 1, 0] = 1.0
-    return ComplexMatrix(a)
+    return a
 
 
 @dataclass(frozen=True)
 class SchurForm:
-    """Unitary/upper-triangular pair with ``unitary @ upper @ unitary* = input``."""
+    """Unitary/upper-triangular pair with ``unitary @ upper @ unitary* = input``; both read-only."""
 
-    unitary: ComplexMatrix
-    upper: ComplexMatrix
+    unitary: np.ndarray
+    upper: np.ndarray
 
 
 def _block_diag(blocks):
@@ -391,7 +355,7 @@ def schur(a, *, order=None):
         raise SchurConvergenceError(
             f"reconstruction residual {recon_res:.3e} above tolerance", residual=recon_res
         )
-    return SchurForm(unitary=ComplexMatrix(q), upper=ComplexMatrix(t))
+    return SchurForm(unitary=_read_only(q), upper=_read_only(t))
 
 
 def _perfect_matching(adjacent):

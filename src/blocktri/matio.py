@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array
+from .linalg import _as_array, _read_only
 
 __all__ = [
     "MatrixFormatError",
@@ -60,7 +60,7 @@ def _require(cond, message, path):
 
 
 def read_matrix(path):
-    """Parse a matrix document; returns a ComplexMatrix.
+    """Parse a matrix document; returns a read-only ``complex128`` array.
 
     A document in the layout :func:`write_matrix` produces (the ``rows``,
     ``cols`` and ``entries`` fields in that order, any JSON whitespace) is
@@ -80,7 +80,7 @@ def read_matrix(path):
     parsed = _strict_pairs(data)
     rows, cols, pairs = parsed if parsed is not None else _json_pairs(data, path)
     # a view of the float pairs keeps every bit, the sign of a zero included
-    return ComplexMatrix(pairs.view(np.complex128).reshape(rows, cols))
+    return _read_only(pairs.view(np.complex128).reshape(rows, cols))
 
 
 def _compile(pattern):

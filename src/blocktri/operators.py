@@ -4,8 +4,8 @@ corner compressions, splits, and decay reports.
 An operator here is given by its blocks along a size schedule
 (k_1, k_2, ...): diagonal blocks C_n (k_n x k_n), upper coupling blocks
 A_n (k_n x k_{n+1}), lower coupling blocks B_n (k_{n+1} x k_n).  All
-blocks are held explicitly, copied once when the operator is built; an
-operator also declares a nonincreasing decay bound dominating its block
+blocks are held explicitly as read-only ``complex128`` arrays, copied once
+when the operator is built; an operator also declares a nonincreasing decay bound dominating its block
 norms.  Dense corners are assembled from the blocks in one place.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexMatrix, _as_array, _norm_excess, operator_norm
+from .linalg import _as_array, _norm_excess, _read_only, operator_norm
 
 __all__ = [
     "BlockSchedule",
@@ -150,17 +150,17 @@ def _assemble(schedule, diag, upper, lower):
     for rows, cols, blocks in ((lev, lev, diag), (lev, lev[1:], upper), (lev[1:], lev, lower)):
         for r, c, block in zip(rows, cols, blocks or ()):
             if block is not None:
-                out[r, c] = np.asarray(block)
+                out[r, c] = block
     return out
 
 
 def _blocks(kind, blocks, shapes):
-    """One ComplexMatrix per shape: zeros for ``None``, else each block checked."""
+    """One checked, read-only ``complex128`` copy per block; zeros for ``None``."""
     if blocks is None:
-        return tuple(ComplexMatrix(np.zeros(shape)) for shape in shapes)
+        blocks = [np.zeros(shape) for shape in shapes]
     if len(blocks) != len(shapes):
         raise ValueError(f"need {len(shapes)} {kind} blocks, got {len(blocks)}")
-    out = tuple(b if isinstance(b, ComplexMatrix) else ComplexMatrix(b) for b in blocks)
+    out = tuple(_read_only(_as_array(np.array(b, dtype=np.complex128, order="C"))) for b in blocks)
     for n, (block, shape) in enumerate(zip(out, shapes), 1):
         if block.shape != shape:
             raise ValueError(f"{kind} block {n} has shape {block.shape}, expected {shape}")
@@ -183,8 +183,9 @@ class BlockTridiagOperator:
         raised here.  The default is the suffix maximum of the level
         norms, 0.0 past the last level, computed on first read.
 
-    Every block is copied once, here, into a ``ComplexMatrix`` (one that
-    already is a ``ComplexMatrix`` is kept as is) and its shape checked.
+    Every block is copied once, here, into a read-only ``complex128``
+    array, checked finite and of its shape, so later writes to the
+    caller's arrays cannot reach the operator.
     """
 
     def __init__(self, schedule, diag, upper=None, lower=None, decay=None):
@@ -239,7 +240,7 @@ class BlockTridiagOperator:
 
     def lower_zero_through(self, n):
         """True when lower blocks B_1..B_{n-1} are all exactly zero."""
-        return not any(b.array.any() for b in self._lower[: n - 1])
+        return not any(b.any() for b in self._lower[: n - 1])
 
 
 def corner_compression(op, n):
@@ -250,7 +251,7 @@ def corner_compression(op, n):
     """
     if not 1 <= n <= op.levels:
         raise ValueError(f"corner level {n} outside operator range 1..{op.levels}")
-    return ComplexMatrix(_assemble(op.schedule.truncated(n), op._diag, op._upper, op._lower))
+    return _assemble(op.schedule.truncated(n), op._diag, op._upper, op._lower)
 
 
 def split(op):
@@ -360,8 +361,8 @@ def conjugate_blocks(op, unitaries):
     pairs = list(zip(units, units[1:]))
     return BlockTridiagOperator(
         op.schedule,
-        [w.conj().T @ c.array @ w for w, c in zip(units, op._diag)],
-        [w.conj().T @ a.array @ v for (w, v), a in zip(pairs, op._upper)],
-        [v.conj().T @ b.array @ w for (w, v), b in zip(pairs, op._lower)],
+        [w.conj().T @ c @ w for w, c in zip(units, op._diag)],
+        [w.conj().T @ a @ v for (w, v), a in zip(pairs, op._upper)],
+        [v.conj().T @ b @ w for (w, v), b in zip(pairs, op._lower)],
         decay=op.decay_bound,
     )

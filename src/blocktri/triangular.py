@@ -44,8 +44,8 @@ import numpy as np
 
 from . import _lapack
 from .linalg import (
-    ComplexMatrix,
     _pow2_normalize,
+    _read_only,
     _reorder_schur,
     _square_pair,
     _strict_lower_max,
@@ -73,7 +73,8 @@ _WORD_SAMPLES = 64  # random words tried past the exhaustive cap
 class TriangularizationCertificate:
     """Outcome of a simultaneous triangularization attempt.
 
-    verdict is "triangularizable" (witness present, residuals verified),
+    verdict is "triangularizable" (read-only ``witness_unitary`` present,
+    residuals verified),
     "refuted" (refuting_word present, with the trace test that refutes
     it: M = w(a, b) [a, b] has |tr M^k| = ``trace`` above ``trace_bound``),
     or "inconclusive".  ``route`` names what decided the verdict:
@@ -83,7 +84,7 @@ class TriangularizationCertificate:
     """
 
     verdict: str
-    witness_unitary: ComplexMatrix | None
+    witness_unitary: np.ndarray | None
     refuting_word: str | None
     residual: float | None
     unitarity_residual: float | None
@@ -205,7 +206,7 @@ def _word_product(word, a, b):
 def word_value(word, a, b):
     """Evaluate a word over {x, y} as a product, x -> a, y -> b ('' -> identity)."""
     aa, bb = _square_pair(a, b)
-    return ComplexMatrix(_word_product(_word_letters(word), aa, bb))
+    return _word_product(_word_letters(word), aa, bb)
 
 
 def _exhaustive_cap(n, max_word_len):
@@ -402,7 +403,7 @@ def _gated_certificate(aa, bb, u, tol, scale, route):
     passed = residual < tol and unit_res < 1e-10
     return TriangularizationCertificate(
         verdict="triangularizable" if passed else "inconclusive",
-        witness_unitary=ComplexMatrix(u) if passed else None,
+        witness_unitary=_read_only(u) if passed else None,
         refuting_word=None,
         residual=residual,
         unitarity_residual=unit_res,

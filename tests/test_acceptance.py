@@ -62,15 +62,15 @@ def test_criterion_1_counterexample_fixture():
 
 def test_criterion_2_mccoy_refutation():
     for n in range(3, 13):
-        a = shift_matrix(n).array / n
-        b = corner_unit(n).array / n
+        a = shift_matrix(n) / n
+        b = corner_unit(n) / n
         comm = a @ b - b @ a
         word = mccoy_sample(a, b, max_word_len=max(4, n - 2), tol=1e-10)
         assert word is not None, n
         assert len(word) <= n - 2
         if len(word) == n - 2:
             assert word == "x" * (n - 2)
-        assert is_nilpotent(word_value(word, a, b).array @ comm, tol=1e-10) is False
+        assert is_nilpotent(word_value(word, a, b) @ comm, tol=1e-10) is False
         assert is_nilpotent(np.linalg.matrix_power(a, n - 2) @ comm, tol=1e-10) is False
         assert is_nilpotent(comm, tol=1e-10)
     print("ACCEPTANCE 2: PASS (x^(n-2) refutes for every 3 <= n <= 12)")
@@ -118,7 +118,7 @@ def test_criterion_5_triangularization_soundness():
         b = random_complex(n, n, rng)
         cert = simultaneous_triangularize(a, b)
         if cert.verdict == "triangularizable":
-            u = cert.witness_unitary.array
+            u = cert.witness_unitary
             scale = 1.0 + operator_norm(a) + operator_norm(b)
             unit_res = operator_norm(u.conj().T @ u - np.eye(n))
             mass = max(
@@ -176,7 +176,7 @@ def test_criterion_7_structure_decomposition():
         ]
         op = BlockTridiagOperator(sched, diag, upper=upper)
         result = decompose(op)
-        assert np.count_nonzero(result.quasinil.array) == 0
+        assert np.count_nonzero(result.quasinil) == 0
     print("ACCEPTANCE 7: PASS (50 decompositions within tolerance, zero lower couplings give zero Q)")
 
 
@@ -218,5 +218,5 @@ def test_criterion_9_cli_determinism_and_round_trip(tmp_path, capsys):
         cols = int(rng.integers(1, 11))
         m = random_complex(rows, cols, rng)
         write_matrix(m, mpath)
-        assert np.array_equal(read_matrix(mpath).array, m)
+        assert np.array_equal(read_matrix(mpath), m)
     print("ACCEPTANCE 9: PASS (byte-identical reports, 1000 exact matrix round trips)")

@@ -97,8 +97,8 @@ def test_triangularize_commuting_diagonals(tmp_path, capsys):
 
 
 def test_triangularize_refuted_pair(tmp_path, capsys):
-    a = shift_matrix(5).array / 5
-    b = corner_unit(5).array / 5
+    a = shift_matrix(5) / 5
+    b = corner_unit(5) / 5
     pa, pb = write_pair(tmp_path, a, b)
     code, out, err = run_cli(capsys, ["triangularize", pa, pb])
     assert code == 1
@@ -279,6 +279,20 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: diagonal block") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["counterexample", "--levels", "8"], ["certify", "--counterexample", "--levels", "9"]]
+)
+def test_out_of_memory_exits_4(capsys, monkeypatch, argv):
+    # level 8 of the pair schedule is a dense 62500 x 62500 block; nothing is allocated here
+    def out_of_memory(schedule):
+        raise MemoryError("Unable to allocate 58.2 GiB for an array with shape (62500, 62500)")
+
+    monkeypatch.setattr(blocktri.cli, "build_counterexample", out_of_memory)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["certify", "stripped-checks"])
 @pytest.mark.parametrize("scale", [1e300, 2.0**600])
 def test_overflowing_commutator_exits_4(tmp_path, capsys, command, scale):
@@ -433,12 +447,28 @@ def test_pipelines_run_through_the_scipy_linalg_fallback(tmp_path):
     assert fallback == direct
 
 
-@pytest.mark.parametrize("levels", ["2", "3", "5"])
-def test_counterexample_verify_refuses_a_size_two_block(capsys, levels):
+@pytest.mark.parametrize(
+    "schedule, level",
+    [
+        *(pytest.param(["single", "--levels", n], 2, id=n) for n in ("2", "3", "5")),
+        # without --levels, custom sizes are verified through their last level
+        pytest.param(["custom", "--sizes", "3,4,5,2"], 4, id="custom"),
+    ],
+)
+def test_counterexample_verify_refuses_a_size_two_block(capsys, schedule, level):
     # the single schedule's second block has size 2; its commutator diag(1, -1)/4 is not nilpotent
-    code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", "single", "--levels", levels])
+    code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", *schedule])
     assert (code, out) == (3, "")
-    assert err.startswith("error: block size 2 (level 2) is outside the counterexample family") and err.count("\n") == 1
+    message = f"error: block size 2 (level {level}) is outside the counterexample family"
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_counterexample_verify_covers_every_custom_level(capsys):
+    code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", "custom", "--sizes", "3,4,5,6"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["config"]["levels"] is None
+    assert {row["level"] for row in doc["levels"]} == {1, 2, 3, 4}
 
 
 def test_counterexample_verify_single_schedule_first_level_passes(capsys):

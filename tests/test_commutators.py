@@ -33,8 +33,8 @@ def test_build_counterexample_blocks_and_decay():
     assert pair.schedule is sched
     # 1x1 generators are zero, so level-1 blocks undershoot the 1/k bound
     for n, k in enumerate(sched.sizes, start=1):
-        c = pair.c_op.diag_block(n).array
-        z = pair.z_op.diag_block(n).array
+        c = pair.c_op.diag_block(n)
+        z = pair.z_op.diag_block(n)
         if k == 1:
             assert not c.any()
             assert not z.any()
@@ -46,7 +46,7 @@ def test_build_counterexample_blocks_and_decay():
     assert decay_report(pair.z_op, 3).passed
     for op in (pair.c_op, pair.z_op):
         assert op.lower_zero_through(3)
-        assert not any(op.upper_block(j).array.any() for j in (1, 2))
+        assert not any(op.upper_block(j).any() for j in (1, 2))
 
 
 def test_verify_counterexample_pair_schedule():
@@ -200,8 +200,8 @@ def test_stripped_pair_checks_validation():
 
 def test_corner_commutator_strictly_lower_for_counterexample():
     pair = build_counterexample(make_schedule("pair", 3))
-    cc = corner_compression(pair.c_op, 3).array
-    zc = corner_compression(pair.z_op, 3).array
+    cc = corner_compression(pair.c_op, 3)
+    zc = corner_compression(pair.z_op, 3)
     comm = cc @ zc - zc @ cc
     assert not np.triu(comm).any()
 
@@ -210,8 +210,8 @@ def test_counterexample_block_commutators_are_structurally_nilpotent():
     # [C_j, Z_j] = (e_{k-1} e_1^T - e_k e_2^T) / k^2: an acyclic pattern
     pair = build_counterexample(make_schedule("pair", 4))
     for j in range(1, 5):
-        c = pair.c_op.diag_block(j).array
-        z = pair.z_op.diag_block(j).array
+        c = pair.c_op.diag_block(j)
+        z = pair.z_op.diag_block(j)
         assert is_nilpotent(c @ z - z @ c) is True
 
 
@@ -222,9 +222,9 @@ def test_certify_detail_names_the_route():
     z = random_operator(sched, np.random.default_rng(60))
     c = BlockTridiagOperator(
         sched,
-        [2.0 * z.diag_block(j).array + 3.0 * np.eye(sched.size(j)) for j in (1, 2, 3)],
-        [2.0 * z.upper_block(j).array for j in (1, 2)],
-        [2.0 * z.lower_block(j).array for j in (1, 2)],
+        [2.0 * z.diag_block(j) + 3.0 * np.eye(sched.size(j)) for j in (1, 2, 3)],
+        [2.0 * z.upper_block(j) for j in (1, 2)],
+        [2.0 * z.lower_block(j) for j in (1, 2)],
     )
     report = certify_commutator(c, z, n_max=3)
     assert report.verdict == "certified_quasinilpotent"

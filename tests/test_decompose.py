@@ -31,8 +31,8 @@ def test_decompose_dense_27():
     assert result.residuals["triangularity"] == 0.0
     assert result.residuals["reconstruction"] < 1e-9 * norm
     # supports of delta and quasinil are disjoint, their sum is bitwise exact
-    total = result.delta.array + result.quasinil.array
-    assert np.array_equal(total, result.conjugated.array)
+    total = result.delta + result.quasinil
+    assert np.array_equal(total, result.conjugated)
     assert match_distance(eigenvalues(result.conjugated), eigenvalues(t)) <= 1e-8 * norm
 
 
@@ -41,20 +41,20 @@ def test_decompose_block_contents():
     t = random_complex(27, 27, rng)
     result = decompose(t)
     sched = result.schedule
-    delta = result.delta.array
-    quasi = result.quasinil.array
+    delta = result.delta
+    quasi = result.quasinil
     for n in range(1, sched.levels + 1):
         lo, hi = sched.block_bounds(n)
         block, coupling = result.delta_blocks[n - 1]
-        assert np.array_equal(delta[lo:hi, lo:hi], block.array)
+        assert np.array_equal(delta[lo:hi, lo:hi], block)
         # each diagonal block is upper triangular with nonincreasing moduli
-        assert not np.tril(block.array, -1).any()
-        mods = np.abs(np.diag(block.array))
+        assert not np.tril(block, -1).any()
+        mods = np.abs(np.diag(block))
         assert np.all(mods[:-1] >= mods[1:] - 1e-12)
         if n < sched.levels:
             lo2, hi2 = sched.block_bounds(n + 1)
-            assert np.array_equal(delta[lo:hi, lo2:hi2], coupling.array)
-            assert np.array_equal(quasi[lo2:hi2, lo:hi], result.q_blocks[n - 1].array)
+            assert np.array_equal(delta[lo:hi, lo2:hi2], coupling)
+            assert np.array_equal(quasi[lo2:hi2, lo:hi], result.q_blocks[n - 1])
         else:
             assert coupling is None
 
@@ -70,8 +70,8 @@ def test_decompose_provider_path_zero_lower():
     op = BlockTridiagOperator(sched, diag, upper=upper)
     result = decompose(op)
     # zero lower couplings mean the quasinilpotent part vanishes identically
-    assert np.count_nonzero(result.quasinil.array) == 0
-    assert all(np.count_nonzero(b.array) == 0 for b in result.q_blocks)
+    assert np.count_nonzero(result.quasinil) == 0
+    assert all(np.count_nonzero(b) == 0 for b in result.q_blocks)
     assert result.residuals["triangularity"] == 0.0
     assert result.residuals["reconstruction"] < 1e-9 * (1.0 + operator_norm(result.conjugated))
 
@@ -141,7 +141,7 @@ def test_windowed_tail_norms_match_full_stripped_matrix():
 def test_level_norms_match_full_corner():
     result = decompose(random_complex(81, 81, np.random.default_rng(71)))
     sched = result.schedule
-    q = result.quasinil.array
+    q = result.quasinil
     cert = quasinilpotent_part_certificate(result)
     for rec in cert.levels:
         kn = sched.size_through(rec.level)
@@ -178,10 +178,10 @@ def test_diagonal_part_reassembles_bitwise():
     t = random_complex(27, 27, rng)
     result = decompose(t)
     parts = diagonal_part(result)
-    rebuilt = parts.strict_upper.array.copy()
+    rebuilt = parts.strict_upper.copy()
     np.fill_diagonal(rebuilt, np.concatenate(parts.normal))
-    assert np.array_equal(rebuilt, result.delta.array)
-    assert np.array_equal(rebuilt + parts.quasinil.array, result.conjugated.array)
+    assert np.array_equal(rebuilt, result.delta)
+    assert np.array_equal(rebuilt + parts.quasinil, result.conjugated)
     assert not parts.zero_diagonal
 
 
@@ -189,7 +189,7 @@ def test_diagonal_part_zero_diagonal_flag():
     # nilpotent triangular diagonal blocks keep exactly zero diagonals
     sched = make_schedule("custom", sizes=(2, 3))
     rng = np.random.default_rng(68)
-    diag = [shift_matrix(2).array, shift_matrix(3).array]
+    diag = [shift_matrix(2), shift_matrix(3)]
     lower = [random_complex(3, 2, rng)]
     op = BlockTridiagOperator(sched, diag, lower=lower)
     result = decompose(op)

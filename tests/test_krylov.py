@@ -24,7 +24,7 @@ def test_padded_single_realizes_saturated_schedule():
         res = block_tridiagonalize([a], mode="padded")
         assert res.realized_schedule.sizes == (1, 2, 6, 18)
         assert res.stabilized_dim is None
-        q = res.basis.array
+        q = res.basis
         assert operator_norm(q.conj().T @ q - np.eye(27)) < 1e-12
         residual = verify_block_structure(res.transformed[0], res.realized_schedule)
         assert residual < 1e-10, residual
@@ -54,7 +54,7 @@ def test_padded_schedules_at_benchmark_sizes(n, count, sizes):
     ops = [random_complex(n, n, rng) for _ in range(count)]
     res = block_tridiagonalize(ops, mode="padded")
     assert res.realized_schedule.sizes == sizes
-    q = res.basis.array
+    q = res.basis
     assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-12
     for t in res.transformed:
         assert verify_block_structure(t, res.realized_schedule) < 1e-10
@@ -77,7 +77,7 @@ def test_adaptive_stabilizes_on_reducing_subspace():
     assert res.stabilized_dim == 4
     # complement couplings vanish: the transform stays block tridiagonal
     assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
-    t = res.transformed[0].array
+    t = res.transformed[0]
     k = res.stabilized_dim
     assert operator_norm(t[k:, :k]) < 1e-10
     assert operator_norm(t[:k, k:]) < 1e-10
@@ -113,11 +113,11 @@ def _dependent_inputs(name):
     """Operators and start vector (None for e_1) whose images are dependent."""
     rng = np.random.default_rng(31)
     if name == "shift":
-        return [shift_matrix(12).array], None
+        return [shift_matrix(12)], None
     if name == "corner":
-        return [corner_unit(12).array], None
+        return [corner_unit(12)], None
     if name == "shift-corner":
-        return [shift_matrix(12).array, corner_unit(12).array], None
+        return [shift_matrix(12), corner_unit(12)], None
     if name == "rank-one":
         return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)], None
     if name == "hermitian":  # each image under a equals the one under its adjoint
@@ -171,7 +171,7 @@ def test_dependent_images_keep_their_sizes(name, mode, sizes, stabilized):
     res = block_tridiagonalize(ops, start=start, mode=mode)
     assert res.realized_schedule.sizes == sizes
     assert res.stabilized_dim == stabilized
-    q = res.basis.array
+    q = res.basis
     assert operator_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
     for t in res.transformed:
         assert verify_block_structure(t, res.realized_schedule) < 1e-10
@@ -202,7 +202,7 @@ def test_custom_start_changes_basis_not_spectrum():
     res = block_tridiagonalize([a], start=start, mode="padded")
     assert match_distance(eigenvalues(a), eigenvalues(res.transformed[0])) <= 1e-8 * operator_norm(a)
     # first basis column is the normalized start vector
-    v = res.basis.array[:, 0]
+    v = res.basis[:, 0]
     assert np.linalg.norm(v - start / np.linalg.norm(start)) < 1e-12
 
 

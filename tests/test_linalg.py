@@ -9,11 +9,13 @@ import scipy.linalg
 
 from blocktri import _lapack
 from blocktri import (
-    ComplexMatrix,
+    BlockTridiagOperator,
     SchurConvergenceError,
+    block_tridiagonalize,
     corner_unit,
     eigenvalues,
     is_nilpotent,
+    make_schedule,
     match_distance,
     operator_norm,
     schur,
@@ -24,41 +26,21 @@ from blocktri.linalg import _norm_excess, _perfect_matching
 from helpers import haar_unitary, random_complex
 
 
-def test_complex_matrix_basics():
-    m = ComplexMatrix([[1, 2j], [3, 4]])
-    assert m.shape == (2, 2)
-    assert m.array.dtype == np.complex128
-    assert m.array[0, 1] == 2j
-    assert np.asarray(m) is m.array
-    with pytest.raises(ValueError):
-        m.array[0, 0] = 5.0
-    # the wrapper holds its own copy: later writes to the source do not leak in
-    source = np.eye(2, dtype=np.complex128)
-    held = ComplexMatrix(source)
-    source[0, 0] = 7.0
-    assert held.array[0, 0] == 1.0
-
-
-def test_complex_matrix_array_copy():
-    m = ComplexMatrix([[1, 2j], [3, 4]])
-    assert np.asarray(m) is m.array
-    # np.array asks for a copy and gets a writable one
-    copied = np.array(m)
-    assert copied is not m.array
-    copied[0, 0] = 5.0
-    assert m.array[0, 0] == 1.0
-    assert np.array(m, copy=False) is m.array
-    with pytest.raises(ValueError):
-        np.array(m, dtype=np.complex64, copy=False)
-
-
-def test_complex_matrix_validation():
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros(4))
-    with pytest.raises(ValueError):
-        ComplexMatrix([[np.inf, 0], [0, 1]])
+def test_entry_points_reject_malformed_input():
+    # empty dimensions, 1-D data and a non-finite entry, at three public entry points
+    sched = make_schedule("single", 1)
+    entry_points = (
+        operator_norm,
+        lambda m: BlockTridiagOperator(sched, [m]),
+        lambda m: block_tridiagonalize([m]),
+    )
+    for enter in entry_points:
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            enter(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="must be 2-D"):
+            enter(np.zeros(4))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            enter([[np.inf, 0], [0, 1]])
 
 
 def test_norms_against_numpy():
@@ -94,7 +76,7 @@ def test_is_nilpotent():
     assert is_nilpotent(np.diag([1.0, -1.0])) is False
     # scale invariance: normalization keeps tiny non-nilpotent matrices decisive
     assert is_nilpotent(1e-200 * np.diag([1.0, -1.0])) is False
-    perturbed = shift_matrix(8).array + 1e-5 * np.eye(8)
+    perturbed = shift_matrix(8) + 1e-5 * np.eye(8)
     assert is_nilpotent(perturbed) is False
     with pytest.raises(ValueError):
         is_nilpotent(np.eye(2), tol=-1.0)
@@ -125,7 +107,7 @@ def test_is_nilpotent_true_only_from_structure():
     assert is_nilpotent(1e-300 * m) is True
     # a dense nilpotent matrix is nilpotent but has no acyclic pattern
     u = haar_unitary(7, rng)
-    assert is_nilpotent(u @ shift_matrix(7).array @ u.conj().T) is not True
+    assert is_nilpotent(u @ shift_matrix(7) @ u.conj().T) is not True
 
 
 def test_is_nilpotent_margin_widens_the_bound():
@@ -136,11 +118,11 @@ def test_is_nilpotent_margin_widens_the_bound():
 
 
 def test_generators_entrywise():
-    s = shift_matrix(4).array
+    s = shift_matrix(4)
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 2] = expected[2, 3] = 1.0
     assert np.array_equal(s, expected)
-    z = corner_unit(4).array
+    z = corner_unit(4)
     assert z[3, 0] == 1.0
     assert np.count_nonzero(z) == 1
     assert shift_matrix(1).shape == (1, 1)
@@ -156,8 +138,8 @@ def test_schur_random_loop():
         n = int(rng.integers(2, 13))
         a = random_complex(n, n, rng)
         form = schur(a)
-        q = form.unitary.array
-        t = form.upper.array
+        q = form.unitary
+        t = form.upper
         assert operator_norm(q.conj().T @ q - np.eye(n)) < 1e-12
         assert not np.tril(t, -1).any()
         assert operator_norm(q @ t @ q.conj().T - a) < 1e-10 * operator_norm(a)
@@ -167,8 +149,8 @@ def test_schur_random_loop():
 def test_schur_triangular_fast_path():
     t = np.triu(random_complex(5, 5, np.random.default_rng(3)))
     form = schur(t)
-    assert np.array_equal(form.unitary.array, np.eye(5))
-    assert np.array_equal(form.upper.array, t)
+    assert np.array_equal(form.unitary, np.eye(5))
+    assert np.array_equal(form.upper, t)
     # structural zeros survive: a nilpotent triangular block keeps radius 0
     nil = shift_matrix(6)
     assert spectral_radius(schur(nil).upper) == 0.0
@@ -180,16 +162,16 @@ def test_schur_modulus_order():
         n = int(rng.integers(2, 11))
         a = random_complex(n, n, rng)
         form = schur(a, order="modulus")
-        mods = np.abs(np.diag(form.upper.array))
+        mods = np.abs(np.diag(form.upper))
         assert np.all(mods[:-1] >= mods[1:] - 1e-12)
-        q = form.unitary.array
-        assert operator_norm(q @ form.upper.array @ q.conj().T - a) < 1e-9 * operator_norm(a)
+        q = form.unitary
+        assert operator_norm(q @ form.upper @ q.conj().T - a) < 1e-9 * operator_norm(a)
     # deterministic: same input, bitwise identical factors
     a = random_complex(7, 7, np.random.default_rng(9))
     f1 = schur(a, order="modulus")
     f2 = schur(a, order="modulus")
-    assert np.array_equal(f1.upper.array, f2.upper.array)
-    assert np.array_equal(f1.unitary.array, f2.unitary.array)
+    assert np.array_equal(f1.upper, f2.upper)
+    assert np.array_equal(f1.unitary, f2.unitary)
 
 
 def test_schur_rejects_unknown_order():

@@ -37,7 +37,7 @@ def test_round_trip_exact(tmp_path):
         m = random_complex(rows, cols, rng)
         write_matrix(m, path)
         back = read_matrix(path)
-        assert np.array_equal(back.array, m)
+        assert np.array_equal(back, m)
 
 
 def test_round_trip_extreme_magnitudes(tmp_path):
@@ -50,12 +50,12 @@ def test_round_trip_extreme_magnitudes(tmp_path):
         ]
     )
     write_matrix(m, path)
-    back = read_matrix(path).array
+    back = read_matrix(path)
     # bitwise: array_equal cannot see the sign of a zero
     assert back.tobytes() == m.tobytes()
     # the JSON int -0 reads as +0.0, as float(-0) does
     write_text(path, '{"rows": 1, "cols": 2, "entries": [[-0.0, -0.0], [-0, 5]]}')
-    back = read_matrix(path).array
+    back = read_matrix(path)
     assert back.tobytes() == np.array([[complex(-0.0, -0.0), complex(0.0, 5.0)]]).tobytes()
 
 
@@ -152,7 +152,7 @@ def test_strict_grammar_edge_numbers(tmp_path):
     write_text(path, text)
     data = text.encode()
     assert matio._strict_pairs(data) is not None
-    back = read_matrix(path).array
+    back = read_matrix(path)
     expected = np.array([[complex(0.0, 1e5), complex(1e-5, -0.0)], [0j, complex(2.5e-3, -1.0)]])
     assert back.tobytes() == expected.tobytes()
 
@@ -246,7 +246,7 @@ def test_strict_parser_agrees_with_json(tmp_path_factory, document, chunk):
     with mock.patch.object(matio, "_CHUNK", chunk):
         strict = matio._strict_pairs(data)
         try:
-            got = read_matrix(path).array
+            got = read_matrix(path)
         except MatrixFormatError as exc:
             got = str(exc)
     if isinstance(expected, str):
@@ -284,7 +284,7 @@ def test_atomic_write_replaces_existing(tmp_path):
     path = str(tmp_path / "m.json")
     write_matrix(np.eye(2), path)
     write_matrix(2.0 * np.eye(2), path)
-    assert read_matrix(path).array[0, 0] == 2.0
+    assert read_matrix(path)[0, 0] == 2.0
     leftovers = [p for p in os.listdir(tmp_path) if p != "m.json"]
     assert leftovers == []
 

@@ -58,7 +58,7 @@ def test_from_blocks_shapes_and_defaults():
     op = BlockTridiagOperator(sched, diag)
     # missing couplings default to zero with the right shapes
     assert op.upper_block(1).shape == (2, 3)
-    assert not op.upper_block(1).array.any()
+    assert not op.upper_block(1).any()
     assert op.lower_block(1).shape == (3, 2)
     assert op.lower_zero_through(2)
     assert op.levels == sched.levels
@@ -102,13 +102,9 @@ def test_blocks_copied_at_construction():
     # writing to the caller's arrays afterwards leaves the operator unchanged
     diag[1][0, 0] = 7.0
     upper[0][0, 0] = 7.0
-    assert np.array_equal(op.diag_block(2).array, np.eye(2))
-    assert np.array_equal(op.upper_block(1).array, np.ones((1, 2)))
+    assert np.array_equal(op.diag_block(2), np.eye(2))
+    assert np.array_equal(op.upper_block(1), np.ones((1, 2)))
     assert op.diag_block(2) is op.diag_block(2)
-    # a ComplexMatrix block is kept as is
-    kept = op.diag_block(3)
-    again = BlockTridiagOperator(sched, [op.diag_block(1), op.diag_block(2), kept])
-    assert again.diag_block(3) is kept
 
 
 def test_concurrent_block_access():
@@ -134,15 +130,15 @@ def test_corner_compression_assembly():
     sched = make_schedule("custom", sizes=(2, 3, 4))
     rng = np.random.default_rng(2)
     op = random_operator(sched, rng)
-    corner = corner_compression(op, 3).array
+    corner = corner_compression(op, 3)
     manual = np.zeros((9, 9), dtype=np.complex128)
-    manual[0:2, 0:2] = op.diag_block(1).array
-    manual[2:5, 2:5] = op.diag_block(2).array
-    manual[5:9, 5:9] = op.diag_block(3).array
-    manual[0:2, 2:5] = op.upper_block(1).array
-    manual[2:5, 0:2] = op.lower_block(1).array
-    manual[2:5, 5:9] = op.upper_block(2).array
-    manual[5:9, 2:5] = op.lower_block(2).array
+    manual[0:2, 0:2] = op.diag_block(1)
+    manual[2:5, 2:5] = op.diag_block(2)
+    manual[5:9, 5:9] = op.diag_block(3)
+    manual[0:2, 2:5] = op.upper_block(1)
+    manual[2:5, 0:2] = op.lower_block(1)
+    manual[2:5, 5:9] = op.upper_block(2)
+    manual[5:9, 2:5] = op.lower_block(2)
     assert np.array_equal(corner, manual)
     # off-band entries are exact zeros
     assert not corner[5:9, 0:2].any()
@@ -153,13 +149,13 @@ def test_split_routes_blocks_exactly():
     sched = make_schedule("pair", 3)
     op = random_operator(sched, np.random.default_rng(3))
     s, q = split(op)
-    total = s.diag_block(2).array
-    assert np.array_equal(total, op.diag_block(2).array)
-    assert not q.diag_block(2).array.any()
-    assert not q.upper_block(1).array.any()
-    assert np.array_equal(q.lower_block(2).array, op.lower_block(2).array)
-    recombined = corner_compression(s, 3).array + corner_compression(q, 3).array
-    assert np.array_equal(recombined, corner_compression(op, 3).array)
+    total = s.diag_block(2)
+    assert np.array_equal(total, op.diag_block(2))
+    assert not q.diag_block(2).any()
+    assert not q.upper_block(1).any()
+    assert np.array_equal(q.lower_block(2), op.lower_block(2))
+    recombined = corner_compression(s, 3) + corner_compression(q, 3)
+    assert np.array_equal(recombined, corner_compression(op, 3))
 
 
 def test_decay_report_default_bound():
@@ -209,10 +205,10 @@ def test_operator_from_matrix_round_trip():
     dense = corner_compression(source, 3)
     op = operator_from_matrix(dense, sched)
     for n in range(1, 4):
-        assert np.array_equal(op.diag_block(n).array, source.diag_block(n).array)
+        assert np.array_equal(op.diag_block(n), source.diag_block(n))
     for n in range(1, 3):
-        assert np.array_equal(op.upper_block(n).array, source.upper_block(n).array)
-        assert np.array_equal(op.lower_block(n).array, source.lower_block(n).array)
+        assert np.array_equal(op.upper_block(n), source.upper_block(n))
+        assert np.array_equal(op.lower_block(n), source.lower_block(n))
 
 
 def test_operator_from_matrix_band_enforcement():
@@ -223,7 +219,7 @@ def test_operator_from_matrix_band_enforcement():
         operator_from_matrix(arr, sched)
     op = operator_from_matrix(arr, sched, band_tol=1e-5)
     # leakage below band_tol is dropped: the operator is the banded projection
-    assert not corner_compression(op, 3).array.any()
+    assert not corner_compression(op, 3).any()
     with pytest.raises(ValueError):
         operator_from_matrix(np.zeros((4, 4)), sched)
     # band_scale makes the tolerance relative: 1e-6 <= 1e-7 * (1 + ||4 J||) = 1.3e-6,
@@ -239,15 +235,15 @@ def test_conjugate_blocks_identity_and_haar():
     op = random_operator(sched, rng)
     same = conjugate_blocks(op, lambda n: np.eye(sched.size(n)))
     assert np.array_equal(
-        corner_compression(same, 2).array, corner_compression(op, 2).array
+        corner_compression(same, 2), corner_compression(op, 2)
     )
     units = {n: haar_unitary(sched.size(n), rng) for n in (1, 2)}
     conj = conjugate_blocks(op, lambda n: units[n])
     u = np.zeros((5, 5), dtype=np.complex128)
     u[0:2, 0:2] = units[1]
     u[2:5, 2:5] = units[2]
-    expected = u.conj().T @ corner_compression(op, 2).array @ u
-    got = corner_compression(conj, 2).array
+    expected = u.conj().T @ corner_compression(op, 2) @ u
+    got = corner_compression(conj, 2)
     assert operator_norm(got - expected) < 1e-12 * (1.0 + operator_norm(expected))
     assert conj.decay_bound(1) == op.decay_bound(1)
     with pytest.raises(ValueError, match="unitary 1"):

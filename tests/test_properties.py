@@ -14,7 +14,7 @@ def _pair(kind, n, seed):
     if kind == "random":
         return random_complex(n, n, rng), random_complex(n, n, rng)
     if kind == "block":
-        return shift_matrix(n).array / n, corner_unit(n).array / n
+        return shift_matrix(n) / n, corner_unit(n) / n
     u = haar_unitary(n, rng)
     return u @ separated_upper(n, rng) @ u.conj().T, u @ separated_upper(n, rng) @ u.conj().T
 

@@ -27,7 +27,7 @@ from helpers import (
 
 
 def scaled_block_pair(n):
-    return shift_matrix(n).array / n, corner_unit(n).array / n
+    return shift_matrix(n) / n, corner_unit(n) / n
 
 
 def check_eigvec(m, v):
@@ -83,10 +83,10 @@ def test_common_eigenvector_noncommuting_generic():
 def test_word_value():
     a = random_complex(3, 3, np.random.default_rng(34))
     b = random_complex(3, 3, np.random.default_rng(35))
-    assert np.array_equal(word_value("", a, b).array, np.eye(3))
-    assert np.array_equal(word_value("x", a, b).array, a)
-    assert np.array_equal(word_value("xy", a, b).array, a @ b)
-    assert np.array_equal(word_value("yxx", a, b).array, b @ a @ a)
+    assert np.array_equal(word_value("", a, b), np.eye(3))
+    assert np.array_equal(word_value("x", a, b), a)
+    assert np.array_equal(word_value("xy", a, b), a @ b)
+    assert np.array_equal(word_value("yxx", a, b), b @ a @ a)
     with pytest.raises(ValueError):
         word_value("xz", a, b)
 
@@ -137,7 +137,7 @@ def test_mccoy_refutations_verify():
             continue
         hits += 1
         comm = a @ b - b @ a
-        assert is_nilpotent(word_value(word, a, b).array @ comm) is False
+        assert is_nilpotent(word_value(word, a, b) @ comm) is False
     assert hits > 0
 
 
@@ -159,7 +159,7 @@ def test_triangularize_conjugated_pairs():
         assert cert.verdict == "triangularizable"
         assert cert.residual < 1e-9
         assert cert.unitarity_residual < 1e-10
-        u = cert.witness_unitary.array
+        u = cert.witness_unitary
         for m in (a, b):
             conj = u.conj().T @ m @ u
             mass = float(np.abs(np.tril(conj, -1)).max())
@@ -188,7 +188,7 @@ def test_triangularize_refutes_block_pair():
     assert cert.refuting_word == "xxx"
     assert cert.witness_unitary is None
     comm = a @ b - b @ a
-    assert is_nilpotent(word_value(cert.refuting_word, a, b).array @ comm) is False
+    assert is_nilpotent(word_value(cert.refuting_word, a, b) @ comm) is False
     # the Schur-flag route fails its gate on every block size; words still refute
     for n in range(2, 9):
         a, b = scaled_block_pair(n)
@@ -322,8 +322,8 @@ def test_triangularize_verdict_invariant_under_operand_swap():
 
 def test_words_stay_quiet_at_large_scale():
     # exact power-of-two normalization keeps words of 2^200-scaled inputs finite
-    a = 2.0**200 * shift_matrix(8).array
-    b = 2.0**200 * corner_unit(8).array
+    a = 2.0**200 * shift_matrix(8)
+    b = 2.0**200 * corner_unit(8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mccoy_sample(a, b, max_word_len=8) == "x" * 6
