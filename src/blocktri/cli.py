@@ -96,11 +96,12 @@ def _emit(doc, config):
 
 
 def _schedule_from_config(config, default_levels=3):
+    """The schedule the flags name; ``--levels`` keeps that many custom sizes (all when larger)."""
     kind = config.schedule or "pair"
     if kind == "custom":
         if config.sizes is None:
             raise _UsageError("--schedule custom requires --sizes")
-        return make_schedule("custom", sizes=config.sizes)
+        return make_schedule("custom", sizes=config.sizes[: config.levels])
     return make_schedule(kind, config.levels or default_levels)
 
 
@@ -216,15 +217,14 @@ def _cmd_counterexample(config):
     sched = _schedule_from_config(config)
     pair = build_counterexample(sched)
     if config.verify:
-        n_max = min(sched.levels, config.levels or sched.levels)
-        if 2 in sched.sizes[:n_max]:
+        if 2 in sched.sizes:
             raise ValueError(
                 f"block size 2 (level {sched.sizes.index(2) + 1}) is outside the counterexample family: "
                 "shift(2) and corner_unit(2) have commutator diag(1, -1), which is not nilpotent"
             )
         report = verify_counterexample(
             pair,
-            n_max=n_max,
+            n_max=sched.levels,
             tol=config.tolerances["radius"],
             word_len=config.word_len,
             seed=config.seed,

@@ -23,6 +23,7 @@ from .linalg import (
     _as_array,
     _block_diag,
     _read_only,
+    _residual_norm,
     _strict_lower_max,
     operator_norm,
     schur,
@@ -56,9 +57,12 @@ class DecompositionResult:
     A'_n = U_n* A_n U_{n+1} (None at the last level); ``q_blocks`` holds
     the transformed lower couplings U_{n+1}* B_n U_n.  ``conjugated`` is
     the bitwise sum delta + quasinil (their supports are disjoint), and
-    ``residuals`` reports unitarity of u0, strict-lower mass of delta
-    (exactly 0.0 by assembly), and the honest reconstruction distance
-    ``||u0* T u0 - conjugated||``.  Every array is read-only.
+    ``residuals`` reports the unitarity of u0, ``||u0* u0 - I||_F``, the
+    strict-lower mass of delta (exactly 0.0 by assembly), and the honest
+    reconstruction distance ``||u0* T u0 - conjugated||_F`` from the input
+    T.  The two Frobenius norms bound the 2-norms from above, within a
+    factor sqrt(N) (``linalg._residual_norm``), so a gate on either is
+    at least as strict as one on the 2-norm.  Every array is read-only.
     """
 
     u0: np.ndarray
@@ -82,7 +86,9 @@ def decompose(t, levels=None, *, start=None):
     all).
     Each diagonal block then gets a Schur form with nonincreasing-modulus
     diagonal, and everything is reassembled under the direct sum of the
-    block unitaries.
+    block unitaries.  The unitarity and reconstruction residuals are
+    rechecked from the returned u0 and the input itself, as Frobenius
+    norms, so no SVD of an N x N matrix is taken.
 
     Raises ``SchurConvergenceError`` tagged with the block index if any
     block fails to factor.
@@ -136,9 +142,9 @@ def decompose(t, levels=None, *, start=None):
     u = _block_diag(units)
     u0 = w @ u if w is not None else u
     residuals = {
-        "unitarity": operator_norm(u0.conj().T @ u0 - np.eye(size)),
+        "unitarity": _residual_norm(u0.conj().T @ u0 - np.eye(size)),
         "triangularity": _strict_lower_max(delta),
-        "reconstruction": operator_norm(u0.conj().T @ target @ u0 - conjugated),
+        "reconstruction": _residual_norm(u0.conj().T @ target @ u0 - conjugated),
     }
     return DecompositionResult(
         u0=_read_only(u0),

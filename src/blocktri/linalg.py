@@ -77,27 +77,39 @@ def operator_norm(a):
     return float(_lapack.svdvals(arr)[0])
 
 
-def _norm_excess(r, tol, scales=(), offset=1.0):
-    """Exact ||r||_2 when it exceeds tol * (offset + max ||s||_2 over ``scales``), else None.
+def _residual_norm(r):
+    """||r||_F, the value every reported residual takes: an upper bound on ||r||_2.
 
-    ``r`` is a matrix, or a float that is already the exact value.  Since
+    ||r||_2 <= ||r||_F <= sqrt(rank r) * ||r||_2 (Golub & Van Loan,
+    *Matrix Computations*, section 2.3), at O(N^2) cost against an SVD's
+    O(N^3).  It is BLAS ``nrm2`` of the raveled matrix, which rescales as
+    it sums: it neither underflows nor overflows where the 2-norm does not
+    (a 2-D ``np.linalg.norm`` gives 0.0 for entries of 1e-170 and
+    overflows at 1e300).  No finiteness check.
+    """
+    return float(_lapack.nrm2(r.ravel()))
+
+
+def _norm_excess(r, tol, scales=(), offset=1.0):
+    """||r||_2, or the float given, when above tol * (offset + max ||s||_2 over scales); else None.
+
+    ``r`` is a matrix, or a float that bounds its 2-norm from above: a
+    reported residual (``_residual_norm``) or an exact value.  Since
     ||r||_2 <= ||r||_F and max |s_ij| <= ||s||_2 (Golub & Van Loan,
     *Matrix Computations*, section 2.3), the gate passes without an SVD
     when ||r||_F <= tol * (offset + max |s_ij|).  Only when that screen
-    fails are the exact 2-norms taken and compared, so the gate decides as
-    one on exact 2-norms alone; the two can differ only where ||r||_2 lies
-    within rounding of the bound.  ||r||_F is BLAS ``nrm2`` of the
-    raveled matrix, which rescales as it sums: it neither underflows nor
-    overflows where the 2-norm does not (a 2-D ``np.linalg.norm`` gives
-    0.0 for entries of 1e-170 and overflows at 1e300).
+    fails are the exact 2-norms taken and compared, so for a matrix the
+    gate decides as one on exact 2-norms alone; the two can differ only
+    where ||r||_2 lies within rounding of the bound.  A float is compared
+    as given, so a gate on a reported residual decides on that bound.
     """
-    exact = isinstance(r, float)
+    given = isinstance(r, float)
     # no finiteness check: a nonfinite r fails the screen, and operator_norm raises on it
-    screen = r if exact else float(_lapack.nrm2(r.ravel()))
+    screen = r if given else _residual_norm(r)
     peak = max((float(np.abs(s).max()) for s in scales), default=0.0)
     if screen <= tol * (offset + peak):
         return None
-    value = r if exact else operator_norm(r)
+    value = r if given else operator_norm(r)
     norm = max((operator_norm(s) for s in scales), default=0.0)
     return value if value > tol * (offset + norm) else None
 

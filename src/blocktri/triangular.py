@@ -47,6 +47,7 @@ from .linalg import (
     _pow2_normalize,
     _read_only,
     _reorder_schur,
+    _residual_norm,
     _square_pair,
     _strict_lower_max,
     _trace_tests,
@@ -80,7 +81,9 @@ class TriangularizationCertificate:
     or "inconclusive".  ``route`` names what decided the verdict:
     "schur-flag", "words" or "deflation", None when nothing did.
     ``residual`` is the strict-lower mass of both conjugated (scaled) inputs
-    relative to 1 + ||a|| + ||b||, when a full conjugation exists.
+    relative to 1 + ||a|| + ||b||, when a full conjugation exists, and
+    ``unitarity_residual`` is ||u* u - I||_F of that conjugation's u, an
+    upper bound on the 2-norm.
     """
 
     verdict: str
@@ -394,12 +397,15 @@ def _gated_certificate(aa, bb, u, tol, scale, route):
     """Certificate for witness u: "triangularizable" only when it passes the gate.
 
     The gate: strict-lower mass of u* a u and u* b u below ``tol`` relative
-    to ``scale`` (1 + ||a|| + ||b||), and ||u* u - I|| below 1e-10.  A
-    witness that fails leaves an "inconclusive" certificate without a route.
+    to ``scale`` (1 + ||a|| + ||b||), and ||u* u - I||_F below 1e-10.  The
+    unitarity residual is reported as that Frobenius norm, an upper bound
+    on the 2-norm (``linalg._residual_norm``), and the gate compares the
+    bound.  A witness that fails leaves an "inconclusive" certificate
+    without a route.
     """
     uh = u.conj().T
     residual = max(_strict_lower_max(uh @ aa @ u), _strict_lower_max(uh @ bb @ u)) / scale
-    unit_res = operator_norm(uh @ u - np.eye(u.shape[0]))
+    unit_res = _residual_norm(uh @ u - np.eye(u.shape[0]))
     passed = residual < tol and unit_res < 1e-10
     return TriangularizationCertificate(
         verdict="triangularizable" if passed else "inconclusive",

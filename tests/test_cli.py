@@ -344,8 +344,8 @@ def test_decompose_svd_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_lapack, "svdvals", counting)
     code, out, err = run_cli(capsys, ["decompose", path])
     assert code == 0
-    # the norm gates are screened; only the two reported residuals take a full SVD
-    assert [s for s in shapes if s[0] == s[1] >= 162] == [(243, 243), (243, 243)]
+    # the norm gates are screened and the reported residuals are Frobenius norms
+    assert [s for s in shapes if s[0] == s[1] >= 162] == []
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -469,6 +469,16 @@ def test_counterexample_verify_covers_every_custom_level(capsys):
     doc = json.loads(out)
     assert doc["config"]["levels"] is None
     assert {row["level"] for row in doc["levels"]} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "command", [["certify", "--counterexample"], ["counterexample"], ["counterexample", "--verify"]]
+)
+def test_levels_truncates_a_custom_schedule(capsys, command):
+    argv = [*command, "--schedule", "custom", "--sizes", "3,4,5,6", "--levels", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert err == ""
+    assert {row["level"] for row in json.loads(out)["levels"]} == {1, 2}
 
 
 def test_counterexample_verify_single_schedule_first_level_passes(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from blocktri import (
     BlockTridiagOperator,
+    corner_compression,
     decompose,
     diagonal_part,
     eigenvalues,
@@ -34,6 +35,32 @@ def test_decompose_dense_27():
     total = result.delta + result.quasinil
     assert np.array_equal(total, result.conjugated)
     assert match_distance(eigenvalues(result.conjugated), eigenvalues(t)) <= 1e-8 * norm
+
+
+@pytest.mark.parametrize("levels", [4, 5], ids=["27", "81"])
+@pytest.mark.parametrize("kind", ["dense", "operator"])
+def test_reported_residuals_are_frobenius_bounds(kind, levels):
+    sched = make_schedule("single", levels)
+    rng = np.random.default_rng(70 + levels)
+    if kind == "dense":
+        t = random_complex(sched.cumsums[-1], sched.cumsums[-1], rng)
+        dense = t
+    else:
+        t = random_operator(sched, rng)
+        dense = corner_compression(t, levels)
+    result = decompose(t)
+    u0 = result.u0
+    size = u0.shape[0]
+    rebuilt = {
+        "unitarity": u0.conj().T @ u0 - np.eye(size),
+        "reconstruction": u0.conj().T @ dense @ u0 - result.conjugated,
+    }
+    for name, r in rebuilt.items():
+        reported = result.residuals[name]
+        assert reported == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=0.0)
+        # ||R||_2 <= ||R||_F <= sqrt(N) ||R||_2
+        exact = operator_norm(r)
+        assert exact <= reported <= np.sqrt(size) * exact
 
 
 def test_decompose_block_contents():

@@ -249,7 +249,7 @@ def test_schur_flag_route_needs_few_svds(monkeypatch, n):
     cert = simultaneous_triangularize(a, b)
     assert cert.verdict == "triangularizable"
     assert cert.residual < 1e-9 and cert.unitarity_residual < 1e-10
-    # two input norms and the unitarity residual; deflation would take thousands
+    # the two input norms (the unitarity residual is a Frobenius norm); deflation takes thousands
     assert sum(map(len, svds)) <= 3
     assert eigvecs == []
 
