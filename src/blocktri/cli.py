@@ -30,12 +30,7 @@ from .commutators import (
 from .decompose import decompose, diagonal_part, quasinilpotent_part_certificate
 from .krylov import block_tridiagonalize, verify_block_structure
 from .linalg import SchurConvergenceError, _norm_excess, operator_norm
-from .matio import (
-    matrix_document,
-    read_matrix,
-    render_report,
-    write_report,
-)
+from .matio import _atomic_write_text, matrix_document, read_matrix, render_report
 from .operators import make_schedule, operator_from_matrix
 from .triangular import simultaneous_triangularize
 
@@ -92,7 +87,7 @@ def _emit(doc, config):
     text = render_report(doc, config.format)
     sys.stdout.write(text)
     if config.out is not None:
-        write_report(doc, config.out, config.format)
+        _atomic_write_text(config.out, text)
 
 
 def _schedule_from_config(config, default_levels=3):
@@ -190,9 +185,10 @@ def _cmd_certify(config):
     if config.counterexample:
         if config.inputs:
             raise _UsageError("--counterexample takes no matrix files")
-        pair = build_counterexample(_schedule_from_config(config))
+        sched = _schedule_from_config(config)
+        pair = build_counterexample(sched)
         c_op, z_op = pair.c_op, pair.z_op
-        n_max = None
+        n_max = sched.levels  # every level of the schedule, as counterexample --verify
     elif len(config.inputs) == 2:
         (c_op, z_op), tri, band = _operators_from_files(config.inputs)
         extra = {"realized_sizes": list(tri.realized_schedule.sizes), "band_residuals": band}

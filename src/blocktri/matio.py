@@ -7,6 +7,9 @@ so read(write(m)) == m bitwise.  Reads check the written layout and the
 JSON number grammar on the bytes and parse the numbers with numpy; any
 other document goes through ``json``, to the same bits.  All writes go
 through a temp file plus rename, so readers never observe a partial file.
+Reports render to the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
+with each list of [re, im] float pairs (a matrix's entries) formatted in one
+step instead of json's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -246,7 +249,8 @@ def _atomic_write_text(path, text):
 def matrix_document(m):
     """Matrix as a plain dict in the file schema (rows, cols, flat entries)."""
     arr = _as_array(m)
-    entries = [[float(v.real), float(v.imag)] for v in arr.reshape(-1)]
+    # the same Python floats as float(v.real), float(v.imag), signed zeros kept
+    entries = np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "entries": entries}
 
 
@@ -266,8 +270,9 @@ def write_report(doc, path, fmt="json"):
 
 
 def render_report(doc, fmt="json"):
+    """The text :func:`write_report` writes; JSON is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text(doc, "\n") + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     rows = doc.get("levels")
@@ -280,3 +285,43 @@ def render_report(doc, fmt="json"):
     for row in rows:
         writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
     return buf.getvalue()
+
+
+def _json_text(value, newline):
+    """``json.dumps(value, indent=2, sort_keys=True)``; ``newline`` is "\\n" plus the indent of ``value``'s line."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # sorted by the keys as given, then converted, as json does
+        parts = [json.dumps(_json_key(k)) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        pairs = _float_pairs(value)
+        if pairs is not None:
+            # %r is float.__repr__ on exact, finite floats: the number json prints
+            pair = f"[{inner}  %r,{inner}  %r{inner}]"
+            return "[" + inner + ("," + inner).join([pair] * len(value)) % pairs + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
+    return json.dumps(value)
+
+
+def _json_key(key):
+    """A dict key as the string json writes for it."""
+    if isinstance(key, str):
+        return key
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key)
+
+
+def _float_pairs(items):
+    """The numbers of ``items`` as one flat tuple if each item is a pair of finite exact floats, else None."""
+    if not set(map(type, items)) <= {list, tuple} or set(map(len, items)) != {2}:
+        return None
+    flat = tuple(itertools.chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    return flat

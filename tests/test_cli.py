@@ -155,6 +155,20 @@ def test_decompose_and_out_file(tmp_path, capsys):
         assert fh.read() == out
 
 
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(86)
+    a, b, _ = conjugated_upper_pair(8, rng)
+    pa, pb = write_pair(tmp_path, a, b)
+    pm = str(tmp_path / "m.json")
+    write_matrix(random_complex(27, 27, rng), pm)
+    # triangularize exits 0 only with a witness in its report
+    for argv in (["triangularize", pa, pb], ["decompose", pm, "--format", "csv"]):
+        out_path = tmp_path / f"{argv[0]}.out"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(out_path)])
+        assert (code, err) == (0, "")
+        assert out_path.read_bytes() == out.encode("utf-8")
+
+
 def test_stripped_checks_command(tmp_path, capsys):
     rng = np.random.default_rng(85)
     pa, pb = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(25, 25, rng))
@@ -485,3 +499,15 @@ def test_counterexample_verify_single_schedule_first_level_passes(capsys):
     code, out, err = run_cli(capsys, ["counterexample", "--verify", "--schedule", "single", "--levels", "1"])
     assert (code, err) == (0, "")
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("schedule, levels", [("single", 6), ("pair", 5)])
+def test_counterexample_commands_agree_on_levels(capsys, schedule, levels):
+    # --levels past the library's default depth (5 single, 4 pair) reaches certify as well
+    commands = [["certify", "--counterexample"], ["counterexample"]]
+    if schedule == "pair":  # --verify refuses the single schedule's size-2 block
+        commands.append(["counterexample", "--verify"])
+    for command in commands:
+        code, out, err = run_cli(capsys, [*command, "--schedule", schedule, "--levels", str(levels)])
+        assert err == ""
+        assert sorted({row["level"] for row in json.loads(out)["levels"]}) == list(range(1, levels + 1))

@@ -1,12 +1,13 @@
 """Tests for matrix file round-trips and report rendering."""
 
 import json
+import math
 import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktri import matio
@@ -294,6 +295,58 @@ def test_render_report_json_deterministic():
     doc_b = {"c": {"x": 1, "y": 0}, "a": [1, 2], "b": 1}
     assert render_report(doc_a) == render_report(doc_b)
     assert render_report(doc_a).endswith("\n")
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS[:3])
+# pair entries: mostly floats, sometimes an int, a bool or an np.float64 (float.__repr__, not repr)
+_PAIR_NUMBER = _FLOATS | st.integers() | st.booleans() | _FLOATS.map(np.float64)
+_PAIR_LISTS = st.lists(
+    st.lists(_FINITE, min_size=2, max_size=2)
+    | st.tuples(_FINITE, _FINITE)
+    | st.lists(_PAIR_NUMBER, min_size=2, max_size=2),
+    max_size=6,
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64) | st.text()
+_DOCUMENTS = st.recursive(
+    _SCALARS | _PAIR_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+@example(
+    doc={
+        "entries": [[-0.0, 5e-324], [1.7976931348623157e308, -1.5]],
+        "édges": ([math.nan, math.inf], [-math.inf, 0.0]),
+        # one kind of non-float number per pair list
+        "int": [[1, 2.5]],
+        "bool": [[-0.0, True], [False, 0.5]],
+        "np": [[np.float64(0.1), 1.0]],
+        "nested": {"ключ": ["ü", (), {}, []], "": {"z": None, "a": [[]]}},
+    }
+)
+def test_render_report_matches_json_indent_encoder(doc):
+    assert render_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_matrix_document_keeps_every_bit():
+    rng = np.random.default_rng(72)
+    m = random_complex(4, 6, rng)
+    m[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    m[1, 0] = complex(5e-324, -1.7976931348623157e308)
+    for view in (m, m.T, np.asfortranarray(m), m[::2, 1::2]):
+        entries = matrix_document(view)["entries"]
+        expected = [[float(v.real), float(v.imag)] for v in view.reshape(-1)]
+        assert {type(pair) for pair in entries} == {list}
+        assert {type(x) for pair in entries for x in pair} == {float}
+        assert np.array(entries).tobytes() == np.array(expected).tobytes()
 
 
 def test_render_report_csv():
