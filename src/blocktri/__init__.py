@@ -52,11 +52,7 @@ from .matio import (
 from .operators import (
     BlockSchedule,
     BlockTridiagOperator,
-    DecayReport,
-    DecayRow,
-    conjugate_blocks,
     corner_compression,
-    decay_report,
     make_schedule,
     operator_from_matrix,
     split,
@@ -77,8 +73,6 @@ __all__ = [
     "ClauseResult",
     "CounterexamplePair",
     "CounterexampleReport",
-    "DecayReport",
-    "DecayRow",
     "DecompositionResult",
     "DiagonalSplit",
     "LevelRecord",
@@ -94,10 +88,8 @@ __all__ = [
     "build_counterexample",
     "certify_commutator",
     "common_eigenvector",
-    "conjugate_blocks",
     "corner_compression",
     "corner_unit",
-    "decay_report",
     "decompose",
     "diagonal_part",
     "eigenvalues",

@@ -242,7 +242,7 @@ def _cmd_counterexample(config):
                 "size": sched.sizes[n - 1],
                 "c_norm": operator_norm(pair.c_op.diag_block(n)),
                 "z_norm": operator_norm(pair.z_op.diag_block(n)),
-                "decay_bound": pair.c_op.decay_bound(n),
+                "decay_bound": pair.decay[n - 1],
             }
         )
     doc = {

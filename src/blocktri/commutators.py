@@ -47,8 +47,14 @@ __all__ = [
 _DEFAULT_N_MAX = {"pair": 4, "single": 5}
 
 
-def _default_n_max(schedule):
-    return min(_DEFAULT_N_MAX.get(schedule.kind, schedule.levels), schedule.levels)
+def _checked_levels(schedule, n_max):
+    """Number of corner levels to check: ``n_max``, or the kind's default capped at the depth."""
+    depth = schedule.levels
+    if n_max is None:
+        return min(_DEFAULT_N_MAX.get(schedule.kind, depth), depth)
+    if not 1 <= n_max <= depth:
+        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
+    return n_max
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,8 @@ class SpectralReport:
 
     ``verdict`` is "certified_quasinilpotent", "not_certified", or
     "refuted_hypothesis".  Certification always lives at truncation
-    scale: it covers the materialized corners (plus whatever decay bound
-    ``note`` names), never the infinite operator itself.
+    scale: it covers the materialized corners, never the infinite
+    operator itself; ``note`` says what, if anything, is known past them.
     """
 
     levels: tuple
@@ -190,11 +196,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     """
     if c.schedule != z.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    depth = c.levels
-    if n_max is None:
-        n_max = min(_default_n_max(c.schedule), depth)
-    if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
+    n_max = _checked_levels(c.schedule, n_max)
     tri_opts = {"tol": tri_tol, "word_len": word_len, "seed": seed}
     block_certs = {}
     records = []
@@ -233,11 +235,15 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
 
 @dataclass(frozen=True)
 class CounterexamplePair:
-    """Block-diagonal pair with blocks shift(k)/k and corner_unit(k)/k."""
+    """Block-diagonal pair with blocks shift(k)/k and corner_unit(k)/k.
+
+    ``decay[n-1]`` is the declared bound 1/k_n on both level-n blocks.
+    """
 
     schedule: BlockSchedule
     c_op: BlockTridiagOperator
     z_op: BlockTridiagOperator
+    decay: tuple
 
 
 def build_counterexample(schedule):
@@ -248,16 +254,13 @@ def build_counterexample(schedule):
     1x1 generators are zero, so those levels undershoot).
     """
     sizes = schedule.sizes
-
-    def bound(n):
-        return 1.0 / sizes[min(n, len(sizes)) - 1]
-
     c_blocks = [shift_matrix(k) / k for k in sizes]
     z_blocks = [corner_unit(k) / k for k in sizes]
     return CounterexamplePair(
         schedule=schedule,
-        c_op=BlockTridiagOperator(schedule, c_blocks, decay=bound),
-        z_op=BlockTridiagOperator(schedule, z_blocks, decay=bound),
+        c_op=BlockTridiagOperator(schedule, c_blocks),
+        z_op=BlockTridiagOperator(schedule, z_blocks),
+        decay=tuple(1.0 / k for k in sizes),
     )
 
 
@@ -288,10 +291,7 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     strictly lower triangular by construction).
     """
     sched = pair.schedule
-    if n_max is None:
-        n_max = _default_n_max(sched)
-    if not 1 <= n_max <= sched.levels:
-        raise ValueError(f"n_max {n_max} outside schedule range 1..{sched.levels}")
+    n_max = _checked_levels(sched, n_max)
     sizes = sched.sizes
     if word_len is None:
         needed = [k - 2 for k in sizes[:n_max] if k >= 3]
@@ -387,11 +387,7 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    depth = k1.levels
-    if n_max is None:
-        n_max = min(_default_n_max(k1.schedule), depth)
-    if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
+    n_max = _checked_levels(k1.schedule, n_max)
     if word_len < 0:
         raise ValueError("word_len must be nonnegative")
     _, q1 = split(k1)

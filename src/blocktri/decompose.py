@@ -7,7 +7,8 @@ block-bidiagonal remainder Q'.  The pipeline is: block-tridiagonalize
 each diagonal block, and reassemble the transformed blocks under the
 direct sum of the block unitaries.  Q' is exactly nilpotent at every
 corner by its zero pattern, which makes the quasinilpotent certificate
-structural rather than numerical.
+structural rather than numerical: its norms are maxima of coupling-block
+norms.
 """
 
 from __future__ import annotations
@@ -158,32 +159,19 @@ def decompose(t, levels=None, *, start=None):
     )
 
 
-def _stripped_tail_norm(result, n):
-    """Operator norm of the quasinilpotent part with couplings 1..n dropped.
-
-    The norm is taken of the window rows K_{n+1}.., columns K_n..K_{depth-1}
-    of the assembled tail: it holds every entry the kept couplings
-    n+1..depth-1 can make nonzero, so its norm is that of the whole tail.
-    An empty window (n >= depth - 1) gives 0.0.
-    """
-    sched = result.schedule
-    depth = sched.levels
-    if n >= depth - 1:
-        return 0.0
-    k = sched.size_through
-    stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
-    return operator_norm(stripped[k(n + 1) :, k(n) : k(depth - 1)])
-
-
 def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
     """Certify the quasinilpotent part of a decomposition corner by corner.
 
     Checks that the remainder u0* T u0 - delta (= ``quasinil``) has its
-    support exactly on the first block subdiagonal, reports the spectral
+    support exactly on the first block subdiagonal and reports the spectral
     radius of each corner (exactly zero via the triangular eigenvalue
-    path), and verifies that dropping the first n transformed couplings
-    leaves operator norm equal to the largest remaining coupling norm,
-    which is the approximation-error ladder of the nilpotent corners.
+    path).  On that support Q'* Q' is block diagonal with blocks B_n* B_n,
+    so the 2-norm of any corner or tail is the largest norm of a coupling
+    B_n it holds (Golub & Van Loan, Matrix Computations, 2.3), and each
+    coupling norm is taken once.  The level-n corner holds couplings
+    1..n-1 (its ``norm``); the tail after dropping couplings 1..n, the
+    approximation-error ladder of the nilpotent corners, holds the rest
+    (its ``detail``).
     """
     sched = result.schedule
     depth = sched.levels
@@ -192,42 +180,30 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
     if not 1 <= n_max <= depth:
         raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     q = result.quasinil
-    size = q.shape[0]
-    level_of = _level_of(sched, size)
+    level_of = _level_of(sched, q.shape[0])
     band = (level_of[:, None] - level_of[None, :]) == 1
     structural_ok = not q[~band].any()
     coupling_norms = [operator_norm(b) for b in result.q_blocks]
 
     records = []
-    worst_gap = 0.0
     for n in range(1, n_max + 1):
         kn = sched.size_through(n)
-        corner = q[:kn, :kn]
-        radius = spectral_radius(corner)
-        norm = 0.0
-        if n > 1:
-            # the corner's nonzero entries all sit in rows K_1..K_n, columns
-            # ..K_{n-1}: that window has the corner's singular values
-            norm = operator_norm(q[sched.size_through(1) : kn, : sched.size_through(n - 1)])
-        tail = coupling_norms[n:]
-        expected = max(tail) if tail else 0.0
-        gap = abs(_stripped_tail_norm(result, n) - expected)
-        worst_gap = max(worst_gap, gap)
-        ok = radius <= tol and gap <= 1e-12 * (1.0 + expected)
+        radius = spectral_radius(q[:kn, :kn])
+        tail = max(coupling_norms[n:], default=0.0)
         records.append(
             LevelRecord(
                 level=n,
                 radius=radius,
-                norm=norm,
-                status="ok" if ok else "exceeds_tol",
-                detail=f"tail after dropping couplings 1..{n}: {expected:.3e}",
+                norm=max(coupling_norms[: n - 1], default=0.0),
+                status="ok" if radius <= tol else "exceeds_tol",
+                detail=f"tail after dropping couplings 1..{n}: {tail:.3e}",
             )
         )
     certified = structural_ok and all(r.status == "ok" for r in records)
     if structural_ok:
         note = (
             f"support exactly on the first block subdiagonal through level {depth}; "
-            f"corner powers vanish structurally; worst tail-norm gap {worst_gap:.3e}"
+            "corner powers vanish structurally"
         )
     else:
         note = "remainder has entries off the first block subdiagonal"

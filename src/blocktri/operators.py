@@ -1,12 +1,12 @@
 """Block-tridiagonal operator model: schedules, immutable block operators,
-corner compressions, splits, and decay reports.
+corner compressions and splits.
 
 An operator here is given by its blocks along a size schedule
 (k_1, k_2, ...): diagonal blocks C_n (k_n x k_n), upper coupling blocks
 A_n (k_n x k_{n+1}), lower coupling blocks B_n (k_{n+1} x k_n).  All
 blocks are held explicitly as read-only ``complex128`` arrays, copied once
-when the operator is built; an operator also declares a nonincreasing decay bound dominating its block
-norms.  Dense corners are assembled from the blocks in one place.
+when the operator is built, and an operator is nothing but those blocks.
+Dense corners are assembled from the blocks in one place.
 """
 
 from __future__ import annotations
@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_array, _norm_excess, _read_only, operator_norm
+from .linalg import _as_array, _norm_excess, _read_only
 
 __all__ = [
     "BlockSchedule",
     "BlockTridiagOperator",
-    "DecayRow",
-    "DecayReport",
     "make_schedule",
     "corner_compression",
     "split",
-    "decay_report",
     "operator_from_matrix",
-    "conjugate_blocks",
 ]
 
 _PAIR_RATIO = 5  # saturated growth factor for two operators
@@ -177,26 +173,20 @@ class BlockTridiagOperator:
     upper, lower : sequences of ``schedule.levels - 1`` blocks, optional
         A_n (k_n x k_{n+1}) and B_n (k_{n+1} x k_n); ``None`` gives zero
         blocks (as does ``diag=None``).
-    decay : callable, level -> float, optional
-        Declared nonincreasing bound with max(||C_n||,||A_n||,||B_n||)
-        <= decay(n).  Violations are surfaced by ``decay_report``, not
-        raised here.  The default is the suffix maximum of the level
-        norms, 0.0 past the last level, computed on first read.
 
     Every block is copied once, here, into a read-only ``complex128``
     array, checked finite and of its shape, so later writes to the
-    caller's arrays cannot reach the operator.
+    caller's arrays cannot reach the operator.  The blocks are all it
+    holds: a norm or a bound is computed by the caller that needs it.
     """
 
-    def __init__(self, schedule, diag, upper=None, lower=None, decay=None):
+    def __init__(self, schedule, diag, upper=None, lower=None):
         sizes = schedule.sizes
         couplings = list(zip(sizes, sizes[1:]))
         self.schedule = schedule
         self._diag = _blocks("diag", diag, [(k, k) for k in sizes])
         self._upper = _blocks("upper", upper, couplings)
         self._lower = _blocks("lower", lower, [(b, a) for a, b in couplings])
-        self._decay = decay
-        self._suffix = None
 
     @property
     def levels(self):
@@ -213,24 +203,6 @@ class BlockTridiagOperator:
     def lower_block(self, n):
         self._check_level(n, coupling=True)
         return self._lower[n - 1]
-
-    def decay_bound(self, n):
-        if n < 1:
-            raise ValueError("level must be positive")
-        if self._decay is not None:
-            bound = float(self._decay(n))
-        else:
-            if self._suffix is None:
-                # most callers never read the default bound, so its SVDs wait until one
-                # does; two racing first reads both store the same tuple
-                norms = [operator_norm(c) for c in self._diag]
-                for j, (a, b) in enumerate(zip(self._upper, self._lower)):
-                    norms[j] = max(norms[j], operator_norm(a), operator_norm(b))
-                self._suffix = tuple(itertools.accumulate(reversed(norms), max))[::-1]
-            bound = self._suffix[n - 1] if n <= self.levels else 0.0
-        if bound < 0:
-            raise ValueError(f"decay bound at level {n} is negative")
-        return bound
 
     def _check_level(self, n, coupling=False):
         top = self.levels - 1 if coupling else self.levels
@@ -258,64 +230,11 @@ def split(op):
     """Split ``op`` into its diagonal+upper part S and lower part Q.
 
     Blocks are routed, never recomputed, so S + Q reproduces the corners
-    of ``op`` with zero floating error.  Both parts inherit the original
-    decay bound (a valid, possibly loose, bound).
+    of ``op`` with zero floating error.
     """
-    s = BlockTridiagOperator(op.schedule, op._diag, op._upper, decay=op.decay_bound)
-    q = BlockTridiagOperator(op.schedule, None, lower=op._lower, decay=op.decay_bound)
+    s = BlockTridiagOperator(op.schedule, op._diag, op._upper)
+    q = BlockTridiagOperator(op.schedule, None, lower=op._lower)
     return s, q
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    level: int
-    diag_norm: float
-    upper_norm: float | None
-    lower_norm: float | None
-    bound: float
-    within_bound: bool
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    rows: tuple
-    violations: tuple
-    passed: bool
-
-
-def decay_report(op, n_max):
-    """Per-level block norms against the declared decay bound.
-
-    A block norm exceeding its bound is flagged in ``violations`` (and
-    flips ``passed``) rather than raised, so callers can inspect the
-    offending levels.
-    """
-    if not 1 <= n_max <= op.levels:
-        raise ValueError(f"n_max {n_max} outside operator range 1..{op.levels}")
-    rows = []
-    violations = []
-    for n in range(1, n_max + 1):
-        dn = operator_norm(op.diag_block(n))
-        un = ln = None
-        if n < op.levels:
-            un = operator_norm(op.upper_block(n))
-            ln = operator_norm(op.lower_block(n))
-        bound = op.decay_bound(n)
-        worst = max(dn, un or 0.0, ln or 0.0)
-        ok = worst <= bound
-        if not ok:
-            violations.append(n)
-        rows.append(
-            DecayRow(
-                level=n,
-                diag_norm=dn,
-                upper_norm=un,
-                lower_norm=ln,
-                bound=bound,
-                within_bound=ok,
-            )
-        )
-    return DecayReport(rows=tuple(rows), violations=tuple(violations), passed=not violations)
 
 
 def operator_from_matrix(m, schedule, *, band_tol=0.0, band_scale=()):
@@ -344,25 +263,3 @@ def operator_from_matrix(m, schedule, *, band_tol=0.0, band_scale=()):
         [arr[c, r] for r, c in zip(lev, lev[1:])],
     )
 
-
-def conjugate_blocks(op, unitaries):
-    """Conjugate by a level-respecting block-diagonal unitary.
-
-    ``unitaries(n)`` supplies the k_n x k_n block W_n; the result has
-    blocks W_n* C_n W_n, W_n* A_n W_{n+1}, W_{n+1}* B_n W_n.  The decay
-    bound carries over unchanged (norms are unitarily invariant).
-    """
-    units = []
-    for n, k in enumerate(op.schedule.sizes, 1):
-        w = _as_array(unitaries(n), square=True)
-        if w.shape[0] != k:
-            raise ValueError(f"unitary {n} has size {w.shape[0]}, expected {k}")
-        units.append(w)
-    pairs = list(zip(units, units[1:]))
-    return BlockTridiagOperator(
-        op.schedule,
-        [w.conj().T @ c @ w for w, c in zip(units, op._diag)],
-        [w.conj().T @ a @ v for (w, v), a in zip(pairs, op._upper)],
-        [v.conj().T @ b @ w for (w, v), b in zip(pairs, op._lower)],
-        decay=op.decay_bound,
-    )

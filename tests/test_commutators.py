@@ -9,16 +9,16 @@ from blocktri import (
     BlockTridiagOperator,
     build_counterexample,
     certify_commutator,
-    conjugate_blocks,
     corner_compression,
-    decay_report,
     is_nilpotent,
     make_schedule,
+    operator_from_matrix,
     operator_norm,
     spectrum_union_check,
     stripped_pair_checks,
     verify_counterexample,
 )
+from blocktri.linalg import _block_diag
 from helpers import (
     block_diag_triangularizable_pair,
     haar_unitary,
@@ -31,6 +31,7 @@ def test_build_counterexample_blocks_and_decay():
     sched = make_schedule("pair", 3)
     pair = build_counterexample(sched)
     assert pair.schedule is sched
+    assert pair.decay == tuple(1.0 / k for k in sched.sizes)
     # 1x1 generators are zero, so level-1 blocks undershoot the 1/k bound
     for n, k in enumerate(sched.sizes, start=1):
         c = pair.c_op.diag_block(n)
@@ -39,11 +40,9 @@ def test_build_counterexample_blocks_and_decay():
             assert not c.any()
             assert not z.any()
         else:
-            assert operator_norm(c) == pytest.approx(1.0 / k, rel=1e-12)
-            assert operator_norm(z) == pytest.approx(1.0 / k, rel=1e-12)
+            assert operator_norm(c) == pytest.approx(pair.decay[n - 1], rel=1e-12)
+            assert operator_norm(z) == pytest.approx(pair.decay[n - 1], rel=1e-12)
             assert z[k - 1, 0] == pytest.approx(1.0 / k)
-    assert decay_report(pair.c_op, 3).passed
-    assert decay_report(pair.z_op, 3).passed
     for op in (pair.c_op, pair.z_op):
         assert op.lower_zero_through(3)
         assert not any(op.upper_block(j).any() for j in (1, 2))
@@ -129,11 +128,15 @@ def test_certify_invariant_under_block_conjugation():
     rng = np.random.default_rng(52)
     sched = make_schedule("pair", 3)
     c_op, z_op = block_diag_triangularizable_pair(sched, rng)
-    units = {n: haar_unitary(sched.size(n), rng) for n in (1, 2, 3)}
-    c_conj = conjugate_blocks(c_op, lambda n: units[n])
-    z_conj = conjugate_blocks(z_op, lambda n: units[n])
-    report = certify_commutator(c_conj, z_conj, n_max=3)
-    assert report.verdict == "certified_quasinilpotent"
+    # a level-respecting unitary: the direct sum of one Haar block per level
+    u = _block_diag([haar_unitary(k, rng) for k in sched.sizes])
+    c_conj, z_conj = (
+        operator_from_matrix(u.conj().T @ corner_compression(op, 3) @ u, sched, band_tol=1e-12)
+        for op in (c_op, z_op)
+    )
+    for c, z in ((c_op, z_op), (c_conj, z_conj), (z_op, c_op), (z_conj, c_conj)):
+        report = certify_commutator(c, z, n_max=3)
+        assert report.verdict == "certified_quasinilpotent"
 
 
 def test_certify_default_depth_and_errors():

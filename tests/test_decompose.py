@@ -1,5 +1,6 @@
 """Tests for the triangular-plus-quasinilpotent decomposition."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,7 +18,6 @@ from blocktri import (
     quasinilpotent_part_certificate,
     shift_matrix,
 )
-from blocktri.decompose import _stripped_tail_norm
 from blocktri.operators import _assemble
 from helpers import random_complex, random_operator
 
@@ -155,14 +155,45 @@ def test_quasinilpotent_certificate_tail_norms():
 
 
 def test_windowed_tail_norms_match_full_stripped_matrix():
+    # the reported tail after dropping couplings 1..n is the norm of the whole
+    # assembled remainder with those couplings zeroed
     result = decompose(random_complex(81, 81, np.random.default_rng(70)))
     sched = result.schedule
     assert sched.sizes == (1, 2, 6, 18, 54)
-    for n in range(1, sched.levels + 1):
+    cert = quasinilpotent_part_certificate(result)
+    for rec in cert.levels:
+        n = rec.level
         stripped = _assemble(sched, None, None, (None,) * n + result.q_blocks[n:])
-        full = operator_norm(stripped)
-        # abs=0.0: the empty windows at n >= 4 must give exactly 0.0
-        assert _stripped_tail_norm(result, n) == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert rec.detail == f"tail after dropping couplings 1..{n}: {operator_norm(stripped):.3e}"
+    assert cert.levels[-1].detail.endswith(": 0.000e+00")
+
+
+def test_certificate_takes_one_norm_per_coupling(monkeypatch):
+    calls = []
+
+    def counting_norm(a):
+        calls.append(np.shape(a))
+        return operator_norm(a)
+
+    result = decompose(random_complex(81, 81, np.random.default_rng(72)))
+    assert len(result.q_blocks) == 4
+    monkeypatch.setattr(sys.modules["blocktri.decompose"], "operator_norm", counting_norm)
+    cert = quasinilpotent_part_certificate(result)
+    assert cert.verdict == "certified_quasinilpotent"
+    assert calls == [b.shape for b in result.q_blocks]
+
+
+@pytest.mark.parametrize("rows_down", [0, 2], ids=["block-diagonal", "two-block-rows-down"])
+def test_certificate_refuses_entries_off_the_first_block_subdiagonal(rows_down):
+    result = decompose(random_complex(27, 27, np.random.default_rng(73)))
+    sched = result.schedule
+    assert sched.sizes == (1, 2, 6, 18)
+    # one entry in block row 3, block column 3 - rows_down
+    quasinil = result.quasinil.copy()
+    quasinil[sched.block_bounds(3)[0], sched.block_bounds(3 - rows_down)[0]] = 0.5
+    cert = quasinilpotent_part_certificate(dataclasses.replace(result, quasinil=quasinil))
+    assert cert.verdict == "not_certified"
+    assert cert.note == "remainder has entries off the first block subdiagonal"
 
 
 def test_level_norms_match_full_corner():

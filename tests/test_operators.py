@@ -7,15 +7,12 @@ import pytest
 
 from blocktri import (
     BlockTridiagOperator,
-    conjugate_blocks,
     corner_compression,
-    decay_report,
     make_schedule,
     operator_from_matrix,
-    operator_norm,
     split,
 )
-from helpers import haar_unitary, random_complex, random_operator
+from helpers import random_complex, random_operator
 
 
 def test_schedule_patterns():
@@ -158,46 +155,6 @@ def test_split_routes_blocks_exactly():
     assert np.array_equal(recombined, corner_compression(op, 3))
 
 
-def test_decay_report_default_bound():
-    sched = make_schedule("custom", sizes=(2, 2, 2))
-    rng = np.random.default_rng(5)
-    op = random_operator(sched, rng)
-    report = decay_report(op, 3)
-    assert report.passed
-    assert report.violations == ()
-    # declared bounds are the suffix maxima of the level norms, hence nonincreasing
-    bounds = [row.bound for row in report.rows]
-    assert bounds == sorted(bounds, reverse=True)
-    level_norms = [max(r.diag_norm, r.upper_norm or 0.0, r.lower_norm or 0.0) for r in report.rows]
-    assert bounds == [max(level_norms[i:]) for i in range(3)]
-    # past the last level the default bound is exactly zero
-    assert op.decay_bound(4) == 0.0
-
-
-def test_decay_report_flags_violations():
-    sched = make_schedule("custom", sizes=(2, 2))
-    op = BlockTridiagOperator(
-        sched,
-        [np.eye(2), 3.0 * np.eye(2)],
-        decay=lambda n: 1.0,
-    )
-    report = decay_report(op, 2)
-    assert not report.passed
-    assert report.violations == (2,)
-    assert report.rows[0].within_bound
-    with pytest.raises(ValueError):
-        decay_report(op, 3)
-
-
-def test_decay_bound_validation():
-    sched = make_schedule("custom", sizes=(2,))
-    op = BlockTridiagOperator(sched, [np.eye(2)], decay=lambda n: -1.0)
-    with pytest.raises(ValueError):
-        op.decay_bound(1)
-    with pytest.raises(ValueError):
-        op.decay_bound(0)
-
-
 def test_operator_from_matrix_round_trip():
     sched = make_schedule("custom", sizes=(2, 3, 2))
     rng = np.random.default_rng(6)
@@ -227,25 +184,3 @@ def test_operator_from_matrix_band_enforcement():
     operator_from_matrix(arr, sched, band_tol=1e-7, band_scale=(4.0 * np.ones((3, 3)),))
     with pytest.raises(ValueError):
         operator_from_matrix(arr, sched, band_tol=1e-7, band_scale=(np.eye(3),))
-
-
-def test_conjugate_blocks_identity_and_haar():
-    sched = make_schedule("custom", sizes=(2, 3))
-    rng = np.random.default_rng(8)
-    op = random_operator(sched, rng)
-    same = conjugate_blocks(op, lambda n: np.eye(sched.size(n)))
-    assert np.array_equal(
-        corner_compression(same, 2), corner_compression(op, 2)
-    )
-    units = {n: haar_unitary(sched.size(n), rng) for n in (1, 2)}
-    conj = conjugate_blocks(op, lambda n: units[n])
-    u = np.zeros((5, 5), dtype=np.complex128)
-    u[0:2, 0:2] = units[1]
-    u[2:5, 2:5] = units[2]
-    expected = u.conj().T @ corner_compression(op, 2) @ u
-    got = corner_compression(conj, 2)
-    assert operator_norm(got - expected) < 1e-12 * (1.0 + operator_norm(expected))
-    assert conj.decay_bound(1) == op.decay_bound(1)
-    with pytest.raises(ValueError, match="unitary 1"):
-        conjugate_blocks(op, lambda n: np.eye(4))
-
