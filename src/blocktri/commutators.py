@@ -27,7 +27,7 @@ from .linalg import (
     spectral_radius,
 )
 from .operators import BlockSchedule, BlockTridiagOperator, corner_compression, split
-from .triangular import _word_levels, _word_witness, simultaneous_triangularize
+from .triangular import _word_levels, _word_refutation, _word_witness, simultaneous_triangularize
 
 __all__ = [
     "LevelRecord",
@@ -223,7 +223,7 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
         )
     elif all(r.status == "certified" for r in records):
         verdict = "certified_quasinilpotent"
-        note = "corner-level certificate; the tail is covered only by the declared decay bounds"
+        note = f"corner-level certificate: it covers corners 1..{n_max} and nothing beyond level {n_max}"
     else:
         verdict = "not_certified"
         note = "some corner levels were inconclusive"
@@ -286,9 +286,11 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     has no cycle); (ii) for block size k >= 3, the unscaled power product
     A^(k-2) (AB - BA) has spectrum {1, -1, 0, ...} within ``tol`` (the
     unscaled form avoids the k^-k underflow of the scaled one); (iii) the
-    corner pairs for j >= 2 are refuted by simultaneous_triangularize;
-    (iv) the corner commutator has spectral radius exactly 0.0 (it is
-    strictly lower triangular by construction).
+    corner pairs for j >= 2 are refuted by the word search, the step
+    ``simultaneous_triangularize`` runs after its Schur flag (a witness
+    can never refute, so no Schur form is taken); (iv) the corner
+    commutator has spectral radius exactly 0.0 (it is strictly lower
+    triangular by construction).
     """
     sched = pair.schedule
     n_max = _checked_levels(sched, n_max)
@@ -319,16 +321,11 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
             ClauseResult("unscaled_power_spectrum", j, dist <= tol, detail=f"match distance {dist:.3e}")
         )
     for j in range(2, n_max + 1):
-        cert = simultaneous_triangularize(
-            corner_compression(pair.c_op, j),
-            corner_compression(pair.z_op, j),
-            word_len=word_len,
-            seed=seed,
+        cert = _word_refutation(
+            corner_compression(pair.c_op, j), corner_compression(pair.z_op, j), word_len, seed
         )
-        detail = f"verdict {cert.verdict}"
-        if cert.refuting_word is not None:
-            detail += f", word {cert.refuting_word}"
-        clauses.append(ClauseResult("corner_pair_refuted", j, cert.verdict == "refuted", detail=detail))
+        detail = "no refuting word" if cert is None else f"verdict refuted, word {cert.refuting_word}"
+        clauses.append(ClauseResult("corner_pair_refuted", j, cert is not None, detail=detail))
     for j in range(1, n_max + 1):
         cc = corner_compression(pair.c_op, j)
         zc = corner_compression(pair.z_op, j)
@@ -382,8 +379,10 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     has spectral radius <= tol, and the diagonal and trace of the corner
     commutator vanish exactly (no tolerance; entries below the block
     subdiagonal are structural zeros, so products never touch the
-    diagonal).  Raises ``FloatingPointError`` when a corner commutator
-    overflows.
+    diagonal).  Word lengths stop at the first one whose words are all
+    exactly zero; their radii, and those of every longer word, are 0.
+    On banded inputs the level-n words vanish from length n on.  Raises
+    ``FloatingPointError`` when a corner commutator overflows.
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")

@@ -19,7 +19,11 @@ the first that decides wins.
    every power of a nilpotent matrix has trace 0, so the trace is a
    witness anyone can recheck.  By McCoy's theorem every pair that is not
    triangularizable has such a word.  Words are enumerated exhaustively up
-   to a length that a flop budget sets, then sampled.
+   to a length that a flop budget sets, then sampled.  Enumeration ends at
+   the first length whose words are all exactly zero: every longer word is
+   then zero too, and no sampled word is tried.  This step,
+   ``_word_refutation``, is the refutation callers share: the
+   counterexample check runs it alone, without the Schur form of step 1.
 
 3. Recursive deflation: find a common eigenvector, conjugate it into the
    leading position, recurse on the trailing corner.  Every common
@@ -226,7 +230,9 @@ def _word_levels(a, b, max_len):
     """Yield (words, products) for word lengths 0..max_len, words in lexicographic order (x < y).
 
     ``products`` stacks w(a, b) for the level's words in the same order;
-    each level costs two stacked matrix products.
+    each level costs two stacked matrix products.  Enumeration ends before
+    the first length whose products are all exactly zero: a and b are
+    finite, so every longer word is exactly zero as well.
     """
     n = a.shape[0]
     words = [""]
@@ -237,6 +243,8 @@ def _word_levels(a, b, max_len):
         flat = prods.reshape(m * n, n)
         prods = np.stack([(flat @ a).reshape(m, n, n), (flat @ b).reshape(m, n, n)], axis=1)
         prods = prods.reshape(2 * m, n, n)
+        if not prods.any():
+            return
         words = [w + ch for w in words for ch in "xy"]
         yield words, prods
 
@@ -295,7 +303,9 @@ def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
     """``mccoy_sample``'s search on a square pair: (word, k, trace, bound) of the refuting word, or None.
 
     The trace test is proved on the evaluation that found the word: the
-    rounding bound holds for every summation order, stacked or not.
+    rounding bound holds for every summation order, stacked or not.  When
+    enumeration ends at a vanishing length, every sampled word is exactly
+    zero, so none is evaluated.
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
@@ -314,7 +324,9 @@ def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
             if hits.size:
                 i = hits[0]
                 return _refutation(words[i], traces[i], bounds[i])
-        if max_word_len <= cap or samples <= 0:
+        # enumeration that ended short of the cap met a vanishing length:
+        # every longer word, each sampled one included, is exactly zero
+        if length < cap or max_word_len <= cap or samples <= 0:
             return None
         rng = np.random.default_rng(seed)
         hits = []
@@ -339,11 +351,41 @@ def mccoy_sample(a, b, max_word_len=6, samples=_WORD_SAMPLES, seed=0, tol=_WORD_
     in shortest-then-lexicographic order up to a length cap set by a flop
     budget, then ``samples`` random longer words (deterministic in
     ``seed``) are tried; among sampled hits the minimal word in
-    (length, lex) order is returned.  Returns the first refuting word, or
+    (length, lex) order is returned.  When every word of some length up to
+    the cap is exactly zero, so is every longer word, and the search ends
+    there without sampling.  Returns the first refuting word, or
     None.  A None can never certify triangularizability.
     """
     hit = _mccoy_search(*_square_pair(a, b), max_word_len, samples, seed, tol)
     return None if hit is None else hit[0]
+
+
+def _word_refutation(a, b, word_len, seed):
+    """Step 2: a "refuted" certificate when a word refutes the pair (a, b), else None.
+
+    ``_mccoy_search`` scales each operand by an exact power of two and
+    tries words up to ``word_len`` letters (None: max(4, min(n - 2, 16)))
+    with ``_WORD_SAMPLES`` sampled words drawn from ``seed`` and the margin
+    ``_WORD_MARGIN``.  It takes no Schur form, operator norm or gate.
+    """
+    aa, bb = _square_pair(a, b)
+    if word_len is None:
+        word_len = max(4, min(aa.shape[0] - 2, 16))
+    hit = _mccoy_search(aa, bb, word_len, _WORD_SAMPLES, seed, _WORD_MARGIN)
+    if hit is None:
+        return None
+    word, k, trace, bound = hit
+    return TriangularizationCertificate(
+        verdict="refuted",
+        witness_unitary=None,
+        refuting_word=word,
+        residual=None,
+        unitarity_residual=None,
+        route="words",
+        trace_power=k,
+        trace=trace,
+        trace_bound=bound,
+    )
 
 
 def _schur_flag(aa, bb, na, nb, seed):
@@ -453,9 +495,10 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     input scale.  Then, in order:
 
     1. the Schur-flag route; a witness that passes the gate wins;
-    2. the word search (``mccoy_sample`` with its default sample count and
-       margin, words up to ``word_len`` letters); a refuting word wins, and
-       the trace test that refutes it goes on the certificate;
+    2. the word search (``_word_refutation``: ``mccoy_sample`` with its
+       default sample count and margin, words up to ``word_len`` letters);
+       a refuting word wins, and the trace test that refutes it goes on the
+       certificate;
     3. deflation; its witness must pass the same gate.
 
     On success the certificate carries a unitary witness whose conjugation
@@ -467,7 +510,6 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     aa, bb = _square_pair(a, b)
     aa = _pow2_normalize(aa)
     bb = _pow2_normalize(bb)
-    n = aa.shape[0]
     na = operator_norm(aa)
     nb = operator_norm(bb)
     scale = 1.0 + na + nb
@@ -477,22 +519,9 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
         if cert.verdict == "triangularizable":
             return cert
 
-    if word_len is None:
-        word_len = max(4, min(n - 2, 16))
-    hit = _mccoy_search(aa, bb, word_len, _WORD_SAMPLES, seed, _WORD_MARGIN)
-    if hit is not None:
-        word, k, trace, bound = hit
-        return TriangularizationCertificate(
-            verdict="refuted",
-            witness_unitary=None,
-            refuting_word=word,
-            residual=None,
-            unitarity_residual=None,
-            route="words",
-            trace_power=k,
-            trace=trace,
-            trace_bound=bound,
-        )
+    cert = _word_refutation(aa, bb, word_len, seed)
+    if cert is not None:
+        return cert
 
     u = _deflate(aa, bb, tol, scale)
     if u is not None:

@@ -94,3 +94,16 @@ def block_diag_triangularizable_pair(schedule, rng):
     c_op = BlockTridiagOperator(schedule, c_blocks)
     z_op = BlockTridiagOperator(schedule, z_blocks)
     return c_op, z_op
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that logs each call; returns the log."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -1,10 +1,12 @@
 """Tests for commutator certificates, the counterexample fixture, and stripped pairs."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
+from blocktri import _lapack, commutators, triangular
 from blocktri import (
     BlockTridiagOperator,
     build_counterexample,
@@ -14,13 +16,21 @@ from blocktri import (
     make_schedule,
     operator_from_matrix,
     operator_norm,
+    simultaneous_triangularize,
+    spectral_radius,
     spectrum_union_check,
     stripped_pair_checks,
     verify_counterexample,
+    word_value,
+    write_matrix,
 )
+from blocktri.cli import _operators_from_files
+from blocktri.commutators import StrippedChecksReport, StrippedLevelRecord
 from blocktri.linalg import _block_diag
+from blocktri.operators import split
 from helpers import (
     block_diag_triangularizable_pair,
+    counting,
     haar_unitary,
     random_complex,
     random_operator,
@@ -121,7 +131,7 @@ def test_certify_block_diagonal_triangularizable_pairs():
             assert rec.status == "certified"
             assert rec.radius <= 1e-9 * (1.0 + rec.norm)
             assert "fast path" in rec.detail
-        assert report.note
+        assert report.note == "corner-level certificate: it covers corners 1..3 and nothing beyond level 3"
 
 
 def test_certify_invariant_under_block_conjugation():
@@ -239,3 +249,115 @@ def test_certify_detail_names_the_route():
     pair = build_counterexample(sched)
     report = certify_commutator(pair.c_op, pair.z_op, n_max=3)
     assert "word re-verified on the corner: |tr M^" in report.levels[2].detail
+
+
+def test_corner_refutation_takes_no_schur_form(monkeypatch):
+    # clause (iii) asks only whether a word refutes; a Schur-flag witness never could
+    schurs = counting(monkeypatch, _lapack, "schur")
+    report = verify_counterexample(build_counterexample(make_schedule("pair", 4)), n_max=4)
+    assert report.passed
+    assert schurs == []
+
+
+_VERIFIED_SCHEDULES = [
+    *(pytest.param(make_schedule("pair", n), id=f"pair-{n}") for n in (2, 3, 4)),
+    *(pytest.param(make_schedule("single", n), id=f"single-{n}") for n in (3, 4, 5)),
+    *(
+        pytest.param(make_schedule("custom", sizes=sizes), id="custom-" + ",".join(map(str, sizes)))
+        for sizes in ((3, 4, 5, 6), (3, 9, 27), (5, 5, 5, 5), (1, 3, 7, 20))
+    ),
+]
+
+
+@pytest.mark.parametrize("schedule", _VERIFIED_SCHEDULES)
+def test_corner_refutation_agrees_with_simultaneous_triangularize(schedule):
+    pair = build_counterexample(schedule)
+    report = verify_counterexample(pair, n_max=schedule.levels)
+    clauses = [cl for cl in report.clauses if cl.clause == "corner_pair_refuted"]
+    assert [cl.level for cl in clauses] == list(range(2, schedule.levels + 1))
+    # verify_counterexample's default word length
+    word_len = max(4, min((k - 2 for k in schedule.sizes if k >= 3), default=0))
+    for cl in clauses:
+        cert = simultaneous_triangularize(
+            corner_compression(pair.c_op, cl.level), corner_compression(pair.z_op, cl.level),
+            word_len=word_len,
+        )
+        refuted = cert.verdict == "refuted"
+        detail = f"verdict refuted, word {cert.refuting_word}" if refuted else "no refuting word"
+        assert (cl.passed, cl.detail) == (refuted, detail), cl.level
+
+
+def _stripped_reference(k1, k2, n_max, word_len, tol=1e-9):
+    """stripped_pair_checks by brute force: every word up to ``word_len`` through word_value."""
+    _, q1 = split(k1)
+    _, q2 = split(k2)
+    records = []
+    for n in range(1, n_max + 1):
+        a = corner_compression(q1, n)
+        b = corner_compression(q2, n)
+        comm = a @ b - b @ a
+        worst_radius, worst_word = 0.0, ""
+        for length in range(word_len + 1):
+            for letters in itertools.product("xy", repeat=length):
+                word = "".join(letters)
+                radius = spectral_radius(word_value(word, a, b) @ comm)
+                if radius > worst_radius:
+                    worst_radius, worst_word = radius, word
+        diag_max = float(np.abs(np.diag(comm)).max())
+        trace_abs = float(abs(np.trace(comm)))
+        records.append(
+            StrippedLevelRecord(
+                level=n, diag_max=diag_max, trace_abs=trace_abs, max_word_radius=worst_radius,
+                worst_word=worst_word,
+                passed=worst_radius <= tol and diag_max == 0.0 and trace_abs == 0.0,
+            )
+        )
+    return StrippedChecksReport(
+        levels=tuple(records), word_len=word_len, passed=all(r.passed for r in records)
+    )
+
+
+def test_stripped_checks_match_full_enumeration_on_cli_banded_operators(tmp_path, monkeypatch):
+    rng = np.random.default_rng(62)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(str(tmp_path / f"{name}.json"))
+        write_matrix(rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25)), paths[-1])
+    (k1, k2), tri, _ = _operators_from_files(paths)
+    levels = tri.realized_schedule.levels
+    assert tri.realized_schedule.sizes == (1, 4, 20)
+    radii = counting(monkeypatch, commutators, "spectral_radius")
+    report = stripped_pair_checks(k1, k2, n_max=levels, word_len=4)
+    # the level-n corner's words vanish from length n on: 1 + 3 + 7 words instead of 3 * 31
+    assert len(radii) == 11
+    assert report == _stripped_reference(k1, k2, levels, 4)
+
+
+@pytest.mark.parametrize("word_len", [0, 2, 4])
+def test_stripped_checks_match_full_enumeration_on_dense_lower_blocks(word_len):
+    # on the deepest levels every word up to word_len letters is nonzero
+    sched = make_schedule("custom", sizes=(2, 3, 3, 4, 4, 5))
+    rng = np.random.default_rng(63)
+    k1 = random_operator(sched, rng)
+    k2 = random_operator(sched, rng)
+    report = stripped_pair_checks(k1, k2, n_max=6, word_len=word_len)
+    assert report == _stripped_reference(k1, k2, 6, word_len)
+
+
+def test_stripped_checks_match_full_enumeration_when_products_cancel():
+    # m @ m is exactly zero, so every word of two or more letters cancels at
+    # level 3, one length before the block structure forces it
+    m = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    sched = make_schedule("custom", sizes=(2, 2, 2))
+    rng = np.random.default_rng(64)
+    k1, k2 = (
+        BlockTridiagOperator(sched, [random_complex(2, 2, rng) for _ in range(3)], None, [s * m, t * m])
+        for s, t in ((1.0, 2.0), (-3.0, 0.5))
+    )
+    assert [len(words) for words, _ in triangular._word_levels(m, 2.0 * m, 6)] == [1, 2]
+    _, q1 = split(k1)
+    _, q2 = split(k2)
+    a, b = (corner_compression(q, 3) for q in (q1, q2))
+    assert [len(words) for words, _ in triangular._word_levels(a, b, 6)] == [1, 2]
+    report = stripped_pair_checks(k1, k2, n_max=3, word_len=6)
+    assert report == _stripped_reference(k1, k2, 3, 6)

@@ -18,6 +18,7 @@ from blocktri import (
 )
 from helpers import (
     conjugated_upper_pair,
+    counting,
     degenerate_diagonal_pair,
     haar_unitary,
     jordan_pair,
@@ -105,6 +106,28 @@ def test_mccoy_sample_on_scaled_blocks():
 def test_mccoy_sample_commuting_returns_none():
     a = np.diag([1.0, 2.0])
     assert mccoy_sample(a, a @ a, max_word_len=5) is None
+
+
+def test_mccoy_sample_samples_no_word_past_a_vanishing_length(monkeypatch):
+    # every word of length 6 or more over strictly upper 6x6 matrices is
+    # exactly zero, so enumeration ends there, short of the cap of 11, and
+    # none of the 64 sampled words of length 12..16 can refute
+    rng = np.random.default_rng(36)
+    a, b = (np.triu(random_complex(6, 6, rng), 1) for _ in range(2))
+    assert triangular._exhaustive_cap(6, 16) == 11
+    levels = counting(monkeypatch, triangular, "_word_traces")
+    sampled = counting(monkeypatch, triangular, "_one_word_traces")
+    assert mccoy_sample(a, b, max_word_len=16) is None
+    assert (len(levels), sampled) == (6, [])
+
+
+def test_mccoy_sample_samples_past_a_cap_that_no_length_vanished_by(monkeypatch):
+    # with the cap at 1, the 5x5 block pair's refuting word xxx lies past
+    # the enumerated lengths, none of which vanishes, so the samples find it
+    monkeypatch.setattr(triangular, "_exhaustive_cap", lambda n, max_word_len: min(1, max_word_len))
+    sampled = counting(monkeypatch, triangular, "_one_word_traces")
+    assert mccoy_sample(*scaled_block_pair(5), max_word_len=4) == "xxx"
+    assert len(sampled) == 64
 
 
 def test_mccoy_sample_rejects_negative_margin():
@@ -224,18 +247,6 @@ def test_triangularize_deterministic():
     assert c1.refuting_word == c2.refuting_word
 
 
-def _counting(monkeypatch, owner, name):
-    calls = []
-    fn = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [50, 100])
 def test_schur_flag_route_needs_few_svds(monkeypatch, n):
     rng = np.random.default_rng(44 + n)
@@ -244,8 +255,8 @@ def test_schur_flag_route_needs_few_svds(monkeypatch, n):
     b = u @ separated_upper(n, rng) @ u.conj().T
     svds = []
     for owner, name in ((_lapack, "svdvals"), (np.linalg, "svd")):
-        svds.append(_counting(monkeypatch, owner, name))
-    eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+        svds.append(counting(monkeypatch, owner, name))
+    eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
     cert = simultaneous_triangularize(a, b)
     assert cert.verdict == "triangularizable"
     assert cert.residual < 1e-9 and cert.unitarity_residual < 1e-10
@@ -264,7 +275,7 @@ def test_repeated_combination_eigenvalue_falls_back_to_deflation(monkeypatch):
         (np.eye(4), 2.0 * np.eye(4)),
     ]
     for a, b in pairs:
-        eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+        eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
         cert = simultaneous_triangularize(a, b)
         assert cert.verdict == "triangularizable"
         assert cert.residual < 1e-9
@@ -387,7 +398,7 @@ def test_word_wins_over_deflation(monkeypatch):
     a, b = _near_triangular_pair()
     monkeypatch.setattr(triangular, "_WORD_MARGIN", 0.0)
     monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
-    eigvecs = _counting(monkeypatch, triangular, "common_eigenvector")
+    eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
     cert = simultaneous_triangularize(a, b)
     assert (cert.verdict, cert.route, cert.refuting_word) == ("refuted", "words", "")
     assert cert.trace_power == 2
