@@ -59,7 +59,6 @@ from .operators import (
 )
 from .triangular import (
     TriangularizationCertificate,
-    common_eigenvector,
     mccoy_sample,
     simultaneous_triangularize,
     word_value,
@@ -87,7 +86,6 @@ __all__ = [
     "block_tridiagonalize",
     "build_counterexample",
     "certify_commutator",
-    "common_eigenvector",
     "corner_compression",
     "corner_unit",
     "decompose",

@@ -61,8 +61,8 @@ class ExperimentConfig:
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

@@ -5,13 +5,14 @@ modulus in [1/2, 1)); no verdict depends on positive scaling, so every
 threshold below is relative to the input scale.  Three steps follow, and
 the first that decides wins.
 
-1. The Schur-flag route, O(n^3).  When a pair is triangularizable and the
-   generic combination a/||a|| + t b/||b|| (t of unit modulus, drawn from
-   ``seed``) has distinct eigenvalues, the common flag is a reordering of
-   that combination's Schur basis: in the combination's eigenbasis b is a
+1. The Schur-flag route, O(n^3).  A triangularizable pair has a common
+   flag that every combination a/||a|| + t b/||b|| leaves invariant (t of
+   unit modulus, drawn from ``seed``), so the flag is a reordering of that
+   combination's Schur basis: in the combination's eigenbasis b is a
    permuted triangular matrix, and a greedy pass that always takes the
    eigenvector whose b-image leaks least into the remaining ones recovers
-   the order, which ``ztrexc`` then applies to the Schur form.
+   the order, which ``ztrexc`` then applies to the Schur form.  Exactly
+   repeated eigenvalues keep their Schur order among themselves.
 
 2. The word search, O(n^3) per word.  A word w refutes when M = w(a, b)
    [a, b] has |tr M| or |tr M^2| above a rounding bound carried along the
@@ -25,14 +26,12 @@ the first that decides wins.
    ``_word_refutation``, is the refutation callers share: the
    counterexample check runs it alone, without the Schur form of step 1.
 
-3. Recursive deflation: find a common eigenvector, conjugate it into the
-   leading position, recurse on the trailing corner.  Every common
-   eigenvector is an eigenvector of the combination a/||a|| + t b/||b||,
-   so ``common_eigenvector`` searches only that combination's eigenspaces,
-   read off one reordered Schur form: each is trimmed to its largest
-   subspace invariant under a and b, where the combination is scalar, so a
-   and b commute there and an eigenvector of a is a common eigenvector.
-   One Schur form, O(n^3), per step; O(n^4) in all.
+3. Recursive deflation: the flag applied again to the corner it leaves.
+   Conjugated by the flag, the pair keeps its leading columns whose
+   strict-lower entries are within the gate's resolution, and the flag of
+   the trailing corner, with a fresh phase, goes on from there.  One Schur
+   form per step, O(n^3) each; a step that keeps no column is retried
+   twice at most.
 
 A witness from step 1 or 3 counts only when it passes one residual gate:
 the conjugated inputs keep strict-lower mass below ``tol`` relative to
@@ -60,15 +59,11 @@ from .linalg import (
 
 __all__ = [
     "TriangularizationCertificate",
-    "common_eigenvector",
     "simultaneous_triangularize",
     "mccoy_sample",
     "word_value",
 ]
 
-_KERNEL_TOL = 1e-8  # absolute kernel and outflow cut on unit-norm operands
-_COMBINATION_PHASE = np.exp(1j)  # t in common_eigenvector's combination a/||a|| + t b/||b||
-_CLUSTER_TOL = 1e-7  # combination eigenvalues this close share one eigenspace search
 _WORD_FLOP_BUDGET = 2e9  # real flops; caps the exhaustively enumerated word lengths
 _WORD_MARGIN = 1e-8  # relative margin of a refuting trace over its rounding bound
 _WORD_SAMPLES = 64  # random words tried past the exhaustive cap
@@ -99,102 +94,6 @@ class TriangularizationCertificate:
     trace_power: int | None = None
     trace: float | None = None
     trace_bound: float | None = None
-
-
-def _invariant_part(v, a1, b1):
-    """Orthonormal basis of the largest subspace of span(v) invariant under a1 and b1.
-
-    Trims the span until the a1- and b1-images stay in it.  The operands
-    are normalized, so the cut is absolute: escape mass below _KERNEL_TOL
-    counts as staying put (a relative cut would read pure roundoff of an
-    invariant subspace as full-rank outflow and trim it to nothing).  The
-    basis may have no columns.
-    """
-    while v.shape[1] > 0:
-        av = a1 @ v
-        bv = b1 @ v
-        outflow = np.vstack([av - v @ (v.conj().T @ av), bv - v @ (v.conj().T @ bv)])
-        _, s, vh = np.linalg.svd(outflow)
-        rank = int(np.count_nonzero(s > _KERNEL_TOL))
-        if rank == 0:
-            break
-        v = v @ vh[rank:].conj().T
-    return v
-
-
-def _validate_candidate(a, b, v, tol, na, nb):
-    lam_a = np.vdot(v, a @ v)
-    lam_b = np.vdot(v, b @ v)
-    ra = np.linalg.norm(a @ v - lam_a * v)
-    rb = np.linalg.norm(b @ v - lam_b * v)
-    return ra <= tol * na and rb <= tol * nb
-
-
-def common_eigenvector(a, b, tol=1e-9):
-    """Unit vector v with a v ~ lambda v and b v ~ mu v, or None.
-
-    A returned vector is validated: ||a v - <v, a v> v|| <= tol ||a|| and
-    likewise for b.  Every common eigenvector is an eigenvector of the
-    combination c = a/||a|| + t b/||b|| (t = ``_COMBINATION_PHASE``), so
-    the search runs inside c's eigenspaces, read off one complex Schur
-    form.  c's eigenvalues are walked in (real, imag) order; each one not
-    yet visited, lambda, opens a cluster with the unvisited eigenvalues
-    within ``_CLUSTER_TOL`` of it.  The cluster is reordered to the front
-    of the Schur form, lambda first; its eigenspace Q1 ker(T11 - lambda I)
-    is trimmed to its largest subspace S invariant under a and b, and the
-    eigenvectors of a on S are tried in (real, imag) order of their
-    eigenvalues, then by index.  c is scalar on S, so b is a function of a
-    there and each of them is a common eigenvector up to rounding.  A
-    candidate that fails validation gets one joint Rayleigh step (the
-    smallest right singular vector of the stacked shifts
-    [a/||a|| - alpha I; b/||b|| - beta I]) and is validated again; the
-    first valid vector is returned.
-    """
-    aa, bb = _square_pair(a, b)
-    n = aa.shape[0]
-    if n == 1:
-        return np.ones(1, dtype=np.complex128)
-    na = operator_norm(aa)
-    nb = operator_norm(bb)
-    a1 = aa / na if na > 0 else aa
-    b1 = bb / nb if nb > 0 else bb
-    try:
-        tri, q = _lapack.schur(a1 + _COMBINATION_PHASE * b1)
-    except np.linalg.LinAlgError:
-        return None
-    lam = np.diag(tri)
-    eye = np.eye(n, dtype=np.complex128)
-    unvisited = np.ones(n, dtype=bool)
-    for i in np.lexsort((lam.imag, lam.real)):
-        if not unvisited[i]:
-            continue
-        near = unvisited & (np.abs(lam - lam[i]) <= _CLUSTER_TOL)
-        near[i] = False
-        members = [i, *np.flatnonzero(near)]
-        unvisited[members] = False
-        m = len(members)
-        try:
-            t, z = _reorder_schur(np.array(tri, order="F"), np.array(q, order="F"), members)
-        except np.linalg.LinAlgError:
-            continue
-        _, s, vh = np.linalg.svd(t[:m, :m] - lam[i] * np.eye(m))
-        kernel = vh[int(np.count_nonzero(s > _KERNEL_TOL)) :].conj().T
-        space = _invariant_part(z[:, :m] @ kernel, a1, b1)
-        if space.shape[1] == 0:
-            continue
-        alpha, w = np.linalg.eig(space.conj().T @ a1 @ space)
-        for j in np.lexsort((np.arange(alpha.size), alpha.imag, alpha.real)):
-            v = space @ w[:, j]
-            v /= np.linalg.norm(v)
-            if _validate_candidate(aa, bb, v, tol, na, nb):
-                return v
-            # one joint Rayleigh step: the smallest right singular vector of
-            # the stacked shifts minimizes the joint residual at v's quotients
-            shifts = np.vstack([a1 - np.vdot(v, a1 @ v) * eye, b1 - np.vdot(v, b1 @ v) * eye])
-            v = np.linalg.svd(shifts)[2][-1].conj()
-            if _validate_candidate(aa, bb, v, tol, na, nb):
-                return v
-    return None
 
 
 def _word_letters(word):
@@ -285,7 +184,7 @@ def _refutation(word, traces, bounds):
     return word, k, float(traces[k - 1]), float(bounds[k - 1])
 
 
-def _word_witness(word, a, b, tol=_WORD_MARGIN):
+def _word_witness(word, a, b):
     """(k, trace, bound) when ``word`` refutes the pair (a, b) by its trace test, else None.
 
     For a word found on another pair, such as a diagonal block's word
@@ -293,7 +192,7 @@ def _word_witness(word, a, b, tol=_WORD_MARGIN):
     """
     pair = _normalized_pair(*_square_pair(a, b))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        traces, bounds = _one_word_traces(_word_letters(word), pair, tol)
+        traces, bounds = _one_word_traces(_word_letters(word), pair, _WORD_MARGIN)
     if not (traces > bounds).any():
         return None
     return _refutation(word, traces, bounds)[1:]
@@ -388,26 +287,41 @@ def _word_refutation(a, b, word_len, seed):
     )
 
 
-def _schur_flag(aa, bb, na, nb, seed):
-    """Candidate witness from the reordered Schur form of a generic combination, or None.
+def _phases(seed):
+    """Unit-modulus phases exp(2 pi i u) for the draws u of ``np.random.default_rng(seed)``, in turn."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield np.exp(2j * np.pi * rng.random())
 
-    None when the combination has an exactly repeated eigenvalue or some
-    value turns non-finite; the caller's gate judges any returned unitary.
+
+def _schur_flag(aa, bb, na, nb, phase):
+    """Candidate witness from the reordered Schur form of a/na + phase b/nb, or None.
+
+    An operand whose norm is given as 0 enters the combination as zero.
+    Exactly repeated eigenvalues of the combination are ties: the
+    eigenvector entries between tied eigenvalues are set to 0 instead of
+    divided by 0, the leak between them is ignored, and a tied eigenvalue
+    is placed only after the one before it in Schur order.  None when the
+    Schur form or its reordering fails or some value turns non-finite; the
+    caller's gate judges any returned unitary.
     """
     n = aa.shape[0]
-    t = np.exp(2j * np.pi * np.random.default_rng(seed).random())
-    a1 = aa / na if na > 0 else aa
-    b1 = bb / nb if nb > 0 else bb
+    a1 = aa / na if na > 0 else 0.0 * aa
+    b1 = bb / nb if nb > 0 else 0.0 * bb
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            tri, q = _lapack.schur(a1 + t * b1)
+            tri, q = _lapack.schur(a1 + phase * b1)
         except np.linalg.LinAlgError:
             return None
-        # upper-triangular eigenvector matrix of tri, unit diagonal, by back-substitution
+        # upper-triangular eigenvector matrix of tri, unit diagonal, by
+        # back-substitution; a tied gap reads as infinite, so its entry is 0
         lam = np.diag(tri)
+        tied = lam[:, None] == lam
+        gap = lam[:, None] - lam
+        gap[tied] = np.inf
         x = np.eye(n, dtype=np.complex128)
         for i in range(n - 2, -1, -1):
-            x[i, i + 1 :] = -(tri[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / (lam[i] - lam[i + 1 :])
+            x[i, i + 1 :] = -(tri[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / gap[i, i + 1 :]
         if not np.isfinite(x).all():
             return None
         x /= np.linalg.norm(x, axis=0)
@@ -416,17 +330,21 @@ def _schur_flag(aa, bb, na, nb, seed):
         c = _lapack.solve_upper(x, q.conj().T @ b1 @ q @ x)
         if not np.isfinite(c).all():
             return None
-    # greedy flag order: each slot takes the index whose column leaks least
-    # into the rows not yet placed
+    # greedy flag order: each slot takes the open index whose column leaks
+    # least into the rows not yet placed; a tied index opens when the one
+    # before it in Schur order is placed (index n is a sentinel)
     leak = np.abs(c) ** 2
-    np.fill_diagonal(leak, 0.0)
+    leak[tied] = 0.0
     mass = leak.sum(axis=0)
-    placed = np.zeros(n, dtype=bool)
+    later = np.triu(tied, 1)
+    after = np.where(later.any(axis=1), later.argmax(axis=1), n)
+    closed = np.append(later.any(axis=0), True)
     order = []
     for _ in range(n):
-        k = int(np.argmin(np.where(placed, np.inf, mass)))
+        k = int(np.argmin(np.where(closed[:n], np.inf, mass)))
         order.append(k)
-        placed[k] = True
+        closed[k] = True
+        closed[after[k]] = False
         mass -= leak[k]
     try:
         _, q = _reorder_schur(tri, q, order)
@@ -459,31 +377,42 @@ def _gated_certificate(aa, bb, u, tol, scale, route):
     )
 
 
-def _deflate(aa, bb, tol, scale):
-    """Unitary from recursive common-eigenvector deflation, or None when a step finds none.
+def _deflate(aa, bb, flag, tol, scale, phases):
+    """Unitary from the Schur flag applied again to the corner it leaves, or None when a step stalls.
 
-    A corner whose Frobenius norm is below the gate's resolution
-    ``tol * scale`` is searched as zero: no unitary can lift any of its
-    entries past the gate, and rounding noise normalized to unit norm
-    would hide the directions the other operand shares.
+    Starts from ``flag`` (the step-1 witness, or None).  Conjugated by the
+    witness so far, the pair keeps its longest leading run of columns whose
+    strict-lower entries are within the gate's resolution ``tol * scale``;
+    the flag of the trailing corner, with the next phase, extends the
+    witness there.  A corner already within that resolution ends the
+    recursion without a Schur form.  A corner operand whose Frobenius norm
+    is below the resolution enters its flag as zero: no unitary can lift
+    any of its entries past the gate, and rounding noise normalized to unit
+    norm would hide the order the other operand sets.  A step that keeps no
+    column is retried at most twice, each time with the next phase.
     """
     n = aa.shape[0]
+    res = tol * scale
     u = np.eye(n, dtype=np.complex128)
-    wa = np.array(aa)
-    wb = np.array(bb)
-    for k in range(n - 1):
-        corners = (wa[k:, k:], wb[k:, k:])
-        ca, cb = (c if np.linalg.norm(c) >= tol * scale else 0.0 * c for c in corners)
-        v = common_eigenvector(ca, cb, tol=tol)
-        if v is None:
+    ca, cb = aa, bb
+    h, k, misses = flag, 0, 0
+    while True:
+        if h is not None:
+            ca = h.conj().T @ ca @ h
+            cb = h.conj().T @ cb @ h
+            u[:, k:] = u[:, k:] @ h
+        low = np.maximum(np.abs(np.tril(ca, -1)).max(axis=0), np.abs(np.tril(cb, -1)).max(axis=0))
+        over = np.flatnonzero(low > res)
+        kept = int(over[0]) if over.size else ca.shape[0]
+        if k + kept == n:
+            return u
+        misses = 0 if kept else misses + 1
+        if misses > 2:
             return None
-        h = np.linalg.qr(v[:, None], mode="complete")[0]  # unitary, first column v up to phase
-        wa[k:, k:] = h.conj().T @ wa[k:, k:] @ h
-        wa[:k, k:] = wa[:k, k:] @ h
-        wb[k:, k:] = h.conj().T @ wb[k:, k:] @ h
-        wb[:k, k:] = wb[:k, k:] @ h
-        u[:, k:] = u[:, k:] @ h
-    return u
+        k += kept
+        ca, cb = ca[kept:, kept:], cb[kept:, kept:]
+        fa, fb = (f if f >= res else 0.0 for f in (np.linalg.norm(ca), np.linalg.norm(cb)))
+        h = _schur_flag(ca, cb, fa, fb, next(phases))
 
 
 def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
@@ -494,12 +423,17 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     word depends on positive scaling, and the gate becomes relative to the
     input scale.  Then, in order:
 
-    1. the Schur-flag route; a witness that passes the gate wins;
+    1. the Schur flag of a/||a|| + t b/||b||, t = exp(2 pi i u) for the
+       first draw u from ``seed``; exactly repeated eigenvalues of that
+       combination keep their Schur order; a witness that passes the gate
+       wins;
     2. the word search (``_word_refutation``: ``mccoy_sample`` with its
        default sample count and margin, words up to ``word_len`` letters);
        a refuting word wins, and the trace test that refutes it goes on the
        certificate;
-    3. deflation; its witness must pass the same gate.
+    3. deflation (``_deflate``): from the step-1 flag, the flag applied
+       again to the trailing corner it leaves, with the next draws from
+       ``seed``; its witness must pass the same gate.
 
     On success the certificate carries a unitary witness whose conjugation
     leaves both scaled inputs with strict-lower mass below ``tol``
@@ -513,7 +447,8 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     na = operator_norm(aa)
     nb = operator_norm(bb)
     scale = 1.0 + na + nb
-    flag = _schur_flag(aa, bb, na, nb, seed)
+    phases = _phases(seed)
+    flag = _schur_flag(aa, bb, na, nb, next(phases))
     if flag is not None:
         cert = _gated_certificate(aa, bb, flag, tol, scale, "schur-flag")
         if cert.verdict == "triangularizable":
@@ -523,7 +458,7 @@ def simultaneous_triangularize(a, b, tol=1e-9, *, word_len=None, seed=0):
     if cert is not None:
         return cert
 
-    u = _deflate(aa, bb, tol, scale)
+    u = _deflate(aa, bb, flag, tol, scale, phases)
     if u is not None:
         return _gated_certificate(aa, bb, u, tol, scale, "deflation")
     return TriangularizationCertificate(

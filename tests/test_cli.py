@@ -375,6 +375,29 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("tridiagonalize", "--tol-band"),
+        ("triangularize", "--tol-tri"),
+        ("decompose", "--tol-radius"),
+        ("decompose", "--tol-unit"),
+        ("decompose", "--tol-recon"),
+    ],
+)
+def test_non_finite_tolerances_exit_2(tmp_path, capsys, command, flag, value):
+    # an infinite gate passes anything (a random pair read as triangularizable)
+    # and a NaN one would be echoed into a report that is not JSON
+    rng = np.random.default_rng(89)
+    inputs = list(write_pair(tmp_path, random_complex(5, 5, rng), random_complex(5, 5, rng)))
+    if command != "triangularize":
+        inputs = inputs[:1]
+    code, out, err = run_cli(capsys, [command, *inputs, flag, value])
+    assert (code, out) == (2, "")
+    assert "must be positive and finite" in err
+
+
 def test_seed_and_word_len_flags(tmp_path, capsys):
     rng = np.random.default_rng(88)
     a, b, _ = conjugated_upper_pair(5, rng)

@@ -5,16 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocktri import corner_unit, shift_matrix, simultaneous_triangularize
-from helpers import haar_unitary, random_complex, separated_upper
+from helpers import (
+    degenerate_diagonal_pair,
+    haar_unitary,
+    jordan_pair,
+    random_complex,
+    separated_upper,
+)
 
 
 def _pair(kind, n, seed):
-    # refuted by '', refuted by x^(n-2), or triangularizable by the Schur flag
+    # refuted by '', refuted by x^(n-2), commuting with repeated eigenvalues
+    # (jordan's t^2 is rounded, so a word may refute it: t nilpotent makes
+    # t^2 pure rounding), or triangularizable by the Schur flag
     rng = np.random.default_rng(seed)
     if kind == "random":
         return random_complex(n, n, rng), random_complex(n, n, rng)
     if kind == "block":
         return shift_matrix(n) / n, corner_unit(n) / n
+    if kind == "degenerate":
+        return degenerate_diagonal_pair(n, rng)
+    if kind == "jordan":
+        return jordan_pair(n, rng)
     u = haar_unitary(n, rng)
     return u @ separated_upper(n, rng) @ u.conj().T, u @ separated_upper(n, rng) @ u.conj().T
 
@@ -23,9 +35,9 @@ def _swapped(word):
     return None if word is None else word.translate(str.maketrans("xy", "yx"))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "block", "conjugated"]),
+    kind=st.sampled_from(["random", "block", "degenerate", "jordan", "conjugated"]),
     n=st.integers(2, 9),
     seed=st.integers(0, 2**32 - 1),
     ka=st.integers(-600, 600),

@@ -1,4 +1,4 @@
-"""Tests for common eigenvectors, word refutations, and pair triangularization."""
+"""Tests for word refutations and pair triangularization."""
 
 import warnings
 
@@ -7,7 +7,6 @@ import pytest
 
 from blocktri import _lapack, triangular
 from blocktri import (
-    common_eigenvector,
     corner_unit,
     is_nilpotent,
     mccoy_sample,
@@ -29,56 +28,6 @@ from helpers import (
 
 def scaled_block_pair(n):
     return shift_matrix(n) / n, corner_unit(n) / n
-
-
-def check_eigvec(m, v):
-    mv = m @ v
-    lam = v.conj() @ mv
-    return np.linalg.norm(mv - lam * v) <= 1e-8 * (1.0 + operator_norm(m))
-
-
-def test_common_eigenvector_commuting_diagonals():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        a = np.diag(random_complex(1, n, rng).ravel())
-        b = np.diag(random_complex(1, n, rng).ravel())
-        v = common_eigenvector(a, b)
-        assert v is not None
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert check_eigvec(a, v) and check_eigvec(b, v)
-
-
-def test_common_eigenvector_shift_corner_pair_has_none():
-    # the only eigenvector of the shift is e1, which the corner unit moves
-    a, b = scaled_block_pair(3)
-    assert common_eigenvector(a, b) is None
-    a, b = scaled_block_pair(5)
-    assert common_eigenvector(a, b) is None
-
-
-def test_common_eigenvector_identity_and_scalar():
-    v = common_eigenvector(np.eye(4), np.eye(4))
-    assert v is not None
-    v = common_eigenvector(np.ones((1, 1)), 2.0 * np.ones((1, 1)))
-    assert v is not None
-
-
-def test_common_eigenvector_conjugated_pairs():
-    rng = np.random.default_rng(32)
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        a, b, _ = conjugated_upper_pair(n, rng)
-        v = common_eigenvector(a, b)
-        assert v is not None
-        assert check_eigvec(a, v) and check_eigvec(b, v)
-
-
-def test_common_eigenvector_noncommuting_generic():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        n = int(rng.integers(3, 9))
-        assert common_eigenvector(random_complex(n, n, rng), random_complex(n, n, rng)) is None
 
 
 def test_word_value():
@@ -256,63 +205,118 @@ def test_schur_flag_route_needs_few_svds(monkeypatch, n):
     svds = []
     for owner, name in ((_lapack, "svdvals"), (np.linalg, "svd")):
         svds.append(counting(monkeypatch, owner, name))
-    eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
+    deflations = counting(monkeypatch, triangular, "_deflate")
     cert = simultaneous_triangularize(a, b)
     assert cert.verdict == "triangularizable"
     assert cert.residual < 1e-9 and cert.unitarity_residual < 1e-10
-    # the two input norms (the unitarity residual is a Frobenius norm); deflation takes thousands
+    # the two input norms (the unitarity residual is a Frobenius norm)
     assert sum(map(len, svds)) <= 3
-    assert eigvecs == []
+    assert deflations == []
 
 
 def test_repeated_combination_eigenvalue_falls_back_to_deflation(monkeypatch):
     # commuting pairs with a degenerate spectrum: every combination a + t b
-    # has an exactly repeated eigenvalue, so only deflation can decide
+    # has an exactly repeated eigenvalue, and the flag, which keeps tied
+    # eigenvalues in Schur order, decides them without deflation
     jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=np.complex128)
     pairs = [
         (np.diag([1.0, 1.0, 2.0, 3.0]).astype(np.complex128), np.diag([5.0, 5.0, 1.0, 0.0])),
         (jordan, jordan @ jordan),
         (np.eye(4), 2.0 * np.eye(4)),
     ]
+    # upper triangular pairs with repeated diagonals: the flag decides the
+    # first only when a tied eigenvalue waits for the one before it in Schur
+    # order, the second only when the leak between tied eigenvalues is ignored
+    upper = [
+        (
+            [[2, -1, -2, -2, -2, 2], [0, 1, 0, 1, -1, 0], [0, 0, 2, 0, -1, 0],
+             [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 2, -1], [0, 0, 0, 0, 0, 2]],
+            [[6, 2, 0, -1, 1, 1], [0, 3, -2, -2, -1, 1], [0, 0, 6, 1, 2, -2],
+             [0, 0, 0, 3, -1, 0], [0, 0, 0, 0, 6, 0], [0, 0, 0, 0, 0, 6]],
+        ),
+        (
+            [[2, 0, 0, 1, 2, 0], [0, 2, -2, 0, -1, -1], [0, 0, 1, 1, 2, 1],
+             [0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 2, 2], [0, 0, 0, 0, 0, 2]],
+            [[0, 2, -1, 1, 2, 1], [0, 0, 1, 2, -1, -1], [0, 0, 0, -1, 2, -2],
+             [0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+        ),
+    ]
+    pairs += [(np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128)) for a, b in upper]
+    deflations = counting(monkeypatch, triangular, "_deflate")
     for a, b in pairs:
-        eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
         cert = simultaneous_triangularize(a, b)
-        assert cert.verdict == "triangularizable"
+        assert (cert.verdict, cert.route) == ("triangularizable", "schur-flag")
         assert cert.residual < 1e-9
-        assert eigvecs
-    # Haar-conjugated commuting pairs at larger sizes: rounding splits their
-    # repeated eigenvalues enough for the Schur flag to decide most of them,
-    # so the flag and the words are switched off to exercise deflation alone
+    assert deflations == []
+    # Haar-conjugated commuting pairs: rounding splits most repeated
+    # eigenvalues, and leaves exact ties in the degenerate pairs at n = 13 and 19
     rng = np.random.default_rng(49)
     pairs = [degenerate_diagonal_pair(n, rng) for n in range(3, 21)]
     pairs += [jordan_pair(n, rng) for n in range(3, 13)]
-    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
-    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
     for a, b in pairs:
         cert = simultaneous_triangularize(a, b)
-        assert (cert.verdict, cert.route) == ("triangularizable", "deflation"), a.shape
+        assert cert.verdict == "triangularizable", a.shape
         assert cert.residual < 1e-9
-    # and deflation alone certifies no random pair
+    for n in (13, 19):
+        cert = simultaneous_triangularize(*pairs[n - 3])
+        assert cert.route == "schur-flag", n
+    # dense triangular pairs with ill-conditioned eigenvectors: where the
+    # one-shot flag misses the gate, deflation (the flag applied again to the
+    # corner it leaves) decides
+    decided = 0
+    for seed in range(9300, 9310):
+        a, b, _ = conjugated_upper_pair(30, np.random.default_rng(seed))
+        deflations.clear()
+        cert = simultaneous_triangularize(a, b)
+        if cert.verdict == "triangularizable":
+            decided += 1
+            assert cert.route == ("deflation" if deflations else "schur-flag"), seed
+    assert decided >= 8
+    # and with the words switched off, no random pair is certified
+    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
     for _ in range(100):
         n = int(rng.integers(2, 13))
         cert = simultaneous_triangularize(random_complex(n, n, rng), random_complex(n, n, rng))
         assert cert.verdict == "inconclusive", n
 
 
-def test_deflation_keeps_a_vector_close_to_e1(monkeypatch):
+def test_deflation_keeps_a_vector_close_to_e1():
     # a commuting pair diagonal in a basis rotated by tau off the standard
-    # one: each deflation step must put a common eigenvector that is within
-    # tau of e1 into the leading column, not e1 itself
-    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
-    monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
+    # one: the flag decides it; deflation started without a flag (as when
+    # the Schur form fails) keeps e1 only where e1 is within the gate
+    # (tau = 1e-9) and otherwise leads with a common eigenvector
     for tau in (1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9):
         v = np.eye(3, dtype=np.complex128)
         v[:2, :2] = [[np.cos(tau), -np.sin(tau)], [np.sin(tau), np.cos(tau)]]
         a = v @ np.diag([-1.0, 1.0, 0.0]) @ v.conj().T
         b = v @ np.diag([1.0, -1.0, 0.5]) @ v.conj().T
         cert = simultaneous_triangularize(a, b)
-        assert (cert.verdict, cert.route) == ("triangularizable", "deflation"), tau
+        assert (cert.verdict, cert.route) == ("triangularizable", "schur-flag"), tau
         assert cert.residual < 1e-9
+        scale = 1.0 + operator_norm(a) + operator_norm(b)
+        u = triangular._deflate(a, b, None, 1e-9, scale, triangular._phases(0))
+        cert = triangular._gated_certificate(a, b, u, 1e-9, scale, "deflation")
+        assert (cert.verdict, cert.route) == ("triangularizable", "deflation"), tau
+        lead = u[:, 0]
+        assert np.linalg.norm(a @ lead - np.vdot(lead, a @ lead) * lead) < 1e-9 * scale, tau
+        assert np.array_equal(u, np.eye(3)) == (tau == 1e-9), tau
+
+
+def test_deflation_flags_a_corner_below_the_gate_as_zero():
+    # after the clean first column, b's corner is 1e-20 noise: normalized to
+    # unit norm it would swamp a's corner in the combination, so deflation
+    # reads it as zero and flags a's corner alone
+    rng = np.random.default_rng(50)
+    u = haar_unitary(8, rng)
+    a = np.zeros((9, 9), dtype=np.complex128)
+    b = np.zeros((9, 9), dtype=np.complex128)
+    a[0, 0] = b[0, 0] = 1.0
+    a[1:, 1:] = u @ separated_upper(8, rng) @ u.conj().T
+    b[1:, 1:] = 1e-20 * random_complex(8, 8, rng)
+    scale = 1.0 + operator_norm(a) + operator_norm(b)
+    w = triangular._deflate(a, b, None, 1e-9, scale, triangular._phases(0))
+    cert = triangular._gated_certificate(a, b, w, 1e-9, scale, "deflation")
+    assert (cert.verdict, cert.route) == ("triangularizable", "deflation")
 
 
 def test_triangularize_verdict_invariant_under_operand_swap():
@@ -378,9 +382,9 @@ def test_tiny_inputs_are_judged_relative_to_their_scale(scale):
 
 
 def _near_triangular_pair():
-    # upper triangular up to a 1e-11 lower entry: the Schur-flag and
-    # deflation witnesses pass the gate, and with no margin the empty word
-    # refutes (tr [a, b]^2 = 2e-22 - 2e-11)
+    # upper triangular up to a 1e-11 lower entry: the Schur-flag witness
+    # passes the gate, and with no margin the empty word refutes
+    # (tr [a, b]^2 = 2e-22 - 2e-11)
     a = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=np.complex128)
     b = np.array([[3.0, 2.0], [1e-11, 4.0]], dtype=np.complex128)
     return a, b
@@ -395,19 +399,18 @@ def test_schur_flag_witness_wins_over_a_word(monkeypatch):
 
 
 def test_word_wins_over_deflation(monkeypatch):
-    a, b = _near_triangular_pair()
-    monkeypatch.setattr(triangular, "_WORD_MARGIN", 0.0)
-    monkeypatch.setattr(triangular, "_schur_flag", lambda *args: None)
-    eigvecs = counting(monkeypatch, triangular, "common_eigenvector")
+    # the block pair misses the flag's gate, so the words run next and
+    # refute it before deflation starts
+    a, b = scaled_block_pair(5)
+    deflations = counting(monkeypatch, triangular, "_deflate")
     cert = simultaneous_triangularize(a, b)
-    assert (cert.verdict, cert.route, cert.refuting_word) == ("refuted", "words", "")
-    assert cert.trace_power == 2
-    assert eigvecs == []
-    # deflation alone would have certified the pair
+    assert (cert.verdict, cert.route, cert.refuting_word) == ("refuted", "words", "xxx")
+    assert deflations == []
+    # with the words switched off deflation runs, and only its gate decides
     monkeypatch.setattr(triangular, "_mccoy_search", lambda *args: None)
     cert = simultaneous_triangularize(a, b)
-    assert (cert.verdict, cert.route) == ("triangularizable", "deflation")
-    assert eigvecs
+    assert (cert.verdict, cert.route) == ("inconclusive", None)
+    assert deflations
 
 
 def test_certificate_names_its_route():
@@ -416,5 +419,16 @@ def test_certificate_names_its_route():
     a = u @ separated_upper(6, rng) @ u.conj().T
     b = u @ separated_upper(6, rng) @ u.conj().T
     assert simultaneous_triangularize(a, b).route == "schur-flag"
+    assert simultaneous_triangularize(np.eye(4), 2.0 * np.eye(4)).route == "schur-flag"
     assert simultaneous_triangularize(*scaled_block_pair(5)).route == "words"
-    assert simultaneous_triangularize(np.eye(4), 2.0 * np.eye(4)).route == "deflation"
+    # an upper triangular pair whose combination ties eigenvalues 0, 5, 6
+    # and 1, 2, 3: the one-shot flag takes a wrong order (residual 3.6e-2)
+    # and deflation mends it
+    a = [[2, -1, 2, -2, 1, 1, 0], [0, 1, 1, 2, -2, -1, -1], [0, 0, 1, 1, 0, 1, -2],
+         [0, 0, 0, 1, -2, -1, -2], [0, 0, 0, 0, 1, 1, -2], [0, 0, 0, 0, 0, 2, -2],
+         [0, 0, 0, 0, 0, 0, 2]]
+    b = [[0, 2, -2, -1, 0, -1, -2], [0, 0, 0, 1, 1, 1, -2], [0, 0, 0, -1, 0, 0, -2],
+         [0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 1, -1, 2], [0, 0, 0, 0, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0, 0]]
+    cert = simultaneous_triangularize(np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128))
+    assert (cert.verdict, cert.route) == ("triangularizable", "deflation")
