@@ -47,7 +47,6 @@ from .matio import (
     read_matrix,
     render_report,
     write_matrix,
-    write_report,
 )
 from .operators import (
     BlockSchedule,
@@ -112,5 +111,4 @@ __all__ = [
     "verify_counterexample",
     "word_value",
     "write_matrix",
-    "write_report",
 ]

@@ -107,6 +107,34 @@ def solve_upper(a, b):
     return x
 
 
+def geqrf(a):
+    """Householder QR (qr, tau) of a complex matrix, as ``scipy.linalg.qr(a, mode="raw")[0]``.
+
+    ``qr`` holds R on and above its diagonal and the Householder vectors
+    below it; with ``tau`` they define the unitary H = H_1 ... H_k with
+    a = H [R; 0] (Golub & Van Loan, Matrix Computations, 5.2).
+    """
+    a = np.asarray_chkfinite(a).astype(np.complex128, copy=False)
+    lwork = int(_flapack.zgeqrf(a, lwork=-1)[-2][0].real)
+    qr, tau, _, info = _flapack.zgeqrf(a, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqrf")
+    return qr, tau
+
+
+def unmqr(qr, tau, c):
+    """H c for the unitary H of :func:`geqrf`'s (qr, tau), as ``scipy.linalg.qr_multiply``.
+
+    ``c`` is overwritten when it is a Fortran-ordered complex array.
+    """
+    c = np.asarray_chkfinite(c).astype(np.complex128, copy=False)
+    lwork = int(_flapack.zunmqr("L", "N", qr, tau, c, -1)[-2][0].real)
+    hc, _, info = _flapack.zunmqr("L", "N", qr, tau, c, lwork, overwrite_c=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gunmqr")
+    return hc
+
+
 def nrm2(x):
     """Euclidean norm of a 1-D float64 or complex128 array by BLAS, as ``scipy.linalg.norm``.
 

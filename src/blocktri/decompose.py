@@ -22,7 +22,6 @@ from .krylov import block_tridiagonalize
 from .linalg import (
     SchurConvergenceError,
     _as_array,
-    _block_diag,
     _read_only,
     _residual_norm,
     _strict_lower_max,
@@ -34,6 +33,7 @@ from .operators import (
     BlockTridiagOperator,
     _assemble,
     _level_of,
+    _level_slices,
     corner_compression,
     make_schedule,
     operator_from_matrix,
@@ -140,8 +140,13 @@ def decompose(t, levels=None, *, start=None):
     quasinil = _assemble(sched, None, None, q_blocks)
     conjugated = delta + quasinil
 
-    u = _block_diag(units)
-    u0 = w @ u if w is not None else u
+    if w is None:
+        u0 = _assemble(sched, units, None, None)
+    else:
+        # w times the direct sum of the block unitaries, one column block at a time
+        u0 = np.empty((size, size), dtype=np.complex128)
+        for cols, unit in zip(_level_slices(sched), units):
+            u0[:, cols] = w[:, cols] @ unit
     residuals = {
         "unitarity": _residual_norm(u0.conj().T @ u0 - np.eye(size)),
         "triangularity": _strict_lower_max(delta),

@@ -16,6 +16,13 @@ Two modes:
   the realized sizes hit the saturated schedules exactly - (1, 2, 6, 18, ...)
   for one operator, (1, 4, 20, 100, ...) for two - until the space is
   exhausted.
+
+A filling level, one that takes everything left of the space (the last
+padded level, and the completion after an adaptive sweep stabilizes), is
+the orthogonal complement of the levels before it whatever the images
+span.  It is filled by one Householder QR of their columns (LAPACK
+``zgeqrf``, then ``zunmqr`` applied to [0; I]), and the images of the level
+before it are not formed.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .linalg import _as_array, _pow2_normalize, _read_only
 from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedule
 
@@ -113,6 +121,20 @@ def _complete(basis, count, want, cursor):
     return count, cursor
 
 
+def _fill_complement(basis, count):
+    """Fill ``basis[:, count:]`` with an orthonormal basis of the complement of ``basis[:, :count]``.
+
+    One Householder QR of the first ``count`` columns, a = H [R; 0], gives
+    the unitary H whose trailing columns H [0; I] span the orthogonal
+    complement of theirs (Golub & Van Loan, Matrix Computations, 5.2).
+    """
+    n_dim = basis.shape[0]
+    qr, tau = _lapack.geqrf(basis[:, :count])
+    fill = np.zeros((n_dim, n_dim - count), dtype=np.complex128, order="F")
+    fill[count:] = np.eye(n_dim - count)
+    basis[:, count:] = _lapack.unmqr(qr, tau, fill)
+
+
 def block_tridiagonalize(ops, start=None, mode="adaptive"):
     """Jointly block-tridiagonalize one or two square matrices.
 
@@ -164,6 +186,12 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
     stabilized = None
 
     while count < n_dim:
+        if mode == "padded":
+            # the saturated pattern for len(mats) operators; a level that would reach the
+            # end of the space is the filling level below
+            target = _pattern_sizes(2 * len(mats) + 1, len(sizes) + 1)[-1]
+            if target >= n_dim - count:
+                break
         lo, hi = count - sizes[-1], count
         # one block product per operator; columns keep the per-image order.  The exact
         # power-of-two scaling keeps the vector norms clear of underflow and overflow
@@ -177,17 +205,15 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
                 stabilized = count
                 break
         else:
-            # the saturated pattern for len(mats) operators, clipped to the space left
-            target = min(_pattern_sizes(2 * len(mats) + 1, len(sizes) + 1)[-1], n_dim - count)
-            filled, cursor = _complete(basis, count + accepted, target - accepted, cursor)
+            filled, cursor = _complete(basis, filled, target - accepted, cursor)
             accepted = filled - count
         sizes.append(accepted)
         count += accepted
 
-    if stabilized is not None and count < n_dim:
-        filled, cursor = _complete(basis, count, n_dim - count, cursor)
-        sizes.append(filled - count)
-        count = filled
+    if count < n_dim:
+        # the filling level: the orthogonal complement of the levels before it
+        _fill_complement(basis, count)
+        sizes.append(n_dim - count)
 
     realized = make_schedule("custom", sizes=tuple(sizes))
     transformed = tuple(_read_only(basis.conj().T @ m @ basis) for m in mats)

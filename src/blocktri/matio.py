@@ -1,15 +1,20 @@
-"""Matrix and report files: exact round-trips, atomic writes.
+"""Matrix files and report text: exact round-trips, atomic writes.
 
 Matrices travel as JSON documents {"rows": r, "cols": c, "entries":
 [[re, im], ...]} with entries flat in row-major order.  Floats are
 serialized through repr, which round-trips every finite double exactly,
 so read(write(m)) == m bitwise.  Reads check the written layout and the
-JSON number grammar on the bytes and parse the numbers with numpy; any
-other document goes through ``json``, to the same bits.  All writes go
-through a temp file plus rename, so readers never observe a partial file.
-Reports render to the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
-with each list of [re, im] float pairs (a matrix's entries) formatted in one
-step instead of json's pure-Python indent encoder.
+JSON number grammar on the bytes and parse the numbers with numpy.  Where
+numpy's long double is the x87 80-bit format, numbers are parsed to 64
+significant bits (libc strtold) and rounded to double; the few whose 64-bit
+value lies exactly halfway between two doubles, or below 2**-1022, are
+parsed again by ``float``.  On other platforms they are parsed to float64
+directly.  Both give the bits of Python's ``float``.  Any other document
+goes through ``json``, to the same bits.  Writes go through a temp file
+plus rename, so readers never observe a partial file.  Reports render to
+the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, with each list
+of [re, im] float pairs (a matrix's entries) formatted in one step instead
+of json's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "matrix_document",
-    "write_report",
     "render_report",
 ]
 
@@ -113,6 +117,11 @@ _TRAILER = _compile(rb"\]" + _SPACE + rb"\}" + _SPACE + rb"\Z")
 _INT_MINUS_ZERO = re.compile(rb"(?<![eE])-0(?=[ \t\n\r,\]])")
 _UNBRACKET = bytes.maketrans(b"[]\t\n\r", b"     ")
 _CHUNK = 1 << 18  # bytes checked per step; bounds the temporaries
+# Where numpy's long double is the x87 80-bit format, its parse (libc strtold, 64
+# significant bits) is about twice as fast as the float64 one; elsewhere numbers
+# are parsed to float64 directly
+_PARSE_DTYPE = np.longdouble if np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little" else np.float64
+_X87_MIN_NORMAL = 16383 - 1022  # the biased x87 exponent of 2**-1022, the least normal double
 
 
 def _strict_pairs(data):
@@ -122,9 +131,12 @@ def _strict_pairs(data):
     then r*c ``[re, im]`` pairs, then ``]}``, with JSON whitespace between
     tokens and every number in the JSON grammar.  The pairs are checked by
     one regular expression in chunks that end between two pairs, and each
-    chunk's numbers are read by one ``np.fromstring``, which rounds as
-    Python's ``float`` does.  Returns None for anything else, a wrong entry
-    count and non-finite values included.
+    chunk's numbers are read by one ``np.fromstring`` to ``_PARSE_DTYPE``
+    and rounded to float64.  The few values that rounding twice may put on
+    the wrong double (:func:`_doubly_rounded`) are read again by ``float``,
+    so every number gets the bits Python's ``float`` gives it.  Returns
+    None for anything else, a wrong entry count and non-finite values
+    included.
     """
     head = _HEADER.match(data)
     tail = data.rfind(b"]")
@@ -138,19 +150,47 @@ def _strict_pairs(data):
         hi = tail if cut is None else cut.end() - 1  # the comma between two pairs
         if _PAIRS.fullmatch(data, lo, hi) is None:
             return None
-        part = np.fromstring(data[lo:hi].translate(_UNBRACKET), sep=",")
-        if np.signbit(part[part == 0]).any():
+        chunk = data[lo:hi].translate(_UNBRACKET)
+        wide = np.fromstring(chunk, dtype=_PARSE_DTYPE, sep=",")
+        with np.errstate(over="ignore"):  # past the double range is inf, refused below
+            part = wide.astype(np.float64, copy=False)
+        redo = _doubly_rounded(wide).tolist()
+        minus_zero = np.signbit(part[part == 0]).any()
+        if redo or minus_zero:
             # the k-th number of the chunk follows k commas
-            text = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
-            commas = np.flatnonzero(text == ord(","))
-            at = [m.start() - lo for m in _INT_MINUS_ZERO.finditer(data, lo, hi)]
-            part[np.searchsorted(commas, at)] = 0.0
+            commas = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(","))
+            for k in redo:
+                start = commas[k - 1] + 1 if k else 0
+                part[k] = float(chunk[start : commas[k] if k < commas.size else len(chunk)])
+            if minus_zero:
+                at = [m.start() - lo for m in _INT_MINUS_ZERO.finditer(data, lo, hi)]
+                part[np.searchsorted(commas, at)] = 0.0
         parts.append(part)
         if cut is None:
             break
         lo = hi + 1
     pairs = np.concatenate(parts)  # two numbers per pair, as the expression checked
     return (rows, cols, pairs) if pairs.size == 2 * rows * cols and np.isfinite(pairs).all() else None
+
+
+def _doubly_rounded(wide):
+    """Indices of the x87 values in ``wide`` whose rounding to double may miss the decimal's own.
+
+    strtold rounds each decimal correctly to 64 significant bits; rounding
+    that to the 53 of a double gives the correctly rounded double unless the
+    64-bit value lies exactly halfway between two doubles (Figueroa, "When
+    is double rounding innocuous?", SIGNUM Newsletter 30(3), 1995): its low
+    11 significand bits are 0x400.  Below 2**-1022 doubles keep fewer bits,
+    so every nonzero x87 value there counts too; x87 zeros and subnormals
+    round to a zero either way.  A float64 array has none.
+    """
+    if wide.dtype == np.float64:
+        return np.empty(0, dtype=np.intp)
+    # the x87 layout: 64-bit significand, then sign and 15-bit biased exponent
+    significand = np.ndarray(wide.shape, np.uint64, wide, 0, (wide.itemsize,))
+    exponent = np.ndarray(wide.shape, np.uint16, wide, 8, (wide.itemsize,)) & 0x7FFF
+    halfway = (significand & 0x7FF) == 0x400
+    return np.flatnonzero(halfway | ((exponent > 0) & (exponent < _X87_MIN_NORMAL)))
 
 
 def _json_pairs(data, path):
@@ -259,18 +299,14 @@ def write_matrix(m, path):
     _atomic_write_text(path, json.dumps(matrix_document(m)) + "\n")
 
 
-def write_report(doc, path, fmt="json"):
-    """Write a report document as pretty JSON or flatten its level table to CSV.
-
-    JSON output sorts keys, so identical documents serialize identically.
-    CSV emits only ``doc["levels"]`` (a list of flat row dicts); columns
-    are the sorted union of row keys, absent cells stay empty.
-    """
-    _atomic_write_text(path, render_report(doc, fmt))
-
-
 def render_report(doc, fmt="json"):
-    """The text :func:`write_report` writes; JSON is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+    """A report document as pretty JSON or its level table flattened to CSV.
+
+    JSON is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``: keys are
+    sorted, so identical documents render identically.  CSV emits only
+    ``doc["levels"]`` (a list of flat row dicts); columns are the sorted
+    union of row keys, absent cells stay empty.
+    """
     if fmt == "json":
         return _json_text(doc, "\n") + "\n"
     if fmt != "csv":

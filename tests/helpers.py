@@ -37,21 +37,22 @@ def degenerate_diagonal_pair(n, rng):
 
 
 def jordan_pair(n, rng):
-    """Commuting pair (t, t^2), t = U J U* for a Jordan matrix J.
+    """Commuting pair (U J U*, U J^2 U*) for a Jordan matrix J.
 
     J has blocks of sizes 1 to 3 with integer eigenvalues in [-2, 2], so
     eigenvalues repeat and some eigenspaces are smaller than their
-    algebraic multiplicity.
+    algebraic multiplicity.  J^2 is formed exactly, before the conjugation:
+    squaring the conjugated t instead leaves pure rounding where a nilpotent
+    block of size 2 squares to zero, and that pair no longer commutes.
     """
-    t = np.zeros((n, n), dtype=np.complex128)
+    j = np.zeros((n, n), dtype=np.complex128)
     i = 0
     while i < n:
         k = min(int(rng.integers(1, 4)), n - i)
-        t[i : i + k, i : i + k] = float(rng.integers(-2, 3)) * np.eye(k) + np.eye(k, k=1)
+        j[i : i + k, i : i + k] = float(rng.integers(-2, 3)) * np.eye(k) + np.eye(k, k=1)
         i += k
     u = haar_unitary(n, rng)
-    t = u @ t @ u.conj().T
-    return t, t @ t
+    return u @ j @ u.conj().T, u @ (j @ j) @ u.conj().T
 
 
 def random_operator(schedule, rng, coupling_scale=1.0):

@@ -14,6 +14,7 @@ from blocktri import (
     shift_matrix,
     verify_block_structure,
 )
+from blocktri.linalg import _norm_excess, _residual_norm
 from helpers import haar_unitary, random_complex
 
 
@@ -142,6 +143,12 @@ def _dependent_inputs(name):
     return _rotated([a, b], 6)
 
 
+def _filling_leak(res):
+    """Largest entry of W*C, W the basis before the last level and C the last level."""
+    cut = res.realized_schedule.cumsums[-2]
+    return np.abs(res.basis[:, :cut].conj().T @ res.basis[:, cut:]).max()
+
+
 # realized sizes and stabilized dimensions, as the per-column Gram-Schmidt gave them
 @pytest.mark.parametrize(
     "name, mode, sizes, stabilized",
@@ -175,10 +182,71 @@ def test_dependent_images_keep_their_sizes(name, mode, sizes, stabilized):
     assert operator_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
     for t in res.transformed:
         assert verify_block_structure(t, res.realized_schedule) < 1e-10
+    if mode == "padded" or stabilized is not None:
+        # the last level fills the space: the Householder complement of the levels before it
+        assert _filling_leak(res) <= 1e-13
     if (name, mode) == ("block-pair", "padded"):
         # e_1..e_4 lie in the first block, which the Krylov space fills, so the
         # level's completion skips them and takes e_5 as it is
         assert np.array_equal(q[:, 4], np.eye(9)[4])
+
+
+def _filling_inputs(mode):
+    """(operators, start, sizes) whose last level is everything left of the space."""
+    rng = np.random.default_rng(28)
+    if mode == "padded":
+        return [
+            ([random_complex(60, 60, rng)], None, (1, 2, 6, 18, 33)),
+            ([random_complex(30, 30, rng), random_complex(30, 30, rng)], None, (1, 4, 20, 5)),
+            ([random_complex(9, 9, rng)], random_complex(1, 9, rng).ravel(), (1, 2, 6)),
+        ]
+    # the sweep stabilizes on the first block, then the complement fills the second
+    return [
+        ([scipy.linalg.block_diag(random_complex(k, k, rng), random_complex(rest, rest, rng))], None, sizes)
+        for k, rest, sizes in ((4, 5, (1, 2, 1, 5)), (9, 30, (1, 2, 4, 2, 30)))
+    ]
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "padded"])
+def test_filling_level_is_the_orthogonal_complement(mode):
+    for ops, start, sizes in _filling_inputs(mode):
+        res = block_tridiagonalize(ops, start=start, mode=mode)
+        assert res.realized_schedule.sizes == sizes
+        q = res.basis
+        assert _filling_leak(res) <= 1e-13
+        assert operator_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
+        for t in res.transformed:
+            assert verify_block_structure(t, res.realized_schedule) < 1e-10
+
+
+def _workload_inputs():
+    """The dense inputs of the band-decompose benchmark workload at seed 7, with their schedules.
+
+    Each matrix comes from its own stream default_rng([7, k]), k counting
+    the workload's inputs in case order (k = 0 is the warm-up matrix).
+    """
+
+    def draw(n, rng):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    single = {27: (1, 2, 6, 18), 81: (1, 2, 6, 18, 54), 243: (1, 2, 6, 18, 54, 162)}
+    single[729] = single[243] + (486,)
+    cases = [([draw(n, np.random.default_rng([7, k]))], single[n]) for k, n in ((0, 27), (1, 81), (2, 243), (3, 729), (4, 243))]
+    rng = np.random.default_rng([7, 5])
+    cases.append(([draw(125, rng), draw(125, rng)], (1, 4, 20, 100)))
+    return cases
+
+
+def test_workload_inputs_keep_their_sizes_and_band_gates():
+    for mats, sizes in _workload_inputs():
+        res = block_tridiagonalize(mats, mode="padded")
+        assert res.realized_schedule.sizes == sizes
+        q = res.basis
+        assert _residual_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
+        assert _filling_leak(res) <= 1e-13
+        for t in res.transformed:
+            # tridiagonalize's default --tol-band, the strictest of the band gates
+            assert _norm_excess(verify_block_structure(t, res.realized_schedule), 1e-10, mats) is None
 
 
 def test_start_vector_validation():

@@ -52,6 +52,21 @@ def test_solve_upper_is_scipy_bit_for_bit(n):
         assert_same_bits(_lapack.solve_upper(given, b), scipy.linalg.solve_triangular(given, b))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 2), (17, 16), (129, 43)])
+def test_householder_qr_is_scipy_bit_for_bit(shape):
+    m, k = shape
+    a = seeded(m, k, 5000 + m)
+    qr, tau = _lapack.geqrf(a)
+    (qr0, tau0), _ = scipy.linalg.qr(a, mode="raw")
+    assert_same_bits(qr, qr0)
+    assert_same_bits(tau, tau0)
+    # H [0; I], the columns that complete those of a to a unitary
+    c = np.zeros((m, m - k), dtype=np.complex128, order="F")
+    c[k:] = np.eye(m - k)
+    expected = scipy.linalg.qr_multiply(a, c.copy(order="F"), mode="left", overwrite_c=True)[0]
+    assert_same_bits(_lapack.unmqr(qr, tau, c), expected)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_nrm2_is_scipy_bit_for_bit(n):
     r = seeded(n, n, 4000 + n).ravel()

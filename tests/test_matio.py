@@ -1,5 +1,6 @@
 """Tests for matrix file round-trips and report rendering."""
 
+import decimal
 import json
 import math
 import os
@@ -19,7 +20,6 @@ from blocktri import (
     render_report,
     shift_matrix,
     write_matrix,
-    write_report,
 )
 from helpers import random_complex
 
@@ -260,6 +260,52 @@ def test_strict_parser_agrees_with_json(tmp_path_factory, document, chunk):
             assert strict[2].tobytes() == expected.tobytes()
 
 
+@st.composite
+def _halfway_decimals(draw):
+    """The exact midpoint of two adjacent doubles, or a decimal near one, as JSON text."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: abs(v) < 1.7e308))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # every midpoint of two doubles is exact in 1100 digits
+        mid = (decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2
+        kind = draw(st.sampled_from(["exact", "above", "below", "rounded"]))
+        if kind == "rounded":
+            return format(mid, f".{draw(st.integers(15, 30))}e")
+        if kind != "exact":
+            nudge = abs(mid) * decimal.Decimal(10) ** -draw(st.integers(17, 60))
+            mid = mid + nudge if kind == "above" else mid - nudge
+    return str(mid)  # exponent form E+n / E-n where Decimal picks it
+
+
+_DECIMALS = st.one_of(
+    _halfway_decimals(),
+    st.floats(max_value=2.3e-308, min_value=-2.3e-308).map(repr),  # subnormals
+    st.builds(  # more digits than a long double holds, in exponent forms
+        lambda digits, exp: f"{digits[0]}.{digits[1:]}{exp}",
+        st.text(_DIGITS, min_size=20, max_size=40).filter(lambda d: d[0] != "0"),
+        st.builds("e{}".format, st.integers(-340, 300)) | st.builds("E+{}".format, st.integers(0, 300)),
+    ),
+    st.integers(2**53 - 2**12, 2**64 + 2**12).map(str),
+    st.sampled_from(["-0", "-0.0", "0", "-0e5", "4.9406564584124654e-324", "2.4703282292062328e-324"]),
+)
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_DECIMALS, _DECIMALS), min_size=1, max_size=12))
+def test_strict_parse_is_float_bit_for_bit(tmp_path_factory, dtype, pairs):
+    # both parse paths: long double with halfway values read again, and float64
+    entries = ", ".join(f"[{re}, {im}]" for re, im in pairs)
+    data = f'{{"rows": 1, "cols": {len(pairs)}, "entries": [{entries}]}}'.encode()
+    path = tmp_path_factory.mktemp("decimals") / "m.json"
+    path.write_bytes(data)
+    # json reads the integer -0 as int 0, so as +0.0
+    expected = np.array([float(json.loads(v)) for pair in pairs for v in pair])
+    with mock.patch.object(matio, "_PARSE_DTYPE", dtype):
+        assert matio._strict_pairs(data) is not None
+        assert read_matrix(path).tobytes() == expected.tobytes()
+    assert matio._json_pairs(data, path)[2].tobytes() == expected.tobytes()
+
+
 def test_json_syntax_error_carries_position(tmp_path):
     path = str(tmp_path / "bad.json")
     write_text(path, '{"rows": 1,\n  "cols": oops}')
@@ -368,10 +414,3 @@ def test_render_report_validation():
         render_report({}, fmt="yaml")
     with pytest.raises(ValueError):
         render_report({"verdict": "ok"}, fmt="csv")
-
-
-def test_write_report_file(tmp_path):
-    path = str(tmp_path / "report.json")
-    write_report({"verdict": "ok"}, path)
-    with open(path) as fh:
-        assert json.load(fh) == {"verdict": "ok"}

@@ -15,9 +15,8 @@ from helpers import (
 
 
 def _pair(kind, n, seed):
-    # refuted by '', refuted by x^(n-2), commuting with repeated eigenvalues
-    # (jordan's t^2 is rounded, so a word may refute it: t nilpotent makes
-    # t^2 pure rounding), or triangularizable by the Schur flag
+    # refuted by '', refuted by x^(n-2), commuting with repeated eigenvalues,
+    # or triangularizable by the Schur flag
     rng = np.random.default_rng(seed)
     if kind == "random":
         return random_complex(n, n, rng), random_complex(n, n, rng)
