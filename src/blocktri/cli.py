@@ -9,8 +9,8 @@ Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
 malformed matrix files and dimension mismatches, 4 for numerical failures
 (a Schur factorization that misses its residual targets, a LAPACK error,
-or a corner commutator that overflows double precision) and for running
-out of memory.
+or a corner commutator or stripped-pair word product that overflows double
+precision) and for running out of memory.
 """
 
 from __future__ import annotations

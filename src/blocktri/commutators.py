@@ -26,8 +26,8 @@ from .linalg import (
     shift_matrix,
     spectral_radius,
 )
-from .operators import BlockSchedule, BlockTridiagOperator, corner_compression, split
-from .triangular import _word_levels, _word_refutation, _word_witness, simultaneous_triangularize
+from .operators import BlockSchedule, BlockTridiagOperator, corner_compression
+from .triangular import _word_refutation, _word_witness, simultaneous_triangularize
 
 __all__ = [
     "LevelRecord",
@@ -87,13 +87,17 @@ class SpectralReport:
     note: str = ""
 
 
+def _finite(block, what, level):
+    """``block``, or FloatingPointError when an entry is not finite."""
+    if not np.isfinite(block).all():
+        raise FloatingPointError(f"{what} at level {level} overflows double precision")
+    return block
+
+
 def _corner_commutator(a, b, level):
     """[a, b] = ab - ba of the level's corners; FloatingPointError when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        comm = a @ b - b @ a
-    if not np.isfinite(comm).all():
-        raise FloatingPointError(f"corner commutator at level {level} overflows double precision")
-    return comm
+        return _finite(a @ b - b @ a, "corner commutator", level)
 
 
 def _trace_detail(k, trace, bound):
@@ -371,48 +375,83 @@ class StrippedChecksReport:
     passed: bool
 
 
+def _stacked_product(stack, block):
+    """``stack[i] @ block`` for every i, as one matrix product."""
+    m, rows, inner = stack.shape
+    return (stack.reshape(m * rows, inner) @ block).reshape(m, rows, block.shape[1])
+
+
+def _row_words(lower1, lower2, n, size, max_len):
+    """Yield (length, stack): row n of every word w(Q1'', Q2'') of each length.
+
+    Q'' is nonzero only on the first block subdiagonal, in the lower blocks
+    B_m (k_{m+1} x k_m) held in ``lower1[m - 1]`` and ``lower2[m - 1]``, so a
+    word of L letters lives on the L-th: its row n is the one block
+    (n, n - L), and the word c_1 ... c_L gives C1_{n-1} C2_{n-2} ... CL_{n-L},
+    where Ci_m is the B_m of Q1'' when c_i is x and of Q2'' when it is y.
+    ``stack`` holds that block for every word of L letters in ``_word_levels``
+    order, the empty word's ``size`` x ``size`` identity first; each length
+    costs two products.  Lengths stop at min(max_len, n - 1), and after the
+    first stack that is exactly zero: every longer word's block extends it.
+    Raises ``FloatingPointError`` when a block is not finite.
+    """
+    stack = np.eye(size, dtype=np.complex128)[None]
+    yield 0, stack
+    for length in range(1, min(max_len, n - 1) + 1):
+        m = n - length - 1
+        stack = np.stack(
+            [_stacked_product(stack, lower1[m]), _stacked_product(stack, lower2[m])], axis=1
+        )
+        stack = _finite(stack.reshape(-1, *stack.shape[2:]), "word product", n)
+        if not stack.any():
+            return
+        yield length, stack
+
+
 def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     """Checks on the lower parts Q1, Q2 of two operators sharing a schedule.
 
     Per corner level n <= n_max: every monomial word value
     w(Q1''_n, Q2''_n) [Q1''_n, Q2''_n] with at most ``word_len`` letters
     has spectral radius <= tol, and the diagonal and trace of the corner
-    commutator vanish exactly (no tolerance; entries below the block
-    subdiagonal are structural zeros, so products never touch the
-    diagonal).  Word lengths stop at the first one whose words are all
-    exactly zero; their radii, and those of every longer word, are 0.
-    On banded inputs the level-n words vanish from length n on.  Raises
-    ``FloatingPointError`` when a corner commutator overflows.
+    commutator vanish exactly (no tolerance).
+
+    Q1'' and Q2'' live on the first block subdiagonal, so a word of L
+    letters lives on the L-th, [Q1'', Q2''] on the second (its block
+    (m + 2, m) is B1_{m+1} B2_m - B2_{m+1} B1_m) and w(Q1'', Q2'') [Q1'', Q2'']
+    on the (L + 2)-th.  The checks work on those blocks alone: level n forms
+    the commutator block and the word blocks of block row n, no dense corner.
+    Every such matrix is strictly lower triangular, so its diagonal, trace
+    and spectral radius are exactly zero.  In each block row, word lengths
+    stop at the first one whose blocks are all exactly zero; at row n they
+    never reach n.  Raises ``FloatingPointError`` when a commutator or word
+    block overflows.
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
     n_max = _checked_levels(k1.schedule, n_max)
     if word_len < 0:
         raise ValueError("word_len must be nonnegative")
-    _, q1 = split(k1)
-    _, q2 = split(k2)
-    records = []
-    for n in range(1, n_max + 1):
-        a = corner_compression(q1, n)
-        b = corner_compression(q2, n)
-        comm = _corner_commutator(a, b, n)
-        diag_max = float(np.abs(np.diag(comm)).max())
-        trace_abs = float(abs(np.trace(comm)))
-        worst_radius = 0.0
-        worst_word = ""
-        for words, prods in _word_levels(a, b, word_len):
-            for word, prod in zip(words, prods):
-                radius = spectral_radius(prod @ comm)
-                if radius > worst_radius:
-                    worst_radius = radius
-                    worst_word = word
-        passed = worst_radius <= tol and diag_max == 0.0 and trace_abs == 0.0
-        records.append(
-            StrippedLevelRecord(
-                level=n, diag_max=diag_max, trace_abs=trace_abs,
-                max_word_radius=worst_radius, worst_word=worst_word, passed=passed,
-            )
+    lower1 = [k1.lower_block(m) for m in range(1, n_max)]
+    lower2 = [k2.lower_block(m) for m in range(1, n_max)]
+    comms = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            if n >= 3:
+                comm = lower1[n - 2] @ lower2[n - 3] - lower2[n - 2] @ lower1[n - 3]
+                comms[n] = _finite(comm, "corner commutator", n)
+            for length, stack in _row_words(lower1, lower2, n, k1.schedule.size(n), word_len):
+                # the empty word times the commutator block is that block, checked above
+                if length and n - length >= 3:
+                    _finite(_stacked_product(stack, comms[n - length]), "word product", n)
+    diag_max = trace_abs = worst_radius = 0.0
+    worst_word = ""
+    passed = worst_radius <= tol and diag_max == 0.0 and trace_abs == 0.0
+    records = tuple(
+        StrippedLevelRecord(
+            level=n, diag_max=diag_max, trace_abs=trace_abs,
+            max_word_radius=worst_radius, worst_word=worst_word, passed=passed,
         )
-    return StrippedChecksReport(
-        levels=tuple(records), word_len=word_len, passed=all(r.passed for r in records)
+        for n in range(1, n_max + 1)
     )
+    return StrippedChecksReport(levels=records, word_len=word_len, passed=passed)

@@ -321,6 +321,20 @@ def test_overflowing_commutator_exits_4(tmp_path, capsys, command, scale):
     assert err.startswith("error: corner commutator at level ") and err.count("\n") == 1
 
 
+def test_overflowing_word_product_exits_4(tmp_path, capsys):
+    # at 2^400 the commutator blocks stay finite; a one-letter word times the
+    # level-3 commutator block, about 2^1200, does not
+    rng = np.random.default_rng(7)
+    a = random_complex(125, 125, rng) * 2.0**400
+    b = random_complex(125, 125, rng) * 2.0**400
+    pa, pb = write_pair(tmp_path, a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["stripped-checks", pa, pb])
+    assert (code, out) == (4, "")
+    assert err == "error: word product at level 4 overflows double precision\n"
+
+
 def test_decompose_tiny_power_of_two_scale(tmp_path, capsys):
     # 2^-600 scaling is exact; the ordered Schur forms must not underflow
     path = str(tmp_path / "tiny.json")
