@@ -54,7 +54,6 @@ from .operators import (
     corner_compression,
     make_schedule,
     operator_from_matrix,
-    split,
 )
 from .triangular import (
     TriangularizationCertificate,
@@ -105,7 +104,6 @@ __all__ = [
     "simultaneous_triangularize",
     "spectral_radius",
     "spectrum_union_check",
-    "split",
     "stripped_pair_checks",
     "verify_block_structure",
     "verify_counterexample",

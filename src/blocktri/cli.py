@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .commutators import (
+    _STRIPPED_WORD_LEN,
     build_counterexample,
     certify_commutator,
     stripped_pair_checks,
@@ -102,7 +103,7 @@ def _schedule_from_config(config, default_levels=3):
 
 def _operators_from_files(paths):
     mats = [read_matrix(p) for p in paths]
-    tri = block_tridiagonalize(mats, mode="padded")
+    tri = block_tridiagonalize(mats)
     ops = [
         operator_from_matrix(t, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
         for t in tri.transformed
@@ -114,7 +115,7 @@ def _cmd_tridiagonalize(config):
     if not 1 <= len(config.inputs) <= 2:
         raise _UsageError("tridiagonalize takes one or two matrix files")
     mats = [read_matrix(p) for p in config.inputs]
-    tri = block_tridiagonalize(mats, mode="padded")
+    tri = block_tridiagonalize(mats)
     sched = tri.realized_schedule
     residuals = [verify_block_structure(t, sched) for t in tri.transformed]
     rows = [
@@ -289,7 +290,7 @@ def _cmd_stripped_checks(config):
         k2,
         n_max=config.levels,
         tol=config.tolerances["radius"],
-        word_len=config.word_len if config.word_len is not None else 4,
+        word_len=config.word_len,
     )
     doc = {
         "command": "stripped-checks",
@@ -368,7 +369,7 @@ def build_parser():
     sp = sub.add_parser("stripped-checks", help="lower-part commutator checks for a pair")
     sp.add_argument("inputs", nargs=2, metavar="MATRIX")
     sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=4)
+    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=_STRIPPED_WORD_LEN)
     sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-9)
     _add_output_args(sp)
 

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _DEFAULT_N_MAX = {"pair": 4, "single": 5}
+_STRIPPED_WORD_LEN = 4  # longest word stripped_pair_checks multiplies by default
 
 
 def _checked_levels(schedule, n_max):
@@ -408,7 +409,7 @@ def _row_words(lower1, lower2, n, size, max_len):
         yield length, stack
 
 
-def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
+def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=_STRIPPED_WORD_LEN):
     """Checks on the lower parts Q1, Q2 of two operators sharing a schedule.
 
     Per corner level n <= n_max: every monomial word value

@@ -76,7 +76,7 @@ class DecompositionResult:
     residuals: dict
 
 
-def decompose(t, levels=None, *, start=None):
+def decompose(t, levels=None):
     """Decompose a matrix or operator into triangular plus quasinilpotent parts.
 
     Dense inputs are first jointly tridiagonalized (padded single
@@ -112,7 +112,7 @@ def decompose(t, levels=None, *, start=None):
                     f"size {arr.shape[0]} cannot realize {levels} single-schedule "
                     f"levels (needs {probe.cumsums[-1]})"
                 )
-        tri = block_tridiagonalize([arr], start=start, mode="padded")
+        tri = block_tridiagonalize([arr])
         sched = tri.realized_schedule
         w = tri.basis
         source = operator_from_matrix(tri.transformed[0], sched, band_tol=1e-9, band_scale=(arr,))

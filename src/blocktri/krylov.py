@@ -6,20 +6,12 @@ every input operator and its adjoint.  Including adjoints makes entries both
 below AND above the block band vanish, so the transformed matrices are block
 tridiagonal with respect to the realized schedule.
 
-Two modes:
+Each level is completed with the next standard basis vectors, so the
+realized sizes hit the saturated schedules exactly - (1, 2, 6, 18, ...) for
+one operator, (1, 4, 20, 100, ...) for two - until the space is exhausted.
 
-* ``adaptive`` keeps only genuinely new directions; when a level adds
-  nothing the joint reducing subspace has stabilized and the sweep stops
-  (the basis is then completed arbitrarily, coupling blocks to the
-  complement vanish).
-* ``padded`` completes each level with the next standard basis vectors so
-  the realized sizes hit the saturated schedules exactly - (1, 2, 6, 18, ...)
-  for one operator, (1, 4, 20, 100, ...) for two - until the space is
-  exhausted.
-
-A filling level, one that takes everything left of the space (the last
-padded level, and the completion after an adaptive sweep stabilizes), is
-the orthogonal complement of the levels before it whatever the images
+The last level, the filling level, takes everything left of the space.  It
+is the orthogonal complement of the levels before it whatever the images
 span.  It is filled by one Householder QR of their columns (LAPACK
 ``zgeqrf``, then ``zunmqr`` applied to [0; I]), and the images of the level
 before it are not formed.
@@ -47,9 +39,9 @@ _REORTH = 0.5**0.5  # kept residuals shorter than this share of their candidate 
 class TridiagResult:
     """Basis + realized schedule + transformed matrices, all arrays read-only.
 
-    ``stabilized_dim`` is the dimension at which the adaptive sweep found a
-    joint reducing subspace, or None when the sweep filled the whole space
-    (always None in padded mode).
+    ``stabilized_dim`` is the first cumulative size K_n, n below the last
+    level, at which span(basis[:, :K_n]) reduces every input up to the
+    sweep's rank threshold; None when no such level exists.
     """
 
     basis: np.ndarray
@@ -101,8 +93,8 @@ def _append_orthonormal(basis, count, cands, tol, stop):
     return count, cands.shape[1]
 
 
-def _complete(basis, count, want, cursor):
-    """Append up to ``want`` standard basis vectors, orthonormalized, from e_cursor on.
+def _complete(basis, count, stop, cursor):
+    """Append standard basis vectors, orthonormalized, from e_cursor on until ``stop`` columns.
 
     Vectors whose residual stays below ``_PAD_TOL`` are skipped.  The
     cursor cannot run out while columns are missing: the squared distances
@@ -111,7 +103,6 @@ def _complete(basis, count, want, cursor):
     later e_i clears the bar.  Returns the new column count and cursor.
     """
     n_dim = basis.shape[0]
-    stop = count + want
     while count < stop and cursor < n_dim:
         batch = min(stop - count, n_dim - cursor)
         cands = np.zeros((n_dim, batch), dtype=np.complex128)
@@ -135,15 +126,37 @@ def _fill_complement(basis, count):
     basis[:, count:] = _lapack.unmqr(qr, tau, fill)
 
 
-def block_tridiagonalize(ops, start=None, mode="adaptive"):
+def _stabilized_dim(transformed, schedule):
+    """The first K_n, n below the last level, whose span reduces every input and its adjoint.
+
+    In the basis, level n's images under m and m^H are the columns of T and
+    T^H on level n (T = W^H m W), and their components outside the first K_n
+    basis vectors are those of the coupling blocks T[n+1, n] and
+    T[n, n+1]^H.  K_n qualifies when each of these is at most ``_RANK_TOL``
+    times the largest image of the level, the rule the sweep applies to new
+    images; the filling level's images, never formed, are read here too.
+    Off the band T holds only roundoff, so only band rows are read: O(N^2).
+    """
+    bounds = (0,) + schedule.cumsums
+    for n in range(1, schedule.levels):
+        top = bounds[max(n - 2, 0)]
+        band, level = slice(top, bounds[n + 1]), slice(bounds[n - 1], bounds[n])
+        images = np.hstack([x for t in transformed for x in (t[band, level], t[level, band].T)])
+        _pow2_normalize(images, out=images)
+        outside = np.linalg.norm(images[bounds[n] - top :], axis=0).max()
+        if outside <= _RANK_TOL * np.linalg.norm(images, axis=0).max():
+            return bounds[n]
+    return None
+
+
+def block_tridiagonalize(ops, start=None):
     """Jointly block-tridiagonalize one or two square matrices.
 
     Parameters
     ----------
     ops : sequence of 1 or 2 square matrices, equal size N
     start : length-N vector, default e_1
-        Seed direction; must be nonzero.
-    mode : "adaptive" or "padded"
+        Seed direction; must be finite and nonzero.
 
     A candidate image counts as a new direction when its residual after
     orthogonalization exceeds ``_RANK_TOL`` times the largest image norm
@@ -153,8 +166,6 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
     k_{n+1} <= 2 m K_n, and the transformed matrices are block
     tridiagonal up to roundoff (see :func:`verify_block_structure`).
     """
-    if mode not in ("adaptive", "padded"):
-        raise ValueError(f"unknown mode {mode!r}")
     mats = [_as_array(m, square=True, name=f"ops[{i}]") for i, m in enumerate(ops)]
     if not 1 <= len(mats) <= 2:
         raise ValueError("expected one or two operators")
@@ -165,9 +176,13 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
         v = np.zeros(n_dim, dtype=np.complex128)
         v[0] = 1.0
     else:
-        v = np.asarray(start, dtype=np.complex128).reshape(-1)
+        v = np.array(start, dtype=np.complex128).reshape(-1)
         if v.size != n_dim:
             raise ValueError(f"start has length {v.size}, expected {n_dim}")
+        if not np.isfinite(v).all():
+            raise ValueError("start vector must be finite")
+        # the exact power-of-two scaling keeps the norm clear of underflow and overflow
+        _pow2_normalize(v, out=v)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             raise ValueError("start vector must be nonzero")
@@ -183,15 +198,13 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
     sizes = [1]
     count = 1
     cursor = 0
-    stabilized = None
 
     while count < n_dim:
-        if mode == "padded":
-            # the saturated pattern for len(mats) operators; a level that would reach the
-            # end of the space is the filling level below
-            target = _pattern_sizes(2 * len(mats) + 1, len(sizes) + 1)[-1]
-            if target >= n_dim - count:
-                break
+        # the saturated pattern for len(mats) operators; a level that would reach the
+        # end of the space is the filling level below
+        target = _pattern_sizes(2 * len(mats) + 1, len(sizes) + 1)[-1]
+        if target >= n_dim - count:
+            break
         lo, hi = count - sizes[-1], count
         # one block product per operator; columns keep the per-image order.  The exact
         # power-of-two scaling keeps the vector norms clear of underflow and overflow
@@ -199,16 +212,9 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
         _pow2_normalize(images, out=images)
         level_norm = float(np.linalg.norm(images, axis=0).max()) or 1.0
         filled, _ = _append_orthonormal(basis, count, images, _RANK_TOL * level_norm, n_dim)
-        accepted = filled - count
-        if mode == "adaptive":
-            if accepted == 0:
-                stabilized = count
-                break
-        else:
-            filled, cursor = _complete(basis, filled, target - accepted, cursor)
-            accepted = filled - count
-        sizes.append(accepted)
-        count += accepted
+        filled, cursor = _complete(basis, filled, count + target, cursor)
+        sizes.append(filled - count)
+        count = filled
 
     if count < n_dim:
         # the filling level: the orthogonal complement of the levels before it
@@ -221,7 +227,7 @@ def block_tridiagonalize(ops, start=None, mode="adaptive"):
         basis=_read_only(basis),
         realized_schedule=realized,
         transformed=transformed,
-        stabilized_dim=stabilized,
+        stabilized_dim=_stabilized_dim(transformed, realized),
     )
 
 

@@ -1,5 +1,5 @@
-"""Block-tridiagonal operator model: schedules, immutable block operators,
-corner compressions and splits.
+"""Block-tridiagonal operator model: schedules, immutable block operators
+and corner compressions.
 
 An operator here is given by its blocks along a size schedule
 (k_1, k_2, ...): diagonal blocks C_n (k_n x k_n), upper coupling blocks
@@ -23,7 +23,6 @@ __all__ = [
     "BlockTridiagOperator",
     "make_schedule",
     "corner_compression",
-    "split",
     "operator_from_matrix",
 ]
 
@@ -224,17 +223,6 @@ def corner_compression(op, n):
     if not 1 <= n <= op.levels:
         raise ValueError(f"corner level {n} outside operator range 1..{op.levels}")
     return _assemble(op.schedule.truncated(n), op._diag, op._upper, op._lower)
-
-
-def split(op):
-    """Split ``op`` into its diagonal+upper part S and lower part Q.
-
-    Blocks are routed, never recomputed, so S + Q reproduces the corners
-    of ``op`` with zero floating error.
-    """
-    s = BlockTridiagOperator(op.schedule, op._diag, op._upper)
-    q = BlockTridiagOperator(op.schedule, None, lower=op._lower)
-    return s, q
 
 
 def operator_from_matrix(m, schedule, *, band_tol=0.0, band_scale=()):

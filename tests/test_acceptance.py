@@ -134,7 +134,7 @@ def test_criterion_6_joint_tridiagonalization():
     rng = np.random.default_rng(606)
     for _ in range(50):
         a = random_complex(27, 27, rng)
-        res = block_tridiagonalize([a], mode="padded")
+        res = block_tridiagonalize([a])
         assert res.realized_schedule.sizes == (1, 2, 6, 18)
         residual = verify_block_structure(res.transformed[0], res.realized_schedule)
         assert residual < 1e-10, residual
@@ -143,7 +143,7 @@ def test_criterion_6_joint_tridiagonalization():
     for _ in range(20):
         a = random_complex(25, 25, rng)
         b = random_complex(25, 25, rng)
-        res = block_tridiagonalize([a, b], mode="padded")
+        res = block_tridiagonalize([a, b])
         assert res.realized_schedule.sizes == (1, 4, 20)
         for source, banded in zip((a, b), res.transformed):
             residual = verify_block_structure(banded, res.realized_schedule)

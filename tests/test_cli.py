@@ -138,7 +138,27 @@ def test_tridiagonalize_band_gate_is_relative(tmp_path, capsys, scale):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["tridiagonalize", path])
     assert (code, err) == (0, "")
-    assert json.loads(out)["passed"] is True
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["stabilized_dim"] is None
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600])
+def test_tridiagonalize_reports_the_reducing_subspace(tmp_path, capsys, scale):
+    # block-diagonal with blocks 9 and 18: the Krylov space of e_1 is the first block
+    rng = np.random.default_rng(7)
+    m = np.zeros((27, 27), dtype=np.complex128)
+    m[:9, :9] = random_complex(9, 9, rng)
+    m[9:, 9:] = random_complex(18, 18, rng)
+    path = str(tmp_path / "m.json")
+    write_matrix(m * scale, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["tridiagonalize", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [row["size"] for row in doc["levels"]] == [1, 2, 6, 18]
+    assert doc["stabilized_dim"] == 9
 
 
 def test_decompose_and_out_file(tmp_path, capsys):

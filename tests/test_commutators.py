@@ -27,7 +27,6 @@ from blocktri import (
 from blocktri.cli import _operators_from_files
 from blocktri.commutators import StrippedChecksReport, StrippedLevelRecord
 from blocktri.linalg import _block_diag
-from blocktri.operators import split
 from helpers import (
     block_diag_triangularizable_pair,
     counting,
@@ -287,10 +286,15 @@ def test_corner_refutation_agrees_with_simultaneous_triangularize(schedule):
         assert (cl.passed, cl.detail) == (refuted, detail), cl.level
 
 
+def _lower_part(op):
+    """The operator that keeps only the lower coupling blocks of ``op``."""
+    lower = [op.lower_block(m) for m in range(1, op.levels)]
+    return BlockTridiagOperator(op.schedule, None, lower=lower)
+
+
 def _stripped_reference(k1, k2, n_max, word_len, tol=1e-9):
     """stripped_pair_checks by brute force: every word up to ``word_len`` through word_value."""
-    _, q1 = split(k1)
-    _, q2 = split(k2)
+    q1, q2 = _lower_part(k1), _lower_part(k2)
     records = []
     for n in range(1, n_max + 1):
         a = corner_compression(q1, n)
@@ -364,8 +368,7 @@ def test_stripped_blocks_are_the_blocks_of_the_dense_products(monkeypatch):
 
     monkeypatch.setattr(commutators, "_finite", recorded)
     stripped_pair_checks(k1, k2, n_max=6, word_len=3)
-    _, q1 = split(k1)
-    _, q2 = split(k2)
+    q1, q2 = _lower_part(k1), _lower_part(k2)
     expected = []
     for n in range(1, 7):
         a, b = (corner_compression(q, n) for q in (q1, q2))
@@ -445,8 +448,7 @@ def test_stripped_checks_match_full_enumeration_when_products_cancel(monkeypatch
         for s, t in ((1.0, 2.0), (-3.0, 0.5))
     )
     assert [len(words) for words, _ in triangular._word_levels(m, 2.0 * m, 6)] == [1, 2]
-    _, q1 = split(k1)
-    _, q2 = split(k2)
+    q1, q2 = _lower_part(k1), _lower_part(k2)
     a, b = (corner_compression(q, 3) for q in (q1, q2))
     assert [len(words) for words, _ in triangular._word_levels(a, b, 6)] == [1, 2]
     words = _counting_words(monkeypatch)

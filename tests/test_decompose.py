@@ -257,10 +257,3 @@ def test_diagonal_part_zero_diagonal_flag():
     cert = quasinilpotent_part_certificate(result)
     assert cert.verdict == "certified_quasinilpotent"
 
-
-def test_decompose_custom_start():
-    rng = np.random.default_rng(69)
-    t = random_complex(27, 27, rng)
-    start = random_complex(1, 27, rng).ravel()
-    result = decompose(t, start=start)
-    assert result.residuals["reconstruction"] < 1e-9 * operator_norm(t)

@@ -22,7 +22,7 @@ def test_padded_single_realizes_saturated_schedule():
     rng = np.random.default_rng(21)
     for _ in range(5):
         a = random_complex(27, 27, rng)
-        res = block_tridiagonalize([a], mode="padded")
+        res = block_tridiagonalize([a])
         assert res.realized_schedule.sizes == (1, 2, 6, 18)
         assert res.stabilized_dim is None
         q = res.basis
@@ -38,7 +38,7 @@ def test_padded_pair_realizes_saturated_schedule():
     for _ in range(3):
         a = random_complex(25, 25, rng)
         b = random_complex(25, 25, rng)
-        res = block_tridiagonalize([a, b], mode="padded")
+        res = block_tridiagonalize([a, b])
         assert res.realized_schedule.sizes == (1, 4, 20)
         for m, t in zip((a, b), res.transformed):
             residual = verify_block_structure(t, res.realized_schedule)
@@ -53,7 +53,7 @@ def test_padded_pair_realizes_saturated_schedule():
 def test_padded_schedules_at_benchmark_sizes(n, count, sizes):
     rng = np.random.default_rng(27)
     ops = [random_complex(n, n, rng) for _ in range(count)]
-    res = block_tridiagonalize(ops, mode="padded")
+    res = block_tridiagonalize(ops)
     assert res.realized_schedule.sizes == sizes
     q = res.basis
     assert operator_norm(q.conj().T @ q - np.eye(n)) <= 1e-12
@@ -64,36 +64,9 @@ def test_padded_schedules_at_benchmark_sizes(n, count, sizes):
 def test_padded_clips_last_level():
     # 10 = 1 + 2 + 6 + 1: the last level is clipped to the remaining dimension
     a = random_complex(10, 10, np.random.default_rng(23))
-    res = block_tridiagonalize([a], mode="padded")
+    res = block_tridiagonalize([a])
     assert res.realized_schedule.sizes == (1, 2, 6, 1)
     assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
-
-
-def test_adaptive_stabilizes_on_reducing_subspace():
-    rng = np.random.default_rng(24)
-    a = scipy.linalg.block_diag(random_complex(4, 4, rng), random_complex(5, 5, rng))
-    start = np.zeros(9)
-    start[0] = 1.0
-    res = block_tridiagonalize([a], start=start, mode="adaptive")
-    assert res.stabilized_dim == 4
-    # complement couplings vanish: the transform stays block tridiagonal
-    assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
-    t = res.transformed[0]
-    k = res.stabilized_dim
-    assert operator_norm(t[k:, :k]) < 1e-10
-    assert operator_norm(t[:k, k:]) < 1e-10
-
-
-def test_adaptive_generic_fills_space():
-    a = random_complex(12, 12, np.random.default_rng(25))
-    res = block_tridiagonalize([a], mode="adaptive")
-    assert res.stabilized_dim is None
-    assert res.realized_schedule.cumsums[-1] == 12
-    assert verify_block_structure(res.transformed[0], res.realized_schedule) < 1e-10
-    # adaptive level sizes never exceed the saturated targets
-    assert res.realized_schedule.sizes[0] == 1
-    for prev, cur in zip(res.realized_schedule.sizes, res.realized_schedule.sizes[1:]):
-        assert cur <= 2 * prev
 
 
 def _rotated(mats, n):
@@ -149,68 +122,85 @@ def _filling_leak(res):
     return np.abs(res.basis[:, :cut].conj().T @ res.basis[:, cut:]).max()
 
 
-# realized sizes and stabilized dimensions, as the per-column Gram-Schmidt gave them
-@pytest.mark.parametrize(
-    "name, mode, sizes, stabilized",
-    [
-        ("shift", "adaptive", (1,) * 12, None),
-        ("shift", "padded", (1, 2, 6, 3), None),
-        ("corner", "adaptive", (1, 1, 10), 2),
-        ("corner", "padded", (1, 2, 6, 3), None),
-        ("shift-corner", "adaptive", (1, 2, 2, 2, 2, 2, 1), None),
-        ("shift-corner", "padded", (1, 4, 7), None),
-        ("rank-one", "adaptive", (1, 2, 7), 3),
-        ("rank-one", "padded", (1, 2, 6, 1), None),
-        ("hermitian", "adaptive", (1,) * 9, None),
-        ("hermitian", "padded", (1, 2, 6), None),
-        ("block-pair", "adaptive", (1, 3, 5), 4),
-        ("block-pair", "padded", (1, 4, 4), None),
-        ("reducing", "adaptive", (1, 2, 6), 3),
-        ("reducing", "padded", (1, 2, 6), None),
-        ("rotated-chain", "adaptive", (1, 1, 2), 2),
-        ("rotated-chain", "padded", (1, 2, 1), None),
-        ("rotated-nested", "adaptive", (1, 3, 2), 4),
-        ("rotated-nested", "padded", (1, 4, 1), None),
-    ],
-)
-def test_dependent_images_keep_their_sizes(name, mode, sizes, stabilized):
+# realized sizes and stabilized dimensions, as the blockwise Gram-Schmidt (BCGS2) gives them
+_DEPENDENT_SIZES = [
+    ("shift", (1, 2, 6, 3), None),
+    ("corner", (1, 2, 6, 3), 3),
+    ("shift-corner", (1, 4, 7), None),
+    ("rank-one", (1, 2, 6, 1), 3),
+    ("hermitian", (1, 2, 6), None),
+    ("block-pair", (1, 4, 4), None),
+    ("reducing", (1, 2, 6), 3),
+    ("rotated-chain", (1, 2, 1), 3),
+    ("rotated-nested", (1, 4, 1), 5),
+]
+
+
+@pytest.mark.parametrize("name, sizes, stabilized", _DEPENDENT_SIZES)
+def test_dependent_images_keep_their_sizes(name, sizes, stabilized):
     ops, start = _dependent_inputs(name)
-    res = block_tridiagonalize(ops, start=start, mode=mode)
+    res = block_tridiagonalize(ops, start=start)
     assert res.realized_schedule.sizes == sizes
     assert res.stabilized_dim == stabilized
     q = res.basis
     assert operator_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
     for t in res.transformed:
         assert verify_block_structure(t, res.realized_schedule) < 1e-10
-    if mode == "padded" or stabilized is not None:
-        # the last level fills the space: the Householder complement of the levels before it
-        assert _filling_leak(res) <= 1e-13
-    if (name, mode) == ("block-pair", "padded"):
+    # the last level fills the space: the Householder complement of the levels before it
+    assert _filling_leak(res) <= 1e-13
+    if name == "block-pair":
         # e_1..e_4 lie in the first block, which the Krylov space fills, so the
         # level's completion skips them and takes e_5 as it is
         assert np.array_equal(q[:, 4], np.eye(9)[4])
 
 
-def _filling_inputs(mode):
-    """(operators, start, sizes) whose last level is everything left of the space."""
+def _assert_reduces(res):
+    """span(basis[:, :K]) reduces every input: both couplings across K vanish."""
+    k = res.stabilized_dim
+    for t in res.transformed:
+        scale = operator_norm(t)
+        assert operator_norm(t[k:, :k]) <= 1e-10 * scale
+        assert operator_norm(t[:k, k:]) <= 1e-10 * scale
+
+
+def test_stabilized_dim_spans_a_reducing_subspace():
+    rng = np.random.default_rng(24)
+    a = scipy.linalg.block_diag(random_complex(9, 9, rng), random_complex(30, 30, rng))
+    res = block_tridiagonalize([a])
+    assert res.realized_schedule.sizes == (1, 2, 6, 18, 12)
+    assert res.stabilized_dim == 9
+    _assert_reduces(res)
+    for name, _, stabilized in _DEPENDENT_SIZES:
+        if stabilized is not None:
+            ops, start = _dependent_inputs(name)
+            _assert_reduces(block_tridiagonalize(ops, start=start))
+
+
+def _filling_inputs(family):
+    """Inputs for the filling-level test, with the sizes they realize.
+
+    "padded": generic inputs, whose Krylov space grows through every level
+    up to the clipped last one. "adaptive": block-diagonal inputs, whose
+    Krylov space of e_1 stays in the first block, so the levels past it are
+    filled from the complement.
+    """
     rng = np.random.default_rng(28)
-    if mode == "padded":
+    if family == "padded":
         return [
             ([random_complex(60, 60, rng)], None, (1, 2, 6, 18, 33)),
             ([random_complex(30, 30, rng), random_complex(30, 30, rng)], None, (1, 4, 20, 5)),
             ([random_complex(9, 9, rng)], random_complex(1, 9, rng).ravel(), (1, 2, 6)),
         ]
-    # the sweep stabilizes on the first block, then the complement fills the second
     return [
         ([scipy.linalg.block_diag(random_complex(k, k, rng), random_complex(rest, rest, rng))], None, sizes)
-        for k, rest, sizes in ((4, 5, (1, 2, 1, 5)), (9, 30, (1, 2, 4, 2, 30)))
+        for k, rest, sizes in ((4, 5, (1, 2, 6)), (9, 30, (1, 2, 6, 18, 12)))
     ]
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "padded"])
-def test_filling_level_is_the_orthogonal_complement(mode):
-    for ops, start, sizes in _filling_inputs(mode):
-        res = block_tridiagonalize(ops, start=start, mode=mode)
+@pytest.mark.parametrize("family", ["adaptive", "padded"])
+def test_filling_level_is_the_orthogonal_complement(family):
+    for ops, start, sizes in _filling_inputs(family):
+        res = block_tridiagonalize(ops, start=start)
         assert res.realized_schedule.sizes == sizes
         q = res.basis
         assert _filling_leak(res) <= 1e-13
@@ -239,8 +229,10 @@ def _workload_inputs():
 
 def test_workload_inputs_keep_their_sizes_and_band_gates():
     for mats, sizes in _workload_inputs():
-        res = block_tridiagonalize(mats, mode="padded")
+        res = block_tridiagonalize(mats)
         assert res.realized_schedule.sizes == sizes
+        # random inputs have no reducing subspace
+        assert res.stabilized_dim is None
         q = res.basis
         assert _residual_norm(q.conj().T @ q - np.eye(q.shape[0])) <= 1e-12
         assert _filling_leak(res) <= 1e-13
@@ -255,23 +247,28 @@ def test_start_vector_validation():
         block_tridiagonalize([a], start=np.zeros(3))
     with pytest.raises(ValueError):
         block_tridiagonalize([a], start=np.ones(4))
-    with pytest.raises(ValueError):
-        block_tridiagonalize([a], mode="sideways")
+    for bad in ([np.nan, 1, 1], [np.inf, 0, 0]):
+        with pytest.raises(ValueError, match="finite"):
+            block_tridiagonalize([a], start=bad)
     with pytest.raises(ValueError):
         block_tridiagonalize([a, np.eye(4)])
     with pytest.raises(ValueError):
         block_tridiagonalize([])
+    # starts whose 2-norm underflows or overflows are scaled by a power of two first
+    for start, v in (([1e-320, 0, 0], [1, 0, 0]), ([1e300, 1e300, 0], [0.5**0.5, 0.5**0.5, 0])):
+        res = block_tridiagonalize([a], start=start)
+        assert np.allclose(res.basis[:, 0], v, rtol=0, atol=1e-15)
 
 
 def test_custom_start_changes_basis_not_spectrum():
     rng = np.random.default_rng(26)
     a = random_complex(8, 8, rng)
     start = random_complex(1, 8, rng).ravel()
-    res = block_tridiagonalize([a], start=start, mode="padded")
+    res = block_tridiagonalize([a], start=start)
     assert match_distance(eigenvalues(a), eigenvalues(res.transformed[0])) <= 1e-8 * operator_norm(a)
-    # first basis column is the normalized start vector
-    v = res.basis[:, 0]
-    assert np.linalg.norm(v - start / np.linalg.norm(start)) < 1e-12
+    # first basis column is the normalized start vector, bit for bit: the
+    # power-of-two scaling before the norm is exact
+    assert np.array_equal(res.basis[:, 0], start / np.linalg.norm(start))
 
 
 def test_verify_block_structure_reports_residual():

