@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,18 @@ __all__ = ["ExperimentConfig", "run", "main"]
 
 class _UsageError(Exception):
     pass
+
+
+_DEFAULT_SCHEDULE = "pair"  # of certify --counterexample and counterexample
+# each command's --tol-NAME options and their defaults; ``run`` fills the ones a config leaves out
+_DEFAULT_TOLERANCES = {
+    "tridiagonalize": {"band": 1e-10},
+    "triangularize": {"tri": 1e-9},
+    "certify": {"radius": 1e-9, "tri": 1e-9},
+    "counterexample": {"radius": 1e-9},
+    "decompose": {"unit": 1e-10, "recon": 1e-9, "radius": 1e-12},
+    "stripped-checks": {"radius": 1e-9},
+}
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ def _emit(doc, config):
 
 def _schedule_from_config(config, default_levels=3):
     """The schedule the flags name; ``--levels`` keeps that many custom sizes (all when larger)."""
-    kind = config.schedule or "pair"
+    kind = config.schedule
     if kind == "custom":
         if config.sizes is None:
             raise _UsageError("--schedule custom requires --sizes")
@@ -314,6 +326,11 @@ _COMMANDS = {
 }
 
 
+def _add_tolerance_args(sp, command):
+    for name, default in _DEFAULT_TOLERANCES[command].items():
+        sp.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=_positive_float, default=default)
+
+
 def _add_output_args(sp):
     sp.add_argument("--out", help="also write the report to this path")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -329,66 +346,58 @@ def build_parser():
 
     sp = sub.add_parser("tridiagonalize", help="jointly band one or two matrices")
     sp.add_argument("inputs", nargs="+", metavar="MATRIX")
-    sp.add_argument("--tol-band", dest="tol_band", type=_positive_float, default=1e-10)
+    _add_tolerance_args(sp, "tridiagonalize")
     _add_output_args(sp)
 
     sp = sub.add_parser("triangularize", help="decide simultaneous triangularizability")
     sp.add_argument("inputs", nargs=2, metavar="MATRIX")
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--tol-tri", dest="tol_tri", type=_positive_float, default=1e-9)
+    _add_tolerance_args(sp, "triangularize")
     _add_output_args(sp)
 
     sp = sub.add_parser("certify", help="certify quasinilpotency of a commutator")
     sp.add_argument("inputs", nargs="*", metavar="MATRIX")
     sp.add_argument("--counterexample", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default="pair")
+    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=_DEFAULT_SCHEDULE)
     sp.add_argument("--sizes", type=_size_list, default=None)
     sp.add_argument("--levels", type=_positive_int, default=None)
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-9)
-    sp.add_argument("--tol-tri", dest="tol_tri", type=_positive_float, default=1e-9)
+    _add_tolerance_args(sp, "certify")
     _add_output_args(sp)
 
     sp = sub.add_parser("counterexample", help="build and optionally verify the fixture pair")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default="pair")
+    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=_DEFAULT_SCHEDULE)
     sp.add_argument("--sizes", type=_size_list, default=None)
     sp.add_argument("--levels", type=_positive_int, default=None)
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-9)
+    _add_tolerance_args(sp, "counterexample")
     _add_output_args(sp)
 
     sp = sub.add_parser("decompose", help="triangular-plus-quasinilpotent decomposition")
     sp.add_argument("inputs", nargs=1, metavar="MATRIX")
     sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--tol-unit", dest="tol_unit", type=_positive_float, default=1e-10)
-    sp.add_argument("--tol-recon", dest="tol_recon", type=_positive_float, default=1e-9)
-    sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-12)
+    _add_tolerance_args(sp, "decompose")
     _add_output_args(sp)
 
     sp = sub.add_parser("stripped-checks", help="lower-part commutator checks for a pair")
     sp.add_argument("inputs", nargs=2, metavar="MATRIX")
     sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=_STRIPPED_WORD_LEN)
-    sp.add_argument("--tol-radius", dest="tol_radius", type=_positive_float, default=1e-9)
+    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
+    _add_tolerance_args(sp, "stripped-checks")
     _add_output_args(sp)
 
     return parser
 
 
 def _config_from_args(args):
-    tolerances = {}
-    for name in ("band", "tri", "radius", "unit", "recon"):
-        value = getattr(args, f"tol_{name}", None)
-        if value is not None:
-            tolerances[name] = value
     return ExperimentConfig(
         command=args.command,
         inputs=tuple(getattr(args, "inputs", ()) or ()),
         schedule=getattr(args, "schedule", None),
         sizes=getattr(args, "sizes", None),
         levels=getattr(args, "levels", None),
-        tolerances=tolerances,
+        tolerances={name: getattr(args, f"tol_{name}") for name in _DEFAULT_TOLERANCES[args.command]},
         seed=args.seed,
         word_len=getattr(args, "word_len", None),
         verify=getattr(args, "verify", False),
@@ -399,8 +408,19 @@ def _config_from_args(args):
 
 
 def run(config):
-    """Dispatch a parsed config; returns the process exit code."""
-    return _COMMANDS[config.command](config)
+    """Dispatch a config; returns the process exit code.
+
+    Tolerances the config leaves out take the command's defaults, and so
+    do a schedule and a ``stripped-checks`` word length of None, as on the
+    command line; the report echoes the values used.
+    """
+    command = config.command
+    filled = {"tolerances": {**_DEFAULT_TOLERANCES[command], **config.tolerances}}
+    if command in ("certify", "counterexample") and config.schedule is None:
+        filled["schedule"] = _DEFAULT_SCHEDULE
+    if command == "stripped-checks" and config.word_len is None:
+        filled["word_len"] = _STRIPPED_WORD_LEN
+    return _COMMANDS[command](replace(config, **filled))
 
 
 def main(argv=None):

@@ -142,6 +142,24 @@ def _record_from_certificate(n, cert, comm, norm, tol):
     )
 
 
+def _block_word_on_corner(cc, zc, block_words):
+    """The refuted-block step: (j, word, (k, trace, bound)) or None.
+
+    ``block_words`` yields (j, word) for diagonal block pairs j of the
+    corner, word None where no word refuted the block, and is read only as
+    far as needed.  The first word whose trace test refutes the corner pair
+    (cc, zc) itself wins, so the proof never rests on the block structure.
+    None makes the caller fall back to the whole corner.
+    """
+    for j, word in block_words:
+        if word is None:
+            continue
+        witness = _word_witness(word, cc, zc)
+        if witness is not None:
+            return j, word, witness
+    return None
+
+
 def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     """Certify the level-n corner through its diagonal blocks.
 
@@ -159,10 +177,10 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
             cert = simultaneous_triangularize(c.diag_block(j), z.diag_block(j), **tri_opts)
             block_certs[j] = cert
         if cert.verdict == "refuted":
-            word = cert.refuting_word
-            witness = _word_witness(word, cc, zc)
-            if witness is None:
+            hit = _block_word_on_corner(cc, zc, [(j, cert.refuting_word)])
+            if hit is None:
                 return None
+            _, word, witness = hit
             return LevelRecord(
                 level=n, radius=spectral_radius(comm), norm=norm, status="refuted",
                 refuting_word=word,
@@ -291,11 +309,19 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     has no cycle); (ii) for block size k >= 3, the unscaled power product
     A^(k-2) (AB - BA) has spectrum {1, -1, 0, ...} within ``tol`` (the
     unscaled form avoids the k^-k underflow of the scaled one); (iii) the
-    corner pairs for j >= 2 are refuted by the word search, the step
-    ``simultaneous_triangularize`` runs after its Schur flag (a witness
-    can never refute, so no Schur form is taken); (iv) the corner
+    corner pairs for j >= 2 are refuted by a word; (iv) the corner
     commutator has spectral radius exactly 0.0 (it is strictly lower
     triangular by construction).
+
+    Clause (iii) refutes the j-th corner from its diagonal block pairs: the
+    corner is block diagonal, so a word that refutes one block pair refutes
+    the corner (McCoy).  Each block pair is searched once, by the word
+    search ``simultaneous_triangularize`` runs after its Schur flag, with
+    the same ``word_len`` and ``seed``; blocks go smallest first, ties by
+    level.  The first block word whose trace test also refutes the whole
+    corner (``_word_witness``) is the clause's word.  Only when none does is
+    the whole corner searched.  A witness can never refute, so no Schur
+    form is taken.
     """
     sched = pair.schedule
     n_max = _checked_levels(sched, n_max)
@@ -325,12 +351,27 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
         clauses.append(
             ClauseResult("unscaled_power_spectrum", j, dist <= tol, detail=f"match distance {dist:.3e}")
         )
+    block_words = {}
+
+    def block_word(m):
+        if m not in block_words:
+            cert = _word_refutation(pair.c_op.diag_block(m), pair.z_op.diag_block(m), word_len, seed)
+            block_words[m] = None if cert is None else cert.refuting_word
+        return block_words[m]
+
+    # smallest blocks first: their searches are cheapest, and end soonest
+    by_size = sorted(range(1, n_max + 1), key=lambda m: (sizes[m - 1], m))
     for j in range(2, n_max + 1):
-        cert = _word_refutation(
-            corner_compression(pair.c_op, j), corner_compression(pair.z_op, j), word_len, seed
-        )
-        detail = "no refuting word" if cert is None else f"verdict refuted, word {cert.refuting_word}"
-        clauses.append(ClauseResult("corner_pair_refuted", j, cert is not None, detail=detail))
+        cc = corner_compression(pair.c_op, j)
+        zc = corner_compression(pair.z_op, j)
+        hit = _block_word_on_corner(cc, zc, ((m, block_word(m)) for m in by_size if m <= j))
+        if hit is not None:
+            word = hit[1]
+        else:
+            cert = _word_refutation(cc, zc, word_len, seed)
+            word = None if cert is None else cert.refuting_word
+        detail = "no refuting word" if word is None else f"verdict refuted, word {word}"
+        clauses.append(ClauseResult("corner_pair_refuted", j, word is not None, detail=detail))
     for j in range(1, n_max + 1):
         cc = corner_compression(pair.c_op, j)
         zc = corner_compression(pair.z_op, j)

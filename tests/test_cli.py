@@ -12,7 +12,7 @@ import pytest
 
 import blocktri
 from blocktri import _lapack, corner_unit, read_matrix, shift_matrix, write_matrix
-from blocktri.cli import main
+from blocktri.cli import ExperimentConfig, main, run
 from helpers import conjugated_upper_pair, random_complex
 
 
@@ -568,3 +568,18 @@ def test_counterexample_commands_agree_on_levels(capsys, schedule, levels):
         code, out, err = run_cli(capsys, [*command, "--schedule", schedule, "--levels", str(levels)])
         assert err == ""
         assert sorted({row["level"] for row in json.loads(out)["levels"]}) == list(range(1, levels + 1))
+
+
+@pytest.mark.parametrize(
+    "command", ["tridiagonalize", "triangularize", "certify", "counterexample", "decompose", "stripped-checks"]
+)
+def test_run_fills_the_command_line_defaults(tmp_path, capsys, command):
+    # a config built with ExperimentConfig's own defaults runs as the bare command line
+    rng = np.random.default_rng(89)
+    pair = write_pair(tmp_path, random_complex(25, 25, rng), random_complex(25, 25, rng))
+    inputs = {"tridiagonalize": pair[:1], "counterexample": (), "decompose": pair[:1]}.get(command, pair)
+    want = run_cli(capsys, [command, *inputs])
+    code = run(ExperimentConfig(command=command, inputs=tuple(inputs)))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert captured.err == ""

@@ -259,23 +259,34 @@ def test_corner_refutation_takes_no_schur_form(monkeypatch):
 
 
 _VERIFIED_SCHEDULES = [
-    *(pytest.param(make_schedule("pair", n), id=f"pair-{n}") for n in (2, 3, 4)),
-    *(pytest.param(make_schedule("single", n), id=f"single-{n}") for n in (3, 4, 5)),
+    *((make_schedule("pair", n), f"pair-{n}") for n in (2, 3, 4)),
+    *((make_schedule("single", n), f"single-{n}") for n in (3, 4, 5)),
     *(
-        pytest.param(make_schedule("custom", sizes=sizes), id="custom-" + ",".join(map(str, sizes)))
-        for sizes in ((3, 4, 5, 6), (3, 9, 27), (5, 5, 5, 5), (1, 3, 7, 20))
+        (make_schedule("custom", sizes=sizes), "custom-" + ",".join(map(str, sizes)))
+        # the last two keep their whole-corner words only when the smallest block goes first
+        for sizes in ((3, 4, 5, 6), (3, 9, 27), (5, 5, 5, 5), (1, 3, 7, 20), (1, 4, 20, 100, 3), (100, 4))
     ),
 ]
 
 
-@pytest.mark.parametrize("schedule", _VERIFIED_SCHEDULES)
-def test_corner_refutation_agrees_with_simultaneous_triangularize(schedule):
+@pytest.mark.parametrize(
+    "schedule, word_len",
+    [
+        *(pytest.param(schedule, None, id=name) for schedule, name in _VERIFIED_SCHEDULES),
+        *(
+            pytest.param(schedule, word_len, id=f"{name}-word-len-{word_len}")
+            for word_len in (1, 2, 6)
+            for schedule, name in _VERIFIED_SCHEDULES
+        ),
+    ],
+)
+def test_corner_refutation_agrees_with_simultaneous_triangularize(schedule, word_len):
     pair = build_counterexample(schedule)
-    report = verify_counterexample(pair, n_max=schedule.levels)
+    report = verify_counterexample(pair, n_max=schedule.levels, word_len=word_len)
     clauses = [cl for cl in report.clauses if cl.clause == "corner_pair_refuted"]
     assert [cl.level for cl in clauses] == list(range(2, schedule.levels + 1))
-    # verify_counterexample's default word length
-    word_len = max(4, min((k - 2 for k in schedule.sizes if k >= 3), default=0))
+    if word_len is None:  # verify_counterexample's default word length
+        word_len = max(4, min((k - 2 for k in schedule.sizes if k >= 3), default=0))
     for cl in clauses:
         cert = simultaneous_triangularize(
             corner_compression(pair.c_op, cl.level), corner_compression(pair.z_op, cl.level),
@@ -284,6 +295,50 @@ def test_corner_refutation_agrees_with_simultaneous_triangularize(schedule):
         refuted = cert.verdict == "refuted"
         detail = f"verdict refuted, word {cert.refuting_word}" if refuted else "no refuting word"
         assert (cl.passed, cl.detail) == (refuted, detail), cl.level
+
+
+def _searched_sizes(monkeypatch):
+    """Log the order of each matrix that verify_counterexample hands to the word search."""
+    sizes = []
+    search = commutators._word_refutation
+
+    def logged(a, b, word_len, seed):
+        sizes.append(a.shape[0])
+        return search(a, b, word_len, seed)
+
+    monkeypatch.setattr(commutators, "_word_refutation", logged)
+    return sizes
+
+
+def test_corner_refutation_searches_blocks_not_the_125_corner(monkeypatch):
+    sizes = _searched_sizes(monkeypatch)
+    report = verify_counterexample(build_counterexample(make_schedule("pair", 4)), n_max=4)
+    assert report.passed
+    # blocks 1 and 2 once each, smallest first; block 2's word xx re-verifies on every corner
+    assert sizes == [1, 4]
+    words = [cl.detail for cl in report.clauses if cl.clause == "corner_pair_refuted"]
+    assert words == ["verdict refuted, word xx"] * 3
+
+
+@pytest.mark.parametrize("sizes", [(1, 4, 20, 100, 3), (100, 4), (3, 4, 5, 6)])
+def test_corner_refutation_falls_back_to_the_whole_corner(monkeypatch, sizes):
+    # when no block word re-verifies on the corner, the whole corner is searched as before
+    schedule = make_schedule("custom", sizes=sizes)
+    pair = build_counterexample(schedule)
+    want = verify_counterexample(pair, n_max=schedule.levels)
+    monkeypatch.setattr(commutators, "_word_witness", lambda word, a, b: None)
+    searched = _searched_sizes(monkeypatch)
+    got = verify_counterexample(pair, n_max=schedule.levels)
+    assert got == want
+    # every corner from level 2 on is searched whole, once (no block has a corner's size here)
+    corners = list(schedule.cumsums[1:])
+    assert [k for k in searched if k in corners] == corners
+    word_len = max(4, min(k - 2 for k in sizes if k >= 3))
+    for cl in (cl for cl in got.clauses if cl.clause == "corner_pair_refuted"):
+        c = corner_compression(pair.c_op, cl.level)
+        z = corner_compression(pair.z_op, cl.level)
+        cert = triangular._word_refutation(c, z, word_len, 0)
+        assert cl.detail == f"verdict refuted, word {cert.refuting_word}"
 
 
 def _lower_part(op):
