@@ -9,8 +9,8 @@ Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
 malformed matrix files and dimension mismatches, 4 for numerical failures
 (a Schur factorization that misses its residual targets, a LAPACK error,
-or a corner commutator or stripped-pair word product that overflows double
-precision) and for running out of memory.
+or a ``certify`` corner commutator that overflows double precision) and
+for running out of memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .commutators import (
     verify_counterexample,
 )
 from .decompose import decompose, diagonal_part, quasinilpotent_part_certificate
-from .krylov import block_tridiagonalize, verify_block_structure
+from .krylov import _BAND_TOL, block_tridiagonalize, verify_block_structure
 from .linalg import SchurConvergenceError, _norm_excess, operator_norm
 from .matio import _atomic_write_text, matrix_document, read_matrix, render_report
 from .operators import make_schedule, operator_from_matrix
@@ -45,7 +45,7 @@ class _UsageError(Exception):
 _DEFAULT_SCHEDULE = "pair"  # of certify --counterexample and counterexample
 # each command's --tol-NAME options and their defaults; ``run`` fills the ones a config leaves out
 _DEFAULT_TOLERANCES = {
-    "tridiagonalize": {"band": 1e-10},
+    "tridiagonalize": {"band": _BAND_TOL},
     "triangularize": {"tri": 1e-9},
     "certify": {"radius": 1e-9, "tri": 1e-9},
     "counterexample": {"radius": 1e-9},
@@ -117,7 +117,7 @@ def _operators_from_files(paths):
     mats = [read_matrix(p) for p in paths]
     tri = block_tridiagonalize(mats)
     ops = [
-        operator_from_matrix(t, tri.realized_schedule, band_tol=1e-8, band_scale=mats)
+        operator_from_matrix(t, tri.realized_schedule, band_tol=_BAND_TOL, band_scale=mats)
         for t in tri.transformed
     ]
     return ops, tri, [verify_block_structure(t, tri.realized_schedule) for t in tri.transformed]

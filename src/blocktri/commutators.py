@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _DEFAULT_N_MAX = {"pair": 4, "single": 5}
-_STRIPPED_WORD_LEN = 4  # longest word stripped_pair_checks multiplies by default
+_STRIPPED_WORD_LEN = 4  # longest word stripped_pair_checks covers by default
 
 
 def _checked_levels(schedule, n_max):
@@ -88,17 +88,13 @@ class SpectralReport:
     note: str = ""
 
 
-def _finite(block, what, level):
-    """``block``, or FloatingPointError when an entry is not finite."""
-    if not np.isfinite(block).all():
-        raise FloatingPointError(f"{what} at level {level} overflows double precision")
-    return block
-
-
 def _corner_commutator(a, b, level):
     """[a, b] = ab - ba of the level's corners; FloatingPointError when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(a @ b - b @ a, "corner commutator", level)
+        comm = a @ b - b @ a
+    if not np.isfinite(comm).all():
+        raise FloatingPointError(f"corner commutator at level {level} overflows double precision")
+    return comm
 
 
 def _trace_detail(k, trace, bound):
@@ -359,11 +355,14 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
             block_words[m] = None if cert is None else cert.refuting_word
         return block_words[m]
 
+    # each corner pair serves clauses (iii) and (iv)
+    corners = [
+        (corner_compression(pair.c_op, j), corner_compression(pair.z_op, j)) for j in range(1, n_max + 1)
+    ]
     # smallest blocks first: their searches are cheapest, and end soonest
     by_size = sorted(range(1, n_max + 1), key=lambda m: (sizes[m - 1], m))
     for j in range(2, n_max + 1):
-        cc = corner_compression(pair.c_op, j)
-        zc = corner_compression(pair.z_op, j)
+        cc, zc = corners[j - 1]
         hit = _block_word_on_corner(cc, zc, ((m, block_word(m)) for m in by_size if m <= j))
         if hit is not None:
             word = hit[1]
@@ -372,9 +371,7 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
             word = None if cert is None else cert.refuting_word
         detail = "no refuting word" if word is None else f"verdict refuted, word {word}"
         clauses.append(ClauseResult("corner_pair_refuted", j, word is not None, detail=detail))
-    for j in range(1, n_max + 1):
-        cc = corner_compression(pair.c_op, j)
-        zc = corner_compression(pair.z_op, j)
+    for j, (cc, zc) in enumerate(corners, start=1):
         radius = spectral_radius(cc @ zc - zc @ cc)
         clauses.append(
             ClauseResult("corner_commutator_radius_zero", j, radius == 0.0, detail=f"radius {radius!r}")
@@ -417,75 +414,28 @@ class StrippedChecksReport:
     passed: bool
 
 
-def _stacked_product(stack, block):
-    """``stack[i] @ block`` for every i, as one matrix product."""
-    m, rows, inner = stack.shape
-    return (stack.reshape(m * rows, inner) @ block).reshape(m, rows, block.shape[1])
-
-
-def _row_words(lower1, lower2, n, size, max_len):
-    """Yield (length, stack): row n of every word w(Q1'', Q2'') of each length.
-
-    Q'' is nonzero only on the first block subdiagonal, in the lower blocks
-    B_m (k_{m+1} x k_m) held in ``lower1[m - 1]`` and ``lower2[m - 1]``, so a
-    word of L letters lives on the L-th: its row n is the one block
-    (n, n - L), and the word c_1 ... c_L gives C1_{n-1} C2_{n-2} ... CL_{n-L},
-    where Ci_m is the B_m of Q1'' when c_i is x and of Q2'' when it is y.
-    ``stack`` holds that block for every word of L letters in ``_word_levels``
-    order, the empty word's ``size`` x ``size`` identity first; each length
-    costs two products.  Lengths stop at min(max_len, n - 1), and after the
-    first stack that is exactly zero: every longer word's block extends it.
-    Raises ``FloatingPointError`` when a block is not finite.
-    """
-    stack = np.eye(size, dtype=np.complex128)[None]
-    yield 0, stack
-    for length in range(1, min(max_len, n - 1) + 1):
-        m = n - length - 1
-        stack = np.stack(
-            [_stacked_product(stack, lower1[m]), _stacked_product(stack, lower2[m])], axis=1
-        )
-        stack = _finite(stack.reshape(-1, *stack.shape[2:]), "word product", n)
-        if not stack.any():
-            return
-        yield length, stack
-
-
 def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=_STRIPPED_WORD_LEN):
     """Checks on the lower parts Q1, Q2 of two operators sharing a schedule.
 
     Per corner level n <= n_max: every monomial word value
     w(Q1''_n, Q2''_n) [Q1''_n, Q2''_n] with at most ``word_len`` letters
     has spectral radius <= tol, and the diagonal and trace of the corner
-    commutator vanish exactly (no tolerance).
+    commutator vanish exactly (no tolerance).  ``word_len`` names the word
+    lengths the report covers.
 
-    Q1'' and Q2'' live on the first block subdiagonal, so a word of L
-    letters lives on the L-th, [Q1'', Q2''] on the second (its block
-    (m + 2, m) is B1_{m+1} B2_m - B2_{m+1} B1_m) and w(Q1'', Q2'') [Q1'', Q2'']
-    on the (L + 2)-th.  The checks work on those blocks alone: level n forms
-    the commutator block and the word blocks of block row n, no dense corner.
-    Every such matrix is strictly lower triangular, so its diagonal, trace
-    and spectral radius are exactly zero.  In each block row, word lengths
-    stop at the first one whose blocks are all exactly zero; at row n they
-    never reach n.  Raises ``FloatingPointError`` when a commutator or word
-    block overflows.
+    The checks hold by structure, so no product is formed.  Q1'' and Q2''
+    live on the first block subdiagonal, so a word of L letters lives on
+    the L-th, [Q1'', Q2''] on the second and w(Q1'', Q2'') [Q1'', Q2''] on
+    the (L + 2)-th.  Every such matrix is strictly lower triangular: its
+    diagonal is exactly zero, so is its trace, the sum of that diagonal,
+    and so is its spectral radius, since its eigenvalues are its diagonal
+    entries.  No word beats another, so ``worst_word`` is the empty one.
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
     n_max = _checked_levels(k1.schedule, n_max)
     if word_len < 0:
         raise ValueError("word_len must be nonnegative")
-    lower1 = [k1.lower_block(m) for m in range(1, n_max)]
-    lower2 = [k2.lower_block(m) for m in range(1, n_max)]
-    comms = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            if n >= 3:
-                comm = lower1[n - 2] @ lower2[n - 3] - lower2[n - 2] @ lower1[n - 3]
-                comms[n] = _finite(comm, "corner commutator", n)
-            for length, stack in _row_words(lower1, lower2, n, k1.schedule.size(n), word_len):
-                # the empty word times the commutator block is that block, checked above
-                if length and n - length >= 3:
-                    _finite(_stacked_product(stack, comms[n - length]), "word product", n)
     diag_max = trace_abs = worst_radius = 0.0
     worst_word = ""
     passed = worst_radius <= tol and diag_max == 0.0 and trace_abs == 0.0

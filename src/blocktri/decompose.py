@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutators import LevelRecord, SpectralReport
-from .krylov import block_tridiagonalize
+from .krylov import _BAND_TOL, block_tridiagonalize
 from .linalg import (
     SchurConvergenceError,
     _as_array,
@@ -115,7 +115,7 @@ def decompose(t, levels=None):
         tri = block_tridiagonalize([arr])
         sched = tri.realized_schedule
         w = tri.basis
-        source = operator_from_matrix(tri.transformed[0], sched, band_tol=1e-9, band_scale=(arr,))
+        source = operator_from_matrix(tri.transformed[0], sched, band_tol=_BAND_TOL, band_scale=(arr,))
         target = arr
 
     depth = sched.levels

@@ -29,6 +29,7 @@ from .operators import BlockSchedule, _off_band_max, _pattern_sizes, make_schedu
 
 __all__ = ["TridiagResult", "block_tridiagonalize", "verify_block_structure"]
 
+_BAND_TOL = 1e-10  # every band gate, relative to 1 + max ||S||_2 over the inputs S
 _RANK_TOL = 1e-10  # relative rank threshold for new Krylov directions
 _PAD_TOL = 1e-6  # independence threshold for completion vectors
 _PANEL = 64  # candidates decided per block step of the Gram-Schmidt

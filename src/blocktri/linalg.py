@@ -174,10 +174,14 @@ def _structurally_nilpotent(arr):
     """Whether the digraph of the nonzero pattern (i -> j where arr[i, j] != 0) has no cycle.
 
     Such a matrix is a permuted strictly upper triangular one, so it is
-    nilpotent exactly, whatever its entries.  Sinks are peeled one at a
-    time (Kahn's order); a node whose successors are all gone becomes one.
+    nilpotent exactly, whatever its entries.  Nodes with no edge in or out
+    lie on no cycle and are dropped first; the other sinks are peeled one
+    at a time (Kahn's order), and a node whose successors are all gone
+    becomes one.
     """
     pattern = arr != 0
+    live = pattern.any(axis=0) | pattern.any(axis=1)
+    pattern = pattern[live][:, live]
     outdeg = pattern.sum(axis=1)
     sinks = list(np.flatnonzero(outdeg == 0))
     peeled = 0
@@ -186,7 +190,7 @@ def _structurally_nilpotent(arr):
         peeled += 1
         outdeg -= into
         sinks.extend(np.flatnonzero(into & (outdeg == 0)))
-    return peeled == arr.shape[0]
+    return peeled == len(pattern)
 
 
 def _trace_tests(m, g, length, tol):

@@ -327,7 +327,7 @@ def test_out_of_memory_exits_4(capsys, monkeypatch, argv):
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["certify", "stripped-checks"])
+@pytest.mark.parametrize("command", ["certify"])
 @pytest.mark.parametrize("scale", [1e300, 2.0**600])
 def test_overflowing_commutator_exits_4(tmp_path, capsys, command, scale):
     rng = np.random.default_rng(7)
@@ -341,18 +341,24 @@ def test_overflowing_commutator_exits_4(tmp_path, capsys, command, scale):
     assert err.startswith("error: corner commutator at level ") and err.count("\n") == 1
 
 
-def test_overflowing_word_product_exits_4(tmp_path, capsys):
-    # at 2^400 the commutator blocks stay finite; a one-letter word times the
-    # level-3 commutator block, about 2^1200, does not
+@pytest.mark.parametrize("n, scale", [(25, 1e300), (25, 2.0**600), (125, 2.0**400)])
+def test_stripped_checks_reports_overflowing_scales_as_unscaled(tmp_path, capsys, n, scale):
+    # the checks hold by structure and form no product, so no input scale can overflow
+    # them: the corner commutator blocks of the 25 x 25 pairs and the word products
+    # of the 125 x 125 pair would not be finite here
     rng = np.random.default_rng(7)
-    a = random_complex(125, 125, rng) * 2.0**400
-    b = random_complex(125, 125, rng) * 2.0**400
-    pa, pb = write_pair(tmp_path, a, b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["stripped-checks", pa, pb])
-    assert (code, out) == (4, "")
-    assert err == "error: word product at level 4 overflows double precision\n"
+    a = random_complex(n, n, rng)
+    b = random_complex(n, n, rng)
+    reports = []
+    for factor in (1.0, scale):
+        pa, pb = write_pair(tmp_path, a * factor, b * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["stripped-checks", pa, pb])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        reports.append([doc[k] for k in ("levels", "passed", "realized_sizes")])
+    assert reports[1] == reports[0]
 
 
 def test_decompose_tiny_power_of_two_scale(tmp_path, capsys):

@@ -22,7 +22,7 @@ from blocktri import (
     shift_matrix,
     spectral_radius,
 )
-from blocktri.linalg import _norm_excess, _perfect_matching
+from blocktri.linalg import _norm_excess, _perfect_matching, _structurally_nilpotent
 from helpers import haar_unitary, random_complex
 
 
@@ -108,6 +108,45 @@ def test_is_nilpotent_true_only_from_structure():
     # a dense nilpotent matrix is nilpotent but has no acyclic pattern
     u = haar_unitary(7, rng)
     assert is_nilpotent(u @ shift_matrix(7) @ u.conj().T) is not True
+
+
+def _peel_every_node(arr):
+    """The acyclic-pattern decision by Kahn's peel over every node, isolated ones included."""
+    pattern = arr != 0
+    outdeg = pattern.sum(axis=1)
+    sinks = list(np.flatnonzero(outdeg == 0))
+    peeled = 0
+    while sinks:
+        into = pattern[:, sinks.pop()]
+        peeled += 1
+        outdeg -= into
+        sinks.extend(np.flatnonzero(into & (outdeg == 0)))
+    return peeled == arr.shape[0]
+
+
+def test_structural_nilpotency_matches_the_peel_over_every_node():
+    # sparse random DAG patterns, permuted, with isolated nodes; a third get a
+    # random back edge (a cycle only when a path closes it), a third a cycle
+    # through k nodes (a self-loop when k = 1)
+    rng = np.random.default_rng(69)
+    decisions = []
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        m = np.triu(rng.random((n, n)) < rng.choice([0.02, 0.1, 0.3]), 1).astype(float)
+        if trial % 3 == 1:
+            i, j = sorted(rng.integers(0, n, 2))
+            m[j, i] = 1.0
+        elif trial % 3 == 2:
+            cycle = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            m[cycle, np.roll(cycle, -1)] = 1.0
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+        expected = _peel_every_node(m)
+        assert _structurally_nilpotent(m) == expected
+        decisions.append(expected)
+    assert 0 < sum(decisions) < len(decisions)
+    for m in (np.zeros((5, 5)), shift_matrix(729), shift_matrix(6) - corner_unit(6)):
+        assert _structurally_nilpotent(m) == _peel_every_node(m)
 
 
 def test_is_nilpotent_margin_widens_the_bound():
