@@ -138,24 +138,6 @@ def _record_from_certificate(n, cert, comm, norm, tol):
     )
 
 
-def _block_word_on_corner(cc, zc, block_words):
-    """The refuted-block step: (j, word, (k, trace, bound)) or None.
-
-    ``block_words`` yields (j, word) for diagonal block pairs j of the
-    corner, word None where no word refuted the block, and is read only as
-    far as needed.  The first word whose trace test refutes the corner pair
-    (cc, zc) itself wins, so the proof never rests on the block structure.
-    None makes the caller fall back to the whole corner.
-    """
-    for j, word in block_words:
-        if word is None:
-            continue
-        witness = _word_witness(word, cc, zc)
-        if witness is not None:
-            return j, word, witness
-    return None
-
-
 def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     """Certify the level-n corner through its diagonal blocks.
 
@@ -173,13 +155,12 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
             cert = simultaneous_triangularize(c.diag_block(j), z.diag_block(j), **tri_opts)
             block_certs[j] = cert
         if cert.verdict == "refuted":
-            hit = _block_word_on_corner(cc, zc, [(j, cert.refuting_word)])
-            if hit is None:
+            witness = _word_witness(cert.refuting_word, [cc], [zc])
+            if witness is None:
                 return None
-            _, word, witness = hit
             return LevelRecord(
                 level=n, radius=spectral_radius(comm), norm=norm, status="refuted",
-                refuting_word=word,
+                refuting_word=cert.refuting_word,
                 detail=f"diagonal block pair {j} refuted; word re-verified on the corner: "
                 + _trace_detail(*witness),
             )
@@ -297,6 +278,29 @@ class CounterexampleReport:
     passed: bool
 
 
+def _power_product_spectrum(c, z):
+    """Eigenvalues of A^(k-2) (AB - BA), A = k c and B = k z the unscaled k x k generators, k >= 3.
+
+    When A is exactly the shift, A^(k-2) moves rows k - 2 and k - 1 of
+    AB - BA to rows 0 and 1 and drops the others, and AB - BA has entries
+    B[i + 1, j] - B[i, j - 1] (terms outside the block are 0).  So the
+    product is [[X, *], [0, 0]] with X its leading 2 x 2 block, and its
+    eigenvalues are those of X and k - 2 zeros (Horn & Johnson, *Matrix
+    Analysis*, Thm. 1.3.22).  X takes three entries of B, with the values
+    the dense products give.  Only when k c is not exactly the
+    shift (fl(1/k) k rounds below 1 at k = 49, 98, 103, ...) are the
+    products dense, with a matrix power.
+    """
+    k = c.shape[0]
+    if np.count_nonzero(c) == k - 1 and (np.diagonal(c, 1) * k == 1.0).all():
+        b = z[k - 2 :, :2] * k  # rows k - 2, k - 1 and columns 0, 1 of B
+        x = np.array([[b[1, 0], b[1, 1] - b[0, 0]], [0.0, -b[1, 0]]])
+        return np.concatenate([eigenvalues(x), np.zeros(k - 2)])
+    a = c * k
+    b = z * k
+    return eigenvalues(np.linalg.matrix_power(a, k - 2) @ (a @ b - b @ a))
+
+
 def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     """Check the four defining properties of a counterexample pair.
 
@@ -309,41 +313,50 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     commutator has spectral radius exactly 0.0 (it is strictly lower
     triangular by construction).
 
-    Clause (iii) refutes the j-th corner from its diagonal block pairs: the
-    corner is block diagonal, so a word that refutes one block pair refutes
-    the corner (McCoy).  Each block pair is searched once, by the word
-    search ``simultaneous_triangularize`` runs after its Schur flag, with
-    the same ``word_len`` and ``seed``; blocks go smallest first, ties by
-    level.  The first block word whose trace test also refutes the whole
-    corner (``_word_witness``) is the clause's word.  Only when none does is
-    the whole corner searched.  A witness can never refute, so no Schur
-    form is taken.
+    The pair must be block diagonal through level n_max (``ValueError``
+    otherwise), so every corner quantity is a sum or a union of block
+    quantities, and only the diagonal block pairs are formed:
+
+    - (i) forms each block commutator, two dense k x k products;
+    - (ii) takes the product's spectrum from a 2 x 2 matrix
+      (``_power_product_spectrum``), O(k) after an O(k^2) check that k C_j
+      is exactly the shift;
+    - (iii) refutes the j-th corner from its diagonal block pairs: a word
+      that refutes one block pair refutes the corner (McCoy).  Each block
+      pair is searched once, by the word search ``simultaneous_triangularize``
+      runs after its Schur flag, with the same ``word_len`` and ``seed``;
+      blocks go smallest first, ties by level.  The first block word whose
+      trace test refutes the whole corner is the clause's word; that test is
+      taken block by block (``_word_witness``), O(k^3) per block.  Only when
+      no block word refutes is the whole corner assembled and searched.  A
+      witness can never refute, so no Schur form is taken;
+    - (iv) reads the corner commutator's spectrum as the union of the block
+      commutators' spectra from (i).
     """
     sched = pair.schedule
     n_max = _checked_levels(sched, n_max)
+    for op in (pair.c_op, pair.z_op):
+        if any(op.upper_block(m).any() or op.lower_block(m).any() for m in range(1, n_max)):
+            raise ValueError(f"the pair must be block diagonal through level {n_max}")
     sizes = sched.sizes
     if word_len is None:
         needed = [k - 2 for k in sizes[:n_max] if k >= 3]
         word_len = max(4, min(needed) if needed else 0)
-    clauses = []
-    for j in range(1, n_max + 1):
-        cj = pair.c_op.diag_block(j)
-        zj = pair.z_op.diag_block(j)
-        ok = is_nilpotent(cj @ zj - zj @ cj) is True
-        clauses.append(
-            ClauseResult("block_commutator_nilpotent", j, ok, detail=f"block size {sizes[j - 1]}")
-        )
-    for j in range(1, n_max + 1):
+    c_blocks = [pair.c_op.diag_block(j) for j in range(1, n_max + 1)]
+    z_blocks = [pair.z_op.diag_block(j) for j in range(1, n_max + 1)]
+    comms = [c @ z - z @ c for c, z in zip(c_blocks, z_blocks)]
+    clauses = [
+        ClauseResult("block_commutator_nilpotent", j, is_nilpotent(comm) is True, detail=f"block size {k}")
+        for j, (comm, k) in enumerate(zip(comms, sizes), start=1)
+    ]
+    for j, (c, z) in enumerate(zip(c_blocks, z_blocks), start=1):
         k = sizes[j - 1]
         if k < 3:
             continue
-        a = pair.c_op.diag_block(j) * k
-        b = pair.z_op.diag_block(j) * k
-        val = np.linalg.matrix_power(a, k - 2) @ (a @ b - b @ a)
         target = np.zeros(k, dtype=np.complex128)
         target[0] = 1.0
         target[1] = -1.0
-        dist = match_distance(eigenvalues(val), target)
+        dist = match_distance(_power_product_spectrum(c, z), target)
         clauses.append(
             ClauseResult("unscaled_power_spectrum", j, dist <= tol, detail=f"match distance {dist:.3e}")
         )
@@ -351,28 +364,30 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
 
     def block_word(m):
         if m not in block_words:
-            cert = _word_refutation(pair.c_op.diag_block(m), pair.z_op.diag_block(m), word_len, seed)
+            cert = _word_refutation(c_blocks[m - 1], z_blocks[m - 1], word_len, seed)
             block_words[m] = None if cert is None else cert.refuting_word
         return block_words[m]
 
-    # each corner pair serves clauses (iii) and (iv)
-    corners = [
-        (corner_compression(pair.c_op, j), corner_compression(pair.z_op, j)) for j in range(1, n_max + 1)
-    ]
-    # smallest blocks first: their searches are cheapest, and end soonest
-    by_size = sorted(range(1, n_max + 1), key=lambda m: (sizes[m - 1], m))
+    def corner_word(j):
+        # smallest blocks first: their searches are cheapest, and end soonest
+        for m in sorted(range(1, j + 1), key=lambda m: (sizes[m - 1], m)):
+            word = block_word(m)
+            if word is not None and _word_witness(word, c_blocks[:j], z_blocks[:j]) is not None:
+                return word
+        return None
+
     for j in range(2, n_max + 1):
-        cc, zc = corners[j - 1]
-        hit = _block_word_on_corner(cc, zc, ((m, block_word(m)) for m in by_size if m <= j))
-        if hit is not None:
-            word = hit[1]
-        else:
+        word = corner_word(j)
+        if word is None:
+            cc = corner_compression(pair.c_op, j)
+            zc = corner_compression(pair.z_op, j)
             cert = _word_refutation(cc, zc, word_len, seed)
             word = None if cert is None else cert.refuting_word
         detail = "no refuting word" if word is None else f"verdict refuted, word {word}"
         clauses.append(ClauseResult("corner_pair_refuted", j, word is not None, detail=detail))
-    for j, (cc, zc) in enumerate(corners, start=1):
-        radius = spectral_radius(cc @ zc - zc @ cc)
+    radius = 0.0
+    for j, comm in enumerate(comms, start=1):
+        radius = max(radius, spectral_radius(comm))
         clauses.append(
             ClauseResult("corner_commutator_radius_zero", j, radius == 0.0, detail=f"radius {radius!r}")
         )

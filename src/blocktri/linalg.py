@@ -152,15 +152,18 @@ def spectral_radius(a):
     return float(np.abs(eigenvalues(a)).max())
 
 
-def _pow2_normalize(arr, out=None):
+def _pow2_normalize(arr, out=None, top=None):
     """``arr`` times the power of two that puts its largest entry modulus in [1/2, 1).
 
     The scaling is exact (entries far below the largest may round into the
     subnormal range), so every later step sees the same bits whatever power
     of two the caller's data carried.  The zero matrix comes back unchanged.
-    ``out=arr`` scales in place.
+    ``out=arr`` scales in place.  ``top``, when given, stands for the largest
+    modulus: a diagonal block given its direct sum's comes back as that
+    block of the normalized direct sum.
     """
-    top = float(np.abs(arr).max())
+    if top is None:
+        top = float(np.abs(arr).max())
     if top == 0.0:
         return arr
     e = -math.frexp(top)[1]
@@ -219,15 +222,35 @@ def _trace_tests(m, g, length, tol):
     nilpotent.  tr M^2 is taken as sum(m o m^T), row sums first, so every
     sum runs over n terms.  Returns (traces, bounds), each of shape (..., 2).
     """
-    n = m.shape[-1]
+    return _trace_bounds(_trace_sums(m, g), m.shape[-1], length, tol)
+
+
+def _trace_sums(m, g):
+    """(tr m, sum(m o m^T), tr g, sum(g o g^T), sum(g)) over a stack: the sums ``_trace_tests`` reads.
+
+    Each is additive over the diagonal blocks of block-diagonal m and g.
+    """
+    return (
+        np.trace(m, axis1=-2, axis2=-1),
+        (m * np.swapaxes(m, -1, -2)).sum(axis=-1).sum(axis=-1),
+        np.trace(g, axis1=-2, axis2=-1),
+        (g * np.swapaxes(g, -1, -2)).sum(axis=-1).sum(axis=-1),
+        g.sum(axis=-1).sum(axis=-1),
+    )
+
+
+def _trace_bounds(sums, n, length, tol):
+    """``_trace_tests`` of n x n products, from their ``_trace_sums``.
+
+    The rounding bound holds for every summation order, so the sums may be
+    added up block by block (Higham, section 3.5).
+    """
+    tm, mm, tg, gg, sg = sums
     gamma = 4.0 * (length + 3) * n * _EPS + tol
     phi = 4.0 * (length + 3) * 2.0 ** min((length + 3) * math.log2(n) - 1074.0, 1023.0)
-    t1 = np.abs(np.trace(m, axis1=-2, axis2=-1))
-    t2 = np.abs((m * np.swapaxes(m, -1, -2)).sum(axis=-1).sum(axis=-1))
-    b1 = gamma * np.trace(g, axis1=-2, axis2=-1) + 2.0 * n * phi
-    gg = (g * np.swapaxes(g, -1, -2)).sum(axis=-1).sum(axis=-1)
-    b2 = 3.0 * gamma * gg + 3.0 * phi * g.sum(axis=-1).sum(axis=-1) + 2.0 * n * n * phi
-    return np.stack([t1, t2], axis=-1), np.stack([b1, b2], axis=-1)
+    b1 = gamma * tg + 2.0 * n * phi
+    b2 = 3.0 * gamma * gg + 3.0 * phi * sg + 2.0 * n * n * phi
+    return np.stack([np.abs(tm), np.abs(mm)], axis=-1), np.stack([b1, b2], axis=-1)
 
 
 def is_nilpotent(a, tol=1e-8):

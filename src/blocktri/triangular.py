@@ -53,6 +53,8 @@ from .linalg import (
     _residual_norm,
     _square_pair,
     _strict_lower_max,
+    _trace_bounds,
+    _trace_sums,
     _trace_tests,
     operator_norm,
 )
@@ -148,14 +150,15 @@ def _word_levels(a, b, max_len):
         yield words, prods
 
 
-def _normalized_pair(aa, bb):
+def _normalized_pair(aa, bb, top_a=None, top_b=None):
     """(a, b, [a, b], |a|, |b|, |a||b| + |b||a|) after exact power-of-two scaling of each operand.
 
     Refutation is invariant under positive scaling of either operand, and
-    the scaling keeps word products clear of overflow.
+    the scaling keeps word products clear of overflow.  ``top_a`` and
+    ``top_b`` stand for the operands' largest moduli (``_pow2_normalize``).
     """
-    a = _pow2_normalize(aa)
-    b = _pow2_normalize(bb)
+    a = _pow2_normalize(aa, top=top_a)
+    b = _pow2_normalize(bb, top=top_b)
     abs_a = np.abs(a)
     abs_b = np.abs(b)
     return a, b, a @ b - b @ a, abs_a, abs_b, abs_a @ abs_b + abs_b @ abs_a
@@ -184,15 +187,32 @@ def _refutation(word, traces, bounds):
     return word, k, float(traces[k - 1]), float(bounds[k - 1])
 
 
-def _word_witness(word, a, b):
-    """(k, trace, bound) when ``word`` refutes the pair (a, b) by its trace test, else None.
+def _word_witness(word, a_blocks, b_blocks):
+    """(k, trace, bound) when ``word`` refutes the pair of direct sums of the blocks, else None.
 
     For a word found on another pair, such as a diagonal block's word
-    tried on the whole corner.
+    tried on the whole corner.  The test is the trace test on the direct
+    sums (a, b), taken block by block: every matrix it forms from them is
+    block diagonal, so tr M, tr M^2 and the sums the bound reads are sums
+    over the blocks (``linalg._trace_sums``).  Each block takes the
+    power-of-two scaling of its whole direct sum, and the bound is that of
+    order n = dim a: it holds for every summation order, and an inner
+    dimension below n only shrinks the rounding error.  One block of each
+    is the dense test on (a, b) itself.
     """
-    pair = _normalized_pair(*_square_pair(a, b))
+    letters = _word_letters(word)
+    top_a = max(float(np.abs(blk).max()) for blk in a_blocks)
+    top_b = max(float(np.abs(blk).max()) for blk in b_blocks)
+    n = sum(blk.shape[0] for blk in a_blocks)
+    block_sums = []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        traces, bounds = _one_word_traces(_word_letters(word), pair, _WORD_MARGIN)
+        for aa, bb in zip(a_blocks, b_blocks):
+            x, y, comm, abs_x, abs_y, comm_abs = _normalized_pair(aa, bb, top_a, top_b)
+            m = _word_product(letters, x, y) @ comm
+            g = _word_product(letters, abs_x, abs_y) @ comm_abs
+            block_sums.append(_trace_sums(m, g))
+        sums = [sum(terms) for terms in zip(*block_sums)]
+        traces, bounds = _trace_bounds(sums, n, len(letters), _WORD_MARGIN)
     if not (traces > bounds).any():
         return None
     return _refutation(word, traces, bounds)[1:]

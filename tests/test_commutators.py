@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blocktri import _lapack, commutators, triangular
+from blocktri import _lapack, commutators, operators, triangular
 from blocktri import (
     BlockTridiagOperator,
     build_counterexample,
@@ -25,10 +25,16 @@ from blocktri import (
     write_matrix,
 )
 from blocktri.cli import _operators_from_files
-from blocktri.commutators import StrippedChecksReport, StrippedLevelRecord
-from blocktri.linalg import _block_diag
+from blocktri.commutators import (
+    ClauseResult,
+    CounterexamplePair,
+    StrippedChecksReport,
+    StrippedLevelRecord,
+)
+from blocktri.linalg import _block_diag, eigenvalues, match_distance
 from helpers import (
     block_diag_triangularizable_pair,
+    conjugated_upper_pair,
     counting,
     haar_unitary,
     random_complex,
@@ -320,6 +326,46 @@ def test_corner_refutation_searches_blocks_not_the_125_corner(monkeypatch):
     assert words == ["verdict refuted, word xx"] * 3
 
 
+def _dense_work(monkeypatch):
+    """Log the dense work of verify_counterexample: corner assemblies by level, and matrix powers."""
+    assembled = []
+    compress = commutators.corner_compression
+    assemble = operators._assemble
+
+    def logged_compression(op, n):
+        assembled.append(("corner_compression", n))
+        return compress(op, n)
+
+    def logged_assemble(schedule, *blocks):
+        assembled.append(("_assemble", schedule.levels))
+        return assemble(schedule, *blocks)
+
+    monkeypatch.setattr(commutators, "corner_compression", logged_compression)
+    monkeypatch.setattr(operators, "_assemble", logged_assemble)
+    return assembled, counting(monkeypatch, np.linalg, "matrix_power")
+
+
+@pytest.mark.parametrize("kind, levels", [("pair", 4), ("pair", 5), ("single", 5)])
+def test_verify_counterexample_forms_no_dense_corner(monkeypatch, kind, levels):
+    # every corner is block diagonal: its quantities are sums or unions of block quantities
+    pair = build_counterexample(make_schedule(kind, levels))
+    assembled, powers = _dense_work(monkeypatch)
+    report = verify_counterexample(pair, n_max=levels)
+    assert report.passed == (kind == "pair")  # the single schedule's size-2 block fails honestly
+    assert assembled == []
+    assert powers == []
+
+
+def test_verify_counterexample_assembles_only_the_corner_it_searches(monkeypatch):
+    # with one-letter words no block word refutes the second corner, so that corner is searched whole
+    pair = build_counterexample(make_schedule("custom", sizes=(100, 4)))
+    assembled, powers = _dense_work(monkeypatch)
+    report = verify_counterexample(pair, word_len=1)
+    assert [cl.detail for cl in report.clauses if cl.clause == "corner_pair_refuted"] == ["no refuting word"]
+    assert assembled == [("corner_compression", 2), ("_assemble", 2)] * 2
+    assert powers == []
+
+
 @pytest.mark.parametrize("sizes", [(1, 4, 20, 100, 3), (100, 4), (3, 4, 5, 6)])
 def test_corner_refutation_falls_back_to_the_whole_corner(monkeypatch, sizes):
     # when no block word re-verifies on the corner, the whole corner is searched as before
@@ -328,8 +374,13 @@ def test_corner_refutation_falls_back_to_the_whole_corner(monkeypatch, sizes):
     want = verify_counterexample(pair, n_max=schedule.levels)
     monkeypatch.setattr(commutators, "_word_witness", lambda word, a, b: None)
     searched = _searched_sizes(monkeypatch)
+    assembled, powers = _dense_work(monkeypatch)
     got = verify_counterexample(pair, n_max=schedule.levels)
     assert got == want
+    # only the corners searched whole are assembled, each operand once; no matrix power is taken
+    steps = ("corner_compression", "_assemble") * 2
+    assert assembled == [(step, j) for j in range(2, schedule.levels + 1) for step in steps]
+    assert powers == []
     # every corner from level 2 on is searched whole, once (no block has a corner's size here)
     corners = list(schedule.cumsums[1:])
     assert [k for k in searched if k in corners] == corners
@@ -339,6 +390,123 @@ def test_corner_refutation_falls_back_to_the_whole_corner(monkeypatch, sizes):
         z = corner_compression(pair.z_op, cl.level)
         cert = triangular._word_refutation(c, z, word_len, 0)
         assert cl.detail == f"verdict refuted, word {cert.refuting_word}"
+
+
+def _dense_word_witness(word, a, b):
+    """(k, trace, bound) of the trace test of ``word`` on the dense pair (a, b), else None: the reference."""
+    pair = triangular._normalized_pair(a, b)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        traces, bounds = triangular._one_word_traces(word, pair, triangular._WORD_MARGIN)
+    if not (traces > bounds).any():
+        return None
+    return triangular._refutation(word, traces, bounds)[1:]
+
+
+def _dense_clauses(pair, n_max, word_len):
+    """Clauses (ii)-(iv) of verify_counterexample on dense corners, a matrix power and corner commutators."""
+    sizes = pair.schedule.sizes
+    if word_len is None:
+        word_len = max(4, min((k - 2 for k in sizes[:n_max] if k >= 3), default=0))
+    clauses = []
+    for j in range(1, n_max + 1):
+        k = sizes[j - 1]
+        if k < 3:
+            continue
+        a = pair.c_op.diag_block(j) * k
+        b = pair.z_op.diag_block(j) * k
+        val = np.linalg.matrix_power(a, k - 2) @ (a @ b - b @ a)
+        target = np.zeros(k, dtype=np.complex128)
+        target[:2] = 1.0, -1.0
+        dist = match_distance(eigenvalues(val), target)
+        clauses.append(ClauseResult("unscaled_power_spectrum", j, dist <= 1e-9, f"match distance {dist:.3e}"))
+    corners = [
+        (corner_compression(pair.c_op, j), corner_compression(pair.z_op, j)) for j in range(1, n_max + 1)
+    ]
+    block_words = {}
+
+    def block_word(m):  # searched once, and only when reached: a large block's search is slow
+        if m not in block_words:
+            cert = triangular._word_refutation(pair.c_op.diag_block(m), pair.z_op.diag_block(m), word_len, 0)
+            block_words[m] = None if cert is None else cert.refuting_word
+        return block_words[m]
+
+    for j in range(2, n_max + 1):
+        cc, zc = corners[j - 1]
+        candidates = (block_word(m) for m in sorted(range(1, j + 1), key=lambda m: (sizes[m - 1], m)))
+        word = next((w for w in candidates if w is not None and _dense_word_witness(w, cc, zc)), None)
+        if word is None:
+            cert = triangular._word_refutation(cc, zc, word_len, 0)
+            word = None if cert is None else cert.refuting_word
+        detail = "no refuting word" if word is None else f"verdict refuted, word {word}"
+        clauses.append(ClauseResult("corner_pair_refuted", j, word is not None, detail))
+    for j, (cc, zc) in enumerate(corners, start=1):
+        radius = spectral_radius(cc @ zc - zc @ cc)
+        clauses.append(ClauseResult("corner_commutator_radius_zero", j, radius == 0.0, f"radius {radius!r}"))
+    return clauses
+
+
+@pytest.mark.parametrize(
+    "schedule, word_len",
+    [
+        *(
+            pytest.param(schedule, word_len, id=f"{name}-word-len-{word_len}")
+            for word_len in (None, 1, 2, 6)
+            for schedule, name in _VERIFIED_SCHEDULES
+        ),
+        pytest.param(make_schedule("pair", 5), None, id="pair-5"),
+        # k C_j rounds off the shift at k = 49 and 98 (fl(1/k) k < 1): clause (ii) stays dense there
+        pytest.param(make_schedule("custom", sizes=(3, 49, 98)), None, id="custom-3,49,98"),
+    ],
+)
+def test_blockwise_clauses_match_the_dense_reference(schedule, word_len):
+    pair = build_counterexample(schedule)
+    report = verify_counterexample(pair, n_max=schedule.levels, word_len=word_len)
+    got = [cl for cl in report.clauses if cl.clause != "block_commutator_nilpotent"]
+    assert got == _dense_clauses(pair, schedule.levels, word_len)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_blockwise_trace_test_never_refutes_a_triangularizable_direct_sum(seed):
+    # each block pair shares a triangularizing unitary, so no word may refute the direct sum
+    rng = np.random.default_rng(seed)
+    blocks = [conjugated_upper_pair(k, rng)[:2] for k in (3, 9, 27)]
+    words = ["".join(w) for length in range(5) for w in itertools.product("xy", repeat=length)]
+    for ea, eb in itertools.product((-600, 0, 600), repeat=2):
+        a_blocks = [a * 2.0**ea for a, _ in blocks]
+        b_blocks = [b * 2.0**eb for _, b in blocks]
+        for word in words:
+            assert triangular._word_witness(word, a_blocks, b_blocks) is None, (word, ea, eb)
+    a, b = (_block_diag(ops) for ops in zip(*blocks))
+    assert all(_dense_word_witness(word, a, b) is None for word in words)
+
+
+@pytest.mark.parametrize("schedule", [pytest.param(s, id=name) for s, name in _VERIFIED_SCHEDULES])
+def test_blockwise_trace_test_refutes_exactly_where_the_dense_one_does(schedule):
+    pair = build_counterexample(schedule)
+    blocks = [(pair.c_op.diag_block(j), pair.z_op.diag_block(j)) for j in range(1, schedule.levels + 1)]
+    words = ["".join(w) for length in range(4) for w in itertools.product("xy", repeat=length)]
+    for j in range(1, schedule.levels + 1):
+        cc, zc = corner_compression(pair.c_op, j), corner_compression(pair.z_op, j)
+        c_blocks, z_blocks = zip(*blocks[:j])
+        for word in words:
+            got = triangular._word_witness(word, c_blocks, z_blocks)
+            want = _dense_word_witness(word, cc, zc)
+            assert (got is None) == (want is None), (j, word)
+            if got is not None:
+                assert got[0] == want[0]
+                assert got[1:] == pytest.approx(want[1:], rel=1e-12, abs=0.0)
+
+
+def test_verify_counterexample_needs_a_block_diagonal_pair():
+    sched = make_schedule("pair", 3)
+    pair = build_counterexample(sched)
+    coupled = BlockTridiagOperator(
+        sched, [pair.c_op.diag_block(j) for j in (1, 2, 3)], lower=[np.ones((4, 1)), np.zeros((20, 4))]
+    )
+    bad = CounterexamplePair(sched, coupled, pair.z_op, pair.decay)
+    assert verify_counterexample(bad, n_max=1).passed
+    with pytest.raises(ValueError, match="block diagonal through level 2"):
+        verify_counterexample(bad, n_max=2)
 
 
 def _lower_part(op):
