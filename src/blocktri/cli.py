@@ -16,6 +16,7 @@ for running out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
@@ -390,6 +391,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` uses, built once per process: ``parse_args`` does not change it."""
+    return build_parser()
+
+
 def _config_from_args(args):
     return ExperimentConfig(
         command=args.command,
@@ -424,9 +431,8 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     config = _config_from_args(args)

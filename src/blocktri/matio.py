@@ -4,7 +4,10 @@ Matrices travel as JSON documents {"rows": r, "cols": c, "entries":
 [[re, im], ...]} with entries flat in row-major order.  Floats are
 serialized through repr, which round-trips every finite double exactly,
 so read(write(m)) == m bitwise.  Reads check the written layout and the
-JSON number grammar on the bytes and parse the numbers with numpy.  Where
+JSON number grammar on the bytes and parse the numbers with numpy, in
+chunks, on two threads for a document of two or more chunks: the grammar
+regex holds the GIL, ``np.fromstring`` releases it, and each chunk goes
+through the same calls on either thread, so the bits do not change.  Where
 numpy's long double is the x87 80-bit format, numbers are parsed to 64
 significant bits (libc strtold) and rounded to double; the few whose 64-bit
 value lies exactly halfway between two doubles, or below 2**-1022, are
@@ -28,6 +31,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -116,7 +120,7 @@ _TRAILER = _compile(rb"\]" + _SPACE + rb"\}" + _SPACE + rb"\Z")
 # the JSON integer -0, which json reads as int 0 and so as +0.0
 _INT_MINUS_ZERO = re.compile(rb"(?<![eE])-0(?=[ \t\n\r,\]])")
 _UNBRACKET = bytes.maketrans(b"[]\t\n\r", b"     ")
-_CHUNK = 1 << 18  # bytes checked per step; bounds the temporaries
+_CHUNK = 1 << 17  # bytes checked per step; bounds the temporaries
 # Where numpy's long double is the x87 80-bit format, its parse (libc strtold, 64
 # significant bits) is about twice as fast as the float64 one; elsewhere numbers
 # are parsed to float64 directly
@@ -129,48 +133,101 @@ def _strict_pairs(data):
 
     The document must be the header ``{"rows": r, "cols": c, "entries": [``,
     then r*c ``[re, im]`` pairs, then ``]}``, with JSON whitespace between
-    tokens and every number in the JSON grammar.  The pairs are checked by
-    one regular expression in chunks that end between two pairs, and each
-    chunk's numbers are read by one ``np.fromstring`` to ``_PARSE_DTYPE``
-    and rounded to float64.  The few values that rounding twice may put on
-    the wrong double (:func:`_doubly_rounded`) are read again by ``float``,
-    so every number gets the bits Python's ``float`` gives it.  Returns
-    None for anything else, a wrong entry count and non-finite values
-    included.
+    tokens and every number in the JSON grammar.  The pairs are cut into
+    chunks that end between two pairs, and each chunk is checked and parsed
+    by :func:`_chunk_pairs`, on two threads when there are two or more
+    chunks (:func:`_parse_chunks`).  Returns None for anything else, a wrong
+    entry count and non-finite values included.
     """
     head = _HEADER.match(data)
     tail = data.rfind(b"]")
     if head is None or tail < head.end() or _TRAILER.match(data, tail) is None:
         return None
     rows, cols = int(head[1]), int(head[2])
-    parts = []
+    bounds = []
     lo = head.end()
     while True:
         cut = _PAIR_END.search(data, lo + _CHUNK, tail)
         hi = tail if cut is None else cut.end() - 1  # the comma between two pairs
-        if _PAIRS.fullmatch(data, lo, hi) is None:
-            return None
-        chunk = data[lo:hi].translate(_UNBRACKET)
-        wide = np.fromstring(chunk, dtype=_PARSE_DTYPE, sep=",")
-        with np.errstate(over="ignore"):  # past the double range is inf, refused below
-            part = wide.astype(np.float64, copy=False)
-        redo = _doubly_rounded(wide).tolist()
-        minus_zero = np.signbit(part[part == 0]).any()
-        if redo or minus_zero:
-            # the k-th number of the chunk follows k commas
-            commas = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(","))
-            for k in redo:
-                start = commas[k - 1] + 1 if k else 0
-                part[k] = float(chunk[start : commas[k] if k < commas.size else len(chunk)])
-            if minus_zero:
-                at = [m.start() - lo for m in _INT_MINUS_ZERO.finditer(data, lo, hi)]
-                part[np.searchsorted(commas, at)] = 0.0
-        parts.append(part)
+        bounds.append((lo, hi))
         if cut is None:
             break
         lo = hi + 1
+    parts = _parse_chunks(data, bounds)
+    if parts is None:
+        return None
     pairs = np.concatenate(parts)  # two numbers per pair, as the expression checked
     return (rows, cols, pairs) if pairs.size == 2 * rows * cols and np.isfinite(pairs).all() else None
+
+
+def _parse_chunks(data, bounds):
+    """:func:`_chunk_pairs` of each ``(lo, hi)`` in ``bounds``, in order; None if a chunk is refused.
+
+    With two or more chunks, one helper thread and the caller take chunk
+    indices from one shared iterator and store each result at its index.
+    The grammar check holds the GIL, but ``np.fromstring`` releases it, so
+    one thread parses while the other checks.  Each chunk goes through the
+    same calls as on one thread, so every number keeps its bits.  A refused
+    chunk, or an exception, ends the iteration for both threads; the helper
+    is always joined, and the first exception is raised again.
+    """
+    parts = [None] * len(bounds)
+    indices = iter(range(len(bounds)))  # next() on it is one call under the GIL: no index is taken twice
+    errors = []
+
+    def work():
+        try:
+            for k in indices:
+                parts[k] = _chunk_pairs(data, *bounds[k])
+                if parts[k] is None:
+                    break
+        except BaseException as exc:  # raised again by the caller, after the join
+            errors.append(exc)
+        for _ in indices:  # take the indices left, so neither thread starts another chunk
+            pass
+
+    if len(bounds) == 1:
+        work()
+    else:
+        helper = threading.Thread(target=work)
+        helper.start()
+        try:
+            work()
+        finally:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return None if any(part is None for part in parts) else parts
+
+
+def _chunk_pairs(data, lo, hi):
+    """The float pairs of ``data[lo:hi]``, a run of ``[re, im]`` pairs; None if it is not one.
+
+    The run is checked by one regular expression, and its numbers are read
+    by one ``np.fromstring`` to ``_PARSE_DTYPE`` and rounded to float64.
+    The few values that rounding twice may put on the wrong double
+    (:func:`_doubly_rounded`) are read again by ``float``, and the JSON
+    integer ``-0`` is set to +0.0, so every number gets the bits Python's
+    ``float`` gives it.
+    """
+    if _PAIRS.fullmatch(data, lo, hi) is None:
+        return None
+    chunk = data[lo:hi].translate(_UNBRACKET)
+    wide = np.fromstring(chunk, dtype=_PARSE_DTYPE, sep=",")
+    with np.errstate(over="ignore"):  # past the double range is inf, refused by the caller
+        part = wide.astype(np.float64, copy=False)
+    redo = _doubly_rounded(wide).tolist()
+    minus_zero = np.signbit(part[part == 0]).any()
+    if redo or minus_zero:
+        # the k-th number of the chunk follows k commas
+        commas = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(","))
+        for k in redo:
+            start = commas[k - 1] + 1 if k else 0
+            part[k] = float(chunk[start : commas[k] if k < commas.size else len(chunk)])
+        if minus_zero:
+            at = [m.start() - lo for m in _INT_MINUS_ZERO.finditer(data, lo, hi)]
+            part[np.searchsorted(commas, at)] = 0.0
+    return part
 
 
 def _doubly_rounded(wide):

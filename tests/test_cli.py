@@ -6,12 +6,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import blocktri
 from blocktri import _lapack, corner_unit, read_matrix, shift_matrix, write_matrix
+from blocktri import cli
 from blocktri.cli import ExperimentConfig, main, run
 from helpers import conjugated_upper_pair, random_complex
 
@@ -413,6 +415,38 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
     assert main(["decompose", "m.json", "--format", "xml"]) == 2
     capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # one parser serves every call, and prints what a fresh parser prints
+    rng = np.random.default_rng(90)
+    pa, pb = write_pair(tmp_path, random_complex(9, 9, rng), random_complex(9, 9, rng))
+    argvs = [
+        ["decompose"],
+        ["--help"],
+        ["decompose", "--help"],
+        ["tridiagonalize", pa],
+        ["triangularize", pa, pb],
+        ["certify", pa, pb],
+        ["counterexample", "--verify", "--levels", "3"],
+        ["decompose", pa],
+        ["stripped-checks", pa, pb],
+    ]
+    build_parser = cli.build_parser
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", counted):
+        cached = [run_cli(capsys, argv) for argv in argvs]
+    assert len(built) == 1
+    with mock.patch.object(cli, "_parser", build_parser):
+        fresh = [run_cli(capsys, argv) for argv in argvs]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 1, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -4,6 +4,8 @@ import decimal
 import json
 import math
 import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktri import matio
+from blocktri.cli import main
 from blocktri import (
     MatrixFormatError,
     corner_unit,
@@ -230,7 +233,7 @@ def _documents(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(document=_documents(), chunk=st.sampled_from([1, 5, 64, 1 << 18]))
+@given(document=_documents(), chunk=st.sampled_from([1, 5, 64, 1 << 17, 1 << 18]))
 def test_strict_parser_agrees_with_json(tmp_path_factory, document, chunk):
     # what the strict parser accepts, json reads to the same bits; what it
     # refuses raises the json validator's own error; and it accepts every
@@ -304,6 +307,111 @@ def test_strict_parse_is_float_bit_for_bit(tmp_path_factory, dtype, pairs):
         assert matio._strict_pairs(data) is not None
         assert read_matrix(path).tobytes() == expected.tobytes()
     assert matio._json_pairs(data, path)[2].tobytes() == expected.tobytes()
+
+
+def _written_243(path):
+    write_matrix(random_complex(243, 243, np.random.default_rng(7)), path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _halfway_document():
+    """Midpoints of adjacent doubles, exact and 1e-30 off, as one strict document."""
+    rng = np.random.default_rng(11)
+    xs = np.concatenate(
+        [rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000), rng.uniform(-1, 1, 100) * 2.0**-1022]
+    )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mids = [(decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2 for x in xs]
+        numbers = [str(m + s * abs(m) * decimal.Decimal("1e-30")) for m in mids for s in (-1, 0, 1)]
+    entries = ", ".join(f"[{a}, {b}]" for a, b in zip(numbers[::2], numbers[1::2]))
+    return f'{{"rows": 1, "cols": {len(numbers) // 2}, "entries": [{entries}]}}'.encode()
+
+
+def _chunk_bounds(data):
+    """The (lo, hi) of each chunk ``_strict_pairs`` parses in ``data``, in order."""
+    seen = []
+    chunk_pairs = matio._chunk_pairs
+
+    def spy(data, lo, hi):
+        seen.append((lo, hi))
+        return chunk_pairs(data, lo, hi)
+
+    with mock.patch.object(matio, "_chunk_pairs", spy):
+        assert matio._strict_pairs(data) is not None
+    return sorted(seen)
+
+
+def test_chunked_parse_keeps_the_bits_of_one_chunk(tmp_path):
+    # the written 243 x 243 file and the halfway values, parsed in many chunks on two
+    # threads and in one chunk on the caller's, give the same bits
+    threads = threading.active_count()
+    for data in (_written_243(str(tmp_path / "m.json")), _halfway_document()):
+        assert len(_chunk_bounds(data)) > 2
+        rows, cols, pairs = matio._strict_pairs(data)
+        with mock.patch.object(matio, "_CHUNK", 2**40):
+            assert len(_chunk_bounds(data)) == 1
+            assert matio._strict_pairs(data)[2].tobytes() == pairs.tobytes()
+        assert threading.active_count() == threads
+        expected = [float(v) for pair in json.loads(data)["entries"] for v in pair]
+        assert pairs.tobytes() == np.array(expected).tobytes()
+
+
+def test_chunked_parse_under_fast_thread_switches(tmp_path):
+    # a chunk stored at the wrong index, or lost, changes the bytes
+    data = _written_243(str(tmp_path / "m.json"))
+    expected = matio._strict_pairs(data)[2].tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(matio, "_CHUNK", 1 << 12):
+            for _ in range(5):
+                assert matio._strict_pairs(data)[2].tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_bad_token_in_any_chunk_takes_the_json_error(tmp_path, where):
+    path = str(tmp_path / "m.json")
+    data = bytearray(_written_243(path))
+    bounds = _chunk_bounds(bytes(data))
+    lo, hi = bounds[{"first": 0, "middle": len(bounds) // 2, "last": -1}[where]]
+    at = data.index(b"[", (lo + hi) // 2) + 1  # the first character of a real part
+    data[at : at + 1] = b"x"
+    with open(path, "wb") as fh:
+        fh.write(data)
+    threads = threading.active_count()
+    assert matio._strict_pairs(bytes(data)) is None
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix(path)
+    assert str(info.value).startswith(f"{path}:1:{at + 1}: invalid JSON: Expecting value")
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_error_in_a_chunk_propagates(tmp_path, capsys, where):
+    path = str(tmp_path / "m.json")
+    data = _written_243(path)
+    lo_failing = _chunk_bounds(data)[{"first": 0, "last": -1}[where]][0]
+    chunk_pairs = matio._chunk_pairs
+
+    def out_of_memory(data, lo, hi):
+        if lo == lo_failing:
+            raise MemoryError("Unable to allocate 1.00 MiB for an array with shape (131072,)")
+        return chunk_pairs(data, lo, hi)
+
+    threads = threading.active_count()
+    with mock.patch.object(matio, "_chunk_pairs", out_of_memory):
+        with pytest.raises(MemoryError):
+            matio._strict_pairs(data)
+        assert threading.active_count() == threads
+        code = main(["decompose", path])
+    assert threading.active_count() == threads
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith("error: out of memory: Unable to allocate") and captured.err.count("\n") == 1
 
 
 def test_json_syntax_error_carries_position(tmp_path):
