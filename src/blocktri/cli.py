@@ -1,9 +1,10 @@
 """Command line front end: pipelines in, deterministic reports out.
 
 Every subcommand prints its report to stdout (JSON by default, CSV
-flattens the per-level table) and optionally writes the same bytes to
-``--out``.  Reports carry a config echo and never include timestamps, so
-a fixed command line with a fixed seed reproduces byte-identical output.
+flattens the per-level table), after writing the same bytes to ``--out``
+when given.  Reports carry a config echo and never include timestamps, so
+a fixed command line reproduces byte-identical output; only the commands
+that sample (``triangularize``, ``certify``, ``counterexample``) take ``--seed``.
 
 Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
@@ -23,7 +24,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .commutators import (
-    _STRIPPED_WORD_LEN,
     build_counterexample,
     certify_commutator,
     stripped_pair_checks,
@@ -43,15 +43,14 @@ class _UsageError(Exception):
     pass
 
 
-_DEFAULT_SCHEDULE = "pair"  # of certify --counterexample and counterexample
 # each command's --tol-NAME options and their defaults; ``run`` fills the ones a config leaves out
 _DEFAULT_TOLERANCES = {
     "tridiagonalize": {"band": _BAND_TOL},
     "triangularize": {"tri": 1e-9},
     "certify": {"radius": 1e-9, "tri": 1e-9},
     "counterexample": {"radius": 1e-9},
-    "decompose": {"unit": 1e-10, "recon": 1e-9, "radius": 1e-12},
-    "stripped-checks": {"radius": 1e-9},
+    "decompose": {"unit": 1e-10, "recon": 1e-9},
+    "stripped-checks": {},
 }
 
 
@@ -99,9 +98,9 @@ def _size_list(text):
 
 def _emit(doc, config):
     text = render_report(doc, config.format)
-    sys.stdout.write(text)
     if config.out is not None:
         _atomic_write_text(config.out, text)
+    sys.stdout.write(text)
 
 
 def _schedule_from_config(config, default_levels=3):
@@ -204,6 +203,8 @@ def _cmd_certify(config):
         c_op, z_op = pair.c_op, pair.z_op
         n_max = sched.levels  # every level of the schedule, as counterexample --verify
     elif len(config.inputs) == 2:
+        if config.schedule is not None or config.sizes is not None:
+            raise _UsageError("--schedule and --sizes take --counterexample, not matrix files")
         (c_op, z_op), tri, band = _operators_from_files(config.inputs)
         extra = {"realized_sizes": list(tri.realized_schedule.sizes), "band_residuals": band}
         n_max = config.levels
@@ -274,7 +275,7 @@ def _cmd_decompose(config):
         raise _UsageError("decompose takes exactly one matrix file")
     t = read_matrix(config.inputs[0])
     result = decompose(t, levels=config.levels)
-    cert = quasinilpotent_part_certificate(result, tol=config.tolerances["radius"])
+    cert = quasinilpotent_part_certificate(result)
     split = diagonal_part(result)
     residuals = result.residuals
     passed = (
@@ -298,13 +299,7 @@ def _cmd_stripped_checks(config):
     if len(config.inputs) != 2:
         raise _UsageError("stripped-checks takes exactly two matrix files")
     (k1, k2), tri, band = _operators_from_files(config.inputs)
-    report = stripped_pair_checks(
-        k1,
-        k2,
-        n_max=config.levels,
-        tol=config.tolerances["radius"],
-        word_len=config.word_len,
-    )
+    report = stripped_pair_checks(k1, k2, n_max=config.levels)
     doc = {
         "command": "stripped-checks",
         "config": asdict(config),
@@ -335,7 +330,6 @@ def _add_tolerance_args(sp, command):
 def _add_output_args(sp):
     sp.add_argument("--out", help="also write the report to this path")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -353,25 +347,28 @@ def build_parser():
     sp = sub.add_parser("triangularize", help="decide simultaneous triangularizability")
     sp.add_argument("inputs", nargs=2, metavar="MATRIX")
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     _add_tolerance_args(sp, "triangularize")
     _add_output_args(sp)
 
     sp = sub.add_parser("certify", help="certify quasinilpotency of a commutator")
     sp.add_argument("inputs", nargs="*", metavar="MATRIX")
     sp.add_argument("--counterexample", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=_DEFAULT_SCHEDULE)
+    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=None)
     sp.add_argument("--sizes", type=_size_list, default=None)
     sp.add_argument("--levels", type=_positive_int, default=None)
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     _add_tolerance_args(sp, "certify")
     _add_output_args(sp)
 
     sp = sub.add_parser("counterexample", help="build and optionally verify the fixture pair")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=_DEFAULT_SCHEDULE)
+    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=None)
     sp.add_argument("--sizes", type=_size_list, default=None)
     sp.add_argument("--levels", type=_positive_int, default=None)
     sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     _add_tolerance_args(sp, "counterexample")
     _add_output_args(sp)
 
@@ -384,8 +381,6 @@ def build_parser():
     sp = sub.add_parser("stripped-checks", help="lower-part commutator checks for a pair")
     sp.add_argument("inputs", nargs=2, metavar="MATRIX")
     sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    _add_tolerance_args(sp, "stripped-checks")
     _add_output_args(sp)
 
     return parser
@@ -405,7 +400,7 @@ def _config_from_args(args):
         sizes=getattr(args, "sizes", None),
         levels=getattr(args, "levels", None),
         tolerances={name: getattr(args, f"tol_{name}") for name in _DEFAULT_TOLERANCES[args.command]},
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         word_len=getattr(args, "word_len", None),
         verify=getattr(args, "verify", False),
         counterexample=getattr(args, "counterexample", False),
@@ -418,15 +413,17 @@ def run(config):
     """Dispatch a config; returns the process exit code.
 
     Tolerances the config leaves out take the command's defaults, and so
-    do a schedule and a ``stripped-checks`` word length of None, as on the
-    command line; the report echoes the values used.
+    does a schedule of None where one is built, as on the command line; the
+    report echoes the values used.  Unknown tolerance names are a usage error.
     """
     command = config.command
+    unknown = sorted(set(config.tolerances) - set(_DEFAULT_TOLERANCES[command]))
+    if unknown:
+        raise _UsageError(f"{command} reads no tolerance named {', '.join(unknown)}")
     filled = {"tolerances": {**_DEFAULT_TOLERANCES[command], **config.tolerances}}
-    if command in ("certify", "counterexample") and config.schedule is None:
-        filled["schedule"] = _DEFAULT_SCHEDULE
-    if command == "stripped-checks" and config.word_len is None:
-        filled["word_len"] = _STRIPPED_WORD_LEN
+    builds_schedule = command == "counterexample" or (command == "certify" and config.counterexample)
+    if builds_schedule and config.schedule is None:
+        filled["schedule"] = "pair"
     return _COMMANDS[command](replace(config, **filled))
 
 

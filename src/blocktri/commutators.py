@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _DEFAULT_N_MAX = {"pair": 4, "single": 5}
-_STRIPPED_WORD_LEN = 4  # longest word stripped_pair_checks covers by default
 
 
 def _checked_levels(schedule, n_max):
@@ -429,7 +428,7 @@ class StrippedChecksReport:
     passed: bool
 
 
-def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=_STRIPPED_WORD_LEN):
+def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     """Checks on the lower parts Q1, Q2 of two operators sharing a schedule.
 
     Per corner level n <= n_max: every monomial word value

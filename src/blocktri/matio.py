@@ -22,6 +22,7 @@ of json's pure-Python indent encoder.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -328,18 +329,21 @@ def _raise_first_bad_entry(entries, path):
 
 
 def _atomic_write_text(path, text):
+    """Write through a temp file and rename; an ``OSError`` names ``path``, not the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -455,7 +457,6 @@ def test_main_builds_its_parser_once(tmp_path, capsys):
     [
         ("tridiagonalize", "--tol-band"),
         ("triangularize", "--tol-tri"),
-        ("decompose", "--tol-radius"),
         ("decompose", "--tol-unit"),
         ("decompose", "--tol-recon"),
     ],
@@ -482,6 +483,63 @@ def test_seed_and_word_len_flags(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "triangularizable"
+    for argv in (["certify", pa, pb], ["counterexample", "--verify", "--levels", "2"]):
+        code, out, err = run_cli(capsys, [*argv, "--seed", "7"])
+        assert err == ""
+        assert json.loads(out)["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("stripped-checks", "--tol-radius", "1e-300"),
+        ("stripped-checks", "--word-len", "9"),
+        ("decompose", "--tol-radius", "1e-300"),
+        ("tridiagonalize", "--seed", "7"),
+        ("decompose", "--seed", "7"),
+        ("stripped-checks", "--seed", "7"),
+    ],
+)
+def test_flags_that_could_not_act_are_gone(tmp_path, capsys, command, flag, value):
+    # the radii of the stripped words and of the quasinilpotent part are exactly 0.0 by
+    # structure, and these pipelines draw no random number
+    rng = np.random.default_rng(89)
+    inputs = list(write_pair(tmp_path, random_complex(5, 5, rng), random_complex(5, 5, rng)))
+    if command != "stripped-checks":
+        inputs = inputs[:1]
+    code, out, err = run_cli(capsys, [command, *inputs, flag, value])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("flags", [["--schedule", "custom"], ["--sizes", "3,3"], ["--schedule", "pair"]])
+def test_certify_from_files_refuses_schedule_flags(tmp_path, capsys, flags):
+    # the realized schedule comes from the files, so a named one could only be echoed
+    rng = np.random.default_rng(81)
+    pa, pb = write_pair(tmp_path, random_complex(5, 5, rng), random_complex(5, 5, rng))
+    code, out, err = run_cli(capsys, ["certify", pa, pb, *flags])
+    assert (code, out) == (2, "")
+    assert err == "usage error: --schedule and --sizes take --counterexample, not matrix files\n"
+    code, out, err = run_cli(capsys, ["certify", pa, pb])
+    assert json.loads(out)["config"]["schedule"] is None
+
+
+def test_run_refuses_tolerances_the_command_does_not_read(capsys):
+    with pytest.raises(cli._UsageError, match="triangularize reads no tolerance named bogus, radius"):
+        run(ExperimentConfig(command="triangularize", tolerances={"tri": 1e-9, "radius": 1.0, "bogus": 5.0}))
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "a-dir"])
+def test_unwritable_out_prints_no_report(tmp_path, capsys, target):
+    path = str(tmp_path / "m.json")
+    write_matrix(random_complex(9, 9, np.random.default_rng(84)), path)
+    (tmp_path / "a-dir").mkdir()
+    out_path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, ["decompose", path, "--out", out_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.endswith(f": {out_path!r}\n")
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".partial-")]
 
 
 def test_witness_round_trips_from_report(tmp_path, capsys):
@@ -510,12 +568,8 @@ PIPELINES = (
 )
 
 
-def run_pipelines(tmp_path, prelude, check):
-    """Run every pipeline in one fresh interpreter; returns its stdout.
-
-    ``prelude`` runs before blocktri is imported, ``check`` after the
-    import and after each pipeline.
-    """
+def pipeline_runs(tmp_path, pipelines=PIPELINES):
+    """The pipelines' argv, with the matrix files they name written, and exit codes."""
     rng = np.random.default_rng(89)
     files = {"m": str(tmp_path / "m.json")}
     write_matrix(random_complex(27, 27, rng), files["m"])
@@ -524,7 +578,16 @@ def run_pipelines(tmp_path, prelude, check):
     files["u"], files["v"] = str(tmp_path / "u.json"), str(tmp_path / "v.json")
     write_matrix(u, files["u"])
     write_matrix(v, files["v"])
-    runs = [([arg.format(**files) for arg in argv], code) for argv, code in PIPELINES]
+    return [([arg.format(**files) for arg in argv], code) for argv, code in pipelines]
+
+
+def run_pipelines(tmp_path, prelude, check):
+    """Run every pipeline in one fresh interpreter; returns its stdout.
+
+    ``prelude`` runs before blocktri is imported, ``check`` after the
+    import and after each pipeline.
+    """
+    runs = pipeline_runs(tmp_path)
     script = (
         "import sys\n"
         f"{prelude}\n"
@@ -541,6 +604,24 @@ def run_pipelines(tmp_path, prelude, check):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [*PIPELINES, (["counterexample", "--levels", "3"], 0)],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_csv_holds_the_json_level_rows(tmp_path, capsys, argv, expected):
+    [(argv, expected)] = pipeline_runs(tmp_path, [(argv, expected)])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (expected, "")
+    rows = json.loads(out)["levels"]
+    code, out, err = run_cli(capsys, [*argv, "--format", "csv"])
+    assert (code, err) == (expected, "")
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == sorted({key for row in rows for key in row})
+    want = [{k: "" if row.get(k) is None else str(row[k]) for k in reader.fieldnames} for row in rows]
+    assert list(reader) == want
 
 
 def test_pipelines_do_not_import_scipy_packages(tmp_path):
