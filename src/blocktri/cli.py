@@ -178,8 +178,8 @@ def _cmd_triangularize(config):
     return 0 if cert.verdict == "triangularizable" else 1
 
 
-def _spectral_report_doc(command, config, report, extra=None):
-    doc = {
+def _spectral_report_doc(command, config, report, extra):
+    return {
         "command": command,
         "config": asdict(config),
         "levels": [asdict(r) for r in report.levels],
@@ -187,10 +187,8 @@ def _spectral_report_doc(command, config, report, extra=None):
         "first_refuted_level": report.first_refuted_level,
         "tol": report.tol,
         "note": report.note,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _cmd_certify(config):
@@ -219,8 +217,7 @@ def _cmd_certify(config):
         word_len=config.word_len,
         seed=config.seed,
     )
-    doc = _spectral_report_doc("certify", config, report, extra)
-    _emit(doc, config)
+    _emit(_spectral_report_doc("certify", config, report, extra), config)
     return 0 if report.verdict == "certified_quasinilpotent" else 1
 
 
@@ -290,8 +287,7 @@ def _cmd_decompose(config):
         "zero_diagonal": split.zero_diagonal,
         "passed": passed,
     }
-    doc = _spectral_report_doc("decompose", config, cert, extra)
-    _emit(doc, config)
+    _emit(_spectral_report_doc("decompose", config, cert, extra), config)
     return 0 if passed else 1
 
 
@@ -413,13 +409,16 @@ def run(config):
     """Dispatch a config; returns the process exit code.
 
     Tolerances the config leaves out take the command's defaults, and so
-    does a schedule of None where one is built, as on the command line; the
-    report echoes the values used.  Unknown tolerance names are a usage error.
+    does a schedule of None where one is built, as on the command line;
+    the report echoes the values used, and an unread setting is a usage error.
     """
     command = config.command
     unknown = sorted(set(config.tolerances) - set(_DEFAULT_TOLERANCES[command]))
     if unknown:
         raise _UsageError(f"{command} reads no tolerance named {', '.join(unknown)}")
+    samples = command in ("triangularize", "certify", "counterexample")
+    if not samples and (config.seed, config.word_len) != (0, None):
+        raise _UsageError(f"{command} reads no seed or word_len")
     filled = {"tolerances": {**_DEFAULT_TOLERANCES[command], **config.tolerances}}
     builds_schedule = command == "counterexample" or (command == "certify" and config.counterexample)
     if builds_schedule and config.schedule is None:

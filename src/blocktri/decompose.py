@@ -164,19 +164,19 @@ def decompose(t, levels=None):
     )
 
 
-def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
+def quasinilpotent_part_certificate(result, n_max=None):
     """Certify the quasinilpotent part of a decomposition corner by corner.
 
     Checks that the remainder u0* T u0 - delta (= ``quasinil``) has its
     support exactly on the first block subdiagonal and reports the spectral
-    radius of each corner (exactly zero via the triangular eigenvalue
-    path).  On that support Q'* Q' is block diagonal with blocks B_n* B_n,
-    so the 2-norm of any corner or tail is the largest norm of a coupling
-    B_n it holds (Golub & Van Loan, Matrix Computations, 2.3), and each
-    coupling norm is taken once.  The level-n corner holds couplings
-    1..n-1 (its ``norm``); the tail after dropping couplings 1..n, the
-    approximation-error ladder of the nilpotent corners, holds the rest
-    (its ``detail``).
+    radius of each corner, strictly lower triangular there: exactly 0.0 by
+    the triangular eigenvalue path, so no tolerance (``tol`` reads 0.0).
+    On that support Q'* Q' is block diagonal with blocks B_n* B_n, so the
+    2-norm of any corner or tail is the largest norm of a coupling B_n it
+    holds (Golub & Van Loan, Matrix Computations, 2.3), and each coupling
+    norm is taken once.  The level-n corner holds couplings 1..n-1 (its
+    ``norm``); the tail after dropping couplings 1..n, the approximation-
+    error ladder of the nilpotent corners, holds the rest (its ``detail``).
     """
     sched = result.schedule
     depth = sched.levels
@@ -200,7 +200,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
                 level=n,
                 radius=radius,
                 norm=max(coupling_norms[: n - 1], default=0.0),
-                status="ok" if radius <= tol else "exceeds_tol",
+                status="ok" if radius == 0.0 else "exceeds_tol",
                 detail=f"tail after dropping couplings 1..{n}: {tail:.3e}",
             )
         )
@@ -215,7 +215,7 @@ def quasinilpotent_part_certificate(result, n_max=None, tol=1e-12):
     return SpectralReport(
         levels=tuple(records),
         verdict="certified_quasinilpotent" if certified else "not_certified",
-        tol=tol,
+        tol=0.0,
         note=note,
     )
 

@@ -205,15 +205,6 @@ def test_stripped_checks_command(tmp_path, capsys):
         assert row["trace_abs"] == 0.0
 
 
-def test_csv_format(tmp_path, capsys):
-    code, out, err = run_cli(
-        capsys, ["counterexample", "--levels", "2", "--verify", "--format", "csv"]
-    )
-    assert code == 0
-    header = out.splitlines()[0]
-    assert "clause" in header
-
-
 def test_reports_are_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, ["counterexample", "--levels", "3", "--verify"])
     code2, out2, _ = run_cli(capsys, ["counterexample", "--levels", "3", "--verify"])
@@ -527,6 +518,14 @@ def test_certify_from_files_refuses_schedule_flags(tmp_path, capsys, flags):
 def test_run_refuses_tolerances_the_command_does_not_read(capsys):
     with pytest.raises(cli._UsageError, match="triangularize reads no tolerance named bogus, radius"):
         run(ExperimentConfig(command="triangularize", tolerances={"tri": 1e-9, "radius": 1.0, "bogus": 5.0}))
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["tridiagonalize", "decompose", "stripped-checks"])
+@pytest.mark.parametrize("setting", [{"seed": 5}, {"word_len": 9}], ids=["seed", "word_len"])
+def test_run_refuses_a_seed_or_word_len_where_nothing_samples(capsys, command, setting):
+    with pytest.raises(cli._UsageError, match=f"{command} reads no seed or word_len"):
+        run(ExperimentConfig(command=command, inputs=("a.json", "b.json"), **setting))
     assert capsys.readouterr() == ("", "")
 
 
