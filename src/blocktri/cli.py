@@ -3,8 +3,15 @@
 Every subcommand prints its report to stdout (JSON by default, CSV
 flattens the per-level table), after writing the same bytes to ``--out``
 when given.  Reports carry a config echo and never include timestamps, so
-a fixed command line reproduces byte-identical output; only the commands
-that sample (``triangularize``, ``certify``, ``counterexample``) take ``--seed``.
+a fixed command line reproduces byte-identical output.
+
+``_READS`` is the one list of the settings each command reads.  ``certify``
+has two modes, on matrix files or with ``--counterexample``, and so has
+``counterexample``, with or without ``--verify``; every other command has
+one.  A command's subparser offers the options of its modes, and ``run``
+refuses, naming it, any setting its mode does not read that is set away
+from its default.  Defaults are echoed all the same, so the echo of a
+valid command line states exactly how its verdict was produced.
 
 Exit codes: 0 when the pipeline verdict is pass/certified, 1 when it is
 refuted or a check failed, 2 for usage or OS-level I/O errors, 3 for
@@ -43,15 +50,28 @@ class _UsageError(Exception):
     pass
 
 
-# each command's --tol-NAME options and their defaults; ``run`` fills the ones a config leaves out
-_DEFAULT_TOLERANCES = {
-    "tridiagonalize": {"band": _BAND_TOL},
-    "triangularize": {"tri": 1e-9},
-    "certify": {"radius": 1e-9, "tri": 1e-9},
-    "counterexample": {"radius": 1e-9},
-    "decompose": {"unit": 1e-10, "recon": 1e-9},
-    "stripped-checks": {},
+# What each mode reads: how many matrix files (fewest, most), and which options.
+# A mode is a command, or a command with the flag that selects it; a flag's mode
+# comes first, so that help lists the flag first.
+_READS = {
+    "tridiagonalize": ((1, 2), ("tol_band",)),
+    "triangularize": ((2, 2), ("word_len", "seed", "tol_tri")),
+    "certify --counterexample": (
+        (0, 0),
+        ("counterexample", "schedule", "sizes", "levels", "word_len", "seed", "tol_radius", "tol_tri"),
+    ),
+    "certify": ((2, 2), ("levels", "word_len", "seed", "tol_radius", "tol_tri")),
+    "counterexample --verify": (
+        (0, 0),
+        ("verify", "schedule", "sizes", "levels", "word_len", "seed", "tol_radius"),
+    ),
+    "counterexample": ((0, 0), ("schedule", "sizes", "levels")),
+    "decompose": ((1, 1), ("levels", "tol_unit", "tol_recon")),
+    "stripped-checks": ((2, 2), ("levels",)),
 }
+
+# every --tol-NAME and its default, which a report echoes when its command has the option
+_TOLERANCES = {"band": _BAND_TOL, "tri": 1e-9, "radius": 1e-9, "unit": 1e-10, "recon": 1e-9}
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,19 @@ def _size_list(text):
     return sizes
 
 
+# the argparse keywords of every option in _READS; the option string is --NAME, with - for _
+_OPTIONS = {
+    "counterexample": {"action": "store_true"},
+    "verify": {"action": "store_true"},
+    "schedule": {"choices": ("pair", "single", "custom")},
+    "sizes": {"type": _size_list},
+    "levels": {"type": _positive_int},
+    "word_len": {"type": _positive_int},
+    "seed": {"type": int},
+    **{f"tol_{name}": {"type": _positive_float} for name in _TOLERANCES},
+}
+
+
 def _emit(doc, config):
     text = render_report(doc, config.format)
     if config.out is not None:
@@ -110,6 +143,8 @@ def _schedule_from_config(config, default_levels=3):
         if config.sizes is None:
             raise _UsageError("--schedule custom requires --sizes")
         return make_schedule("custom", sizes=config.sizes[: config.levels])
+    if config.sizes is not None:
+        raise _UsageError(f"--sizes takes --schedule custom, not {kind}")
     return make_schedule(kind, config.levels or default_levels)
 
 
@@ -124,8 +159,6 @@ def _operators_from_files(paths):
 
 
 def _cmd_tridiagonalize(config):
-    if not 1 <= len(config.inputs) <= 2:
-        raise _UsageError("tridiagonalize takes one or two matrix files")
     mats = [read_matrix(p) for p in config.inputs]
     tri = block_tridiagonalize(mats)
     sched = tri.realized_schedule
@@ -149,8 +182,6 @@ def _cmd_tridiagonalize(config):
 
 
 def _cmd_triangularize(config):
-    if len(config.inputs) != 2:
-        raise _UsageError("triangularize takes exactly two matrix files")
     a = read_matrix(config.inputs[0])
     b = read_matrix(config.inputs[1])
     cert = simultaneous_triangularize(
@@ -194,24 +225,15 @@ def _spectral_report_doc(command, config, report, extra):
 def _cmd_certify(config):
     extra = {}
     if config.counterexample:
-        if config.inputs:
-            raise _UsageError("--counterexample takes no matrix files")
-        sched = _schedule_from_config(config)
-        pair = build_counterexample(sched)
+        pair = build_counterexample(_schedule_from_config(config))
         c_op, z_op = pair.c_op, pair.z_op
-        n_max = sched.levels  # every level of the schedule, as counterexample --verify
-    elif len(config.inputs) == 2:
-        if config.schedule is not None or config.sizes is not None:
-            raise _UsageError("--schedule and --sizes take --counterexample, not matrix files")
+    else:
         (c_op, z_op), tri, band = _operators_from_files(config.inputs)
         extra = {"realized_sizes": list(tri.realized_schedule.sizes), "band_residuals": band}
-        n_max = config.levels
-    else:
-        raise _UsageError("certify takes two matrix files or --counterexample")
     report = certify_commutator(
         c_op,
         z_op,
-        n_max=n_max,
+        n_max=None if config.counterexample else config.levels,  # --levels already cut the schedule
         tol=config.tolerances["radius"],
         tri_tol=config.tolerances["tri"],
         word_len=config.word_len,
@@ -231,11 +253,7 @@ def _cmd_counterexample(config):
                 "shift(2) and corner_unit(2) have commutator diag(1, -1), which is not nilpotent"
             )
         report = verify_counterexample(
-            pair,
-            n_max=sched.levels,
-            tol=config.tolerances["radius"],
-            word_len=config.word_len,
-            seed=config.seed,
+            pair, tol=config.tolerances["radius"], word_len=config.word_len, seed=config.seed
         )
         rows = [asdict(c) for c in report.clauses]
         doc = {
@@ -268,15 +286,13 @@ def _cmd_counterexample(config):
 
 
 def _cmd_decompose(config):
-    if len(config.inputs) != 1:
-        raise _UsageError("decompose takes exactly one matrix file")
     t = read_matrix(config.inputs[0])
     result = decompose(t, levels=config.levels)
     cert = quasinilpotent_part_certificate(result)
     split = diagonal_part(result)
     residuals = result.residuals
     passed = (
-        residuals["unitarity"] <= config.tolerances["unit"]
+        _norm_excess(residuals["unitarity"], config.tolerances["unit"]) is None
         and _norm_excess(residuals["reconstruction"], config.tolerances["recon"], (t,)) is None
         and residuals["triangularity"] == 0.0
         and cert.verdict == "certified_quasinilpotent"
@@ -292,8 +308,6 @@ def _cmd_decompose(config):
 
 
 def _cmd_stripped_checks(config):
-    if len(config.inputs) != 2:
-        raise _UsageError("stripped-checks takes exactly two matrix files")
     (k1, k2), tri, band = _operators_from_files(config.inputs)
     report = stripped_pair_checks(k1, k2, n_max=config.levels)
     doc = {
@@ -308,24 +322,25 @@ def _cmd_stripped_checks(config):
     return 0 if report.passed else 1
 
 
+# each command's pipeline and help line
 _COMMANDS = {
-    "tridiagonalize": _cmd_tridiagonalize,
-    "triangularize": _cmd_triangularize,
-    "certify": _cmd_certify,
-    "counterexample": _cmd_counterexample,
-    "decompose": _cmd_decompose,
-    "stripped-checks": _cmd_stripped_checks,
+    "tridiagonalize": (_cmd_tridiagonalize, "jointly band one or two matrices"),
+    "triangularize": (_cmd_triangularize, "decide simultaneous triangularizability"),
+    "certify": (_cmd_certify, "certify quasinilpotency of a commutator"),
+    "counterexample": (_cmd_counterexample, "build and optionally verify the fixture pair"),
+    "decompose": (_cmd_decompose, "triangular-plus-quasinilpotent decomposition"),
+    "stripped-checks": (_cmd_stripped_checks, "lower-part commutator checks for a pair"),
 }
 
 
-def _add_tolerance_args(sp, command):
-    for name, default in _DEFAULT_TOLERANCES[command].items():
-        sp.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=_positive_float, default=default)
+def _modes(command):
+    """The command's rows of ``_READS``, and the options they name, in order."""
+    modes = {mode: reads for mode, reads in _READS.items() if mode.split()[0] == command}
+    return modes, list(dict.fromkeys(name for _, names in modes.values() for name in names))
 
 
-def _add_output_args(sp):
-    sp.add_argument("--out", help="also write the report to this path")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+def _option(name):
+    return "--" + name.replace("_", "-")
 
 
 def build_parser():
@@ -334,51 +349,19 @@ def build_parser():
         description="Block-tridiagonal truncations, triangularization, and commutator certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("tridiagonalize", help="jointly band one or two matrices")
-    sp.add_argument("inputs", nargs="+", metavar="MATRIX")
-    _add_tolerance_args(sp, "tridiagonalize")
-    _add_output_args(sp)
-
-    sp = sub.add_parser("triangularize", help="decide simultaneous triangularizability")
-    sp.add_argument("inputs", nargs=2, metavar="MATRIX")
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_tolerance_args(sp, "triangularize")
-    _add_output_args(sp)
-
-    sp = sub.add_parser("certify", help="certify quasinilpotency of a commutator")
-    sp.add_argument("inputs", nargs="*", metavar="MATRIX")
-    sp.add_argument("--counterexample", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=None)
-    sp.add_argument("--sizes", type=_size_list, default=None)
-    sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_tolerance_args(sp, "certify")
-    _add_output_args(sp)
-
-    sp = sub.add_parser("counterexample", help="build and optionally verify the fixture pair")
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--schedule", choices=("pair", "single", "custom"), default=None)
-    sp.add_argument("--sizes", type=_size_list, default=None)
-    sp.add_argument("--levels", type=_positive_int, default=None)
-    sp.add_argument("--word-len", dest="word_len", type=_positive_int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_tolerance_args(sp, "counterexample")
-    _add_output_args(sp)
-
-    sp = sub.add_parser("decompose", help="triangular-plus-quasinilpotent decomposition")
-    sp.add_argument("inputs", nargs=1, metavar="MATRIX")
-    sp.add_argument("--levels", type=_positive_int, default=None)
-    _add_tolerance_args(sp, "decompose")
-    _add_output_args(sp)
-
-    sp = sub.add_parser("stripped-checks", help="lower-part commutator checks for a pair")
-    sp.add_argument("inputs", nargs=2, metavar="MATRIX")
-    sp.add_argument("--levels", type=_positive_int, default=None)
-    _add_output_args(sp)
-
+    for command, (_, help_line) in _COMMANDS.items():
+        modes, options = _modes(command)
+        # an option not given is not set, so the config keeps ExperimentConfig's default
+        sp = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
+        fewest = min(files[0] for files, _ in modes.values())
+        most = max(files[1] for files, _ in modes.values())
+        if most:
+            nargs = fewest if fewest == most else "+" if fewest else "*"
+            sp.add_argument("inputs", nargs=nargs, metavar="MATRIX")
+        for name in options:
+            sp.add_argument(_option(name), dest=name, **_OPTIONS[name])
+        sp.add_argument("--out", help="also write the report to this path")
+        sp.add_argument("--format", choices=("json", "csv"))
     return parser
 
 
@@ -389,41 +372,47 @@ def _parser():
 
 
 def _config_from_args(args):
-    return ExperimentConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        schedule=getattr(args, "schedule", None),
-        sizes=getattr(args, "sizes", None),
-        levels=getattr(args, "levels", None),
-        tolerances={name: getattr(args, f"tol_{name}") for name in _DEFAULT_TOLERANCES[args.command]},
-        seed=getattr(args, "seed", 0),
-        word_len=getattr(args, "word_len", None),
-        verify=getattr(args, "verify", False),
-        counterexample=getattr(args, "counterexample", False),
-        out=args.out,
-        format=args.format,
-    )
+    settings = vars(args)  # the command and the options given
+    inputs = tuple(settings.pop("inputs", ()))
+    tolerances = {name[4:]: settings.pop(name) for name in list(settings) if name.startswith("tol_")}
+    return ExperimentConfig(**settings, inputs=inputs, tolerances=tolerances)
 
 
 def run(config):
     """Dispatch a config; returns the process exit code.
 
-    Tolerances the config leaves out take the command's defaults, and so
-    does a schedule of None where one is built, as on the command line;
-    the report echoes the values used, and an unread setting is a usage error.
+    The command, with its ``counterexample`` or ``verify`` flag, picks a
+    mode of ``_READS``.  A setting the mode does not read must keep its
+    default, and the mode's count of matrix files must hold; else a usage
+    error names the setting before any file is read.  Tolerances the
+    config leaves out take the command's defaults, and so does a schedule
+    of None where one is built, as on the command line; the report echoes
+    the values used.
     """
     command = config.command
-    unknown = sorted(set(config.tolerances) - set(_DEFAULT_TOLERANCES[command]))
-    if unknown:
-        raise _UsageError(f"{command} reads no tolerance named {', '.join(unknown)}")
-    samples = command in ("triangularize", "certify", "counterexample")
-    if not samples and (config.seed, config.word_len) != (0, None):
-        raise _UsageError(f"{command} reads no seed or word_len")
-    filled = {"tolerances": {**_DEFAULT_TOLERANCES[command], **config.tolerances}}
-    builds_schedule = command == "counterexample" or (command == "certify" and config.counterexample)
-    if builds_schedule and config.schedule is None:
+    modes, options = _modes(command)
+    mode = command
+    for flag in ("counterexample", "verify"):
+        if getattr(config, flag) and f"{command} --{flag}" in modes:
+            mode = f"{command} --{flag}"
+    (fewest, most), reads = modes[mode]
+    tolerances = {name: value for name, value in _TOLERANCES.items() if f"tol_{name}" in options}
+    # each setting the config holds, with its default: ExperimentConfig's, or the command's tolerance
+    blank = ExperimentConfig(command)
+    settings = {name: (getattr(config, name), getattr(blank, name)) for name in _OPTIONS if hasattr(blank, name)}
+    settings.update((f"tol_{name}", (value, tolerances.get(name))) for name, value in config.tolerances.items())
+    for name, (value, default) in settings.items():
+        if name not in reads and value != default:
+            readers = "".join(f"; {other} does" for other, (_, names) in modes.items() if name in names)
+            raise _UsageError(f"{mode} reads no {_option(name)}{readers}")
+    if not fewest <= len(config.inputs) <= most:
+        count = ("no", "one", "two")
+        wanted = count[most] if fewest == most else f"{count[fewest]} or {count[most]}"
+        raise _UsageError(f"{mode} takes {wanted} matrix file{'' if most == 1 else 's'}")
+    filled = {"tolerances": {**tolerances, **config.tolerances}}
+    if "schedule" in reads and config.schedule is None:
         filled["schedule"] = "pair"
-    return _COMMANDS[command](replace(config, **filled))
+    return _COMMANDS[command][0](replace(config, **filled))
 
 
 def main(argv=None):

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     _as_array,
     _block_diag,
+    _norm_excess,
     corner_unit,
     eigenvalues,
     is_nilpotent,
@@ -44,14 +45,12 @@ __all__ = [
     "stripped_pair_checks",
 ]
 
-_DEFAULT_N_MAX = {"pair": 4, "single": 5}
-
 
 def _checked_levels(schedule, n_max):
-    """Number of corner levels to check: ``n_max``, or the kind's default capped at the depth."""
+    """Number of corner levels to check: ``n_max``, or the whole depth when None."""
     depth = schedule.levels
     if n_max is None:
-        return min(_DEFAULT_N_MAX.get(schedule.kind, depth), depth)
+        return depth
     if not 1 <= n_max <= depth:
         raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     return n_max
@@ -115,12 +114,16 @@ def _route_detail(cert):
     return _ROUTE_DETAIL[cert.route]
 
 
+def _pinned_radius(u, comm, tol):
+    """Largest diagonal modulus of u* comm u, and "certified" when within tol * (1 + ||comm||_2)."""
+    radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
+    return radius, "certified" if _norm_excess(radius, tol, (comm,)) is None else "inconclusive"
+
+
 def _record_from_certificate(n, cert, comm, norm, tol):
     detail = _route_detail(cert)
     if cert.verdict == "triangularizable":
-        u = cert.witness_unitary
-        radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
-        status = "certified" if radius <= tol * (1.0 + norm) else "inconclusive"
+        radius, status = _pinned_radius(cert.witness_unitary, comm, tol)
         return LevelRecord(
             level=n, radius=radius, norm=norm, status=status,
             residual=cert.residual, detail=detail,
@@ -166,9 +169,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
         if cert.verdict != "triangularizable":
             return None
         units.append(cert.witness_unitary)
-    u = _block_diag(units)
-    radius = float(np.abs(np.diag(u.conj().T @ comm @ u)).max())
-    status = "certified" if radius <= tol * (1.0 + norm) else "inconclusive"
+    radius, status = _pinned_radius(_block_diag(units), comm, tol)
     residual = max(block_certs[j].residual for j in range(1, n + 1))
     return LevelRecord(
         level=n, radius=radius, norm=norm, status=status, residual=residual,
@@ -189,9 +190,8 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     zero lower couplings through a level, per-block certificates are
     combined instead of triangularizing the whole corner.
 
-    ``n_max`` defaults to 4 on the pair schedule and 5 on the single
-    schedule (capped by the operators' depth), the full depth otherwise.
-    Raises ``FloatingPointError`` when a corner commutator overflows.
+    ``n_max`` defaults to the operators' whole depth.  Raises
+    ``FloatingPointError`` when a corner commutator overflows.
     """
     if c.schedule != z.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
@@ -357,7 +357,9 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
         target[1] = -1.0
         dist = match_distance(_power_product_spectrum(c, z), target)
         clauses.append(
-            ClauseResult("unscaled_power_spectrum", j, dist <= tol, detail=f"match distance {dist:.3e}")
+            ClauseResult(
+                "unscaled_power_spectrum", j, _norm_excess(dist, tol) is None, detail=f"match distance {dist:.3e}"
+            )
         )
     block_words = {}
 
@@ -393,22 +395,19 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     return CounterexampleReport(tuple(clauses), passed=all(c.passed for c in clauses))
 
 
-def spectrum_union_check(blocks, tol=None):
+def spectrum_union_check(blocks):
     """Whether the spectrum of the block-diagonal assembly equals the union of block spectra.
 
     Both sides are compared as multisets by their exact bottleneck
     distance (``match_distance``): the check passes when some pairing
-    moves no eigenvalue by more than ``tol``, which defaults to 1e-8 times
-    the largest block norm.
+    moves no eigenvalue by more than 1e-8 times the largest block norm.
     """
     mats = [_as_array(b, square=True, name="block") for b in blocks]
     if not mats:
         raise ValueError("need at least one block")
     assembly = _block_diag(mats)
     union = np.concatenate([eigenvalues(m) for m in mats])
-    if tol is None:
-        tol = 1e-8 * max(operator_norm(m) for m in mats)
-    return bool(match_distance(eigenvalues(assembly), union) <= tol)
+    return _norm_excess(match_distance(eigenvalues(assembly), union), 1e-8, mats, offset=0.0) is None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .krylov import _BAND_TOL, block_tridiagonalize
 from .linalg import (
     SchurConvergenceError,
     _as_array,
+    _norm_excess,
     _read_only,
     _residual_norm,
     _strict_lower_max,
@@ -164,7 +165,7 @@ def decompose(t, levels=None):
     )
 
 
-def quasinilpotent_part_certificate(result, n_max=None):
+def quasinilpotent_part_certificate(result):
     """Certify the quasinilpotent part of a decomposition corner by corner.
 
     Checks that the remainder u0* T u0 - delta (= ``quasinil``) has its
@@ -180,10 +181,6 @@ def quasinilpotent_part_certificate(result, n_max=None):
     """
     sched = result.schedule
     depth = sched.levels
-    if n_max is None:
-        n_max = depth
-    if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
     q = result.quasinil
     level_of = _level_of(sched, q.shape[0])
     band = (level_of[:, None] - level_of[None, :]) == 1
@@ -191,7 +188,7 @@ def quasinilpotent_part_certificate(result, n_max=None):
     coupling_norms = [operator_norm(b) for b in result.q_blocks]
 
     records = []
-    for n in range(1, n_max + 1):
+    for n in range(1, depth + 1):
         kn = sched.size_through(n)
         radius = spectral_radius(q[:kn, :kn])
         tail = max(coupling_norms[n:], default=0.0)
@@ -248,11 +245,9 @@ def diagonal_part(result):
     for block, _ in result.delta_blocks:
         d = _read_only(np.diag(block).copy())
         diags.append(d)
-        # the block norm only matters while the flag is open and max|d| > _DIAG_TOL
-        if zero_flag and d.size:
-            dmax = float(np.abs(d).max())
-            if dmax > _DIAG_TOL and dmax > _DIAG_TOL * (1.0 + operator_norm(block)):
-                zero_flag = False
+        # decided while the flag is open; the gate screens before it takes a block norm
+        if zero_flag and d.size and _norm_excess(float(np.abs(d).max()), _DIAG_TOL, (block,)) is not None:
+            zero_flag = False
     upper = result.delta.copy()
     np.fill_diagonal(upper, 0.0)
     return DiagonalSplit(

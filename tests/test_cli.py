@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -503,30 +504,142 @@ def test_flags_that_could_not_act_are_gone(tmp_path, capsys, command, flag, valu
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
-@pytest.mark.parametrize("flags", [["--schedule", "custom"], ["--sizes", "3,3"], ["--schedule", "pair"]])
-def test_certify_from_files_refuses_schedule_flags(tmp_path, capsys, flags):
-    # the realized schedule comes from the files, so a named one could only be echoed
+# each mode of each command, the config that selects it, and the settings it reads,
+# written out here apart from cli._READS; "inputs" means it takes matrix files
+MODES = {
+    "tridiagonalize": ({"inputs": ("a.json",)}, {"inputs", "tol_band"}),
+    "triangularize": ({"inputs": ("a.json", "b.json")}, {"inputs", "word_len", "seed", "tol_tri"}),
+    "certify": (
+        {"inputs": ("a.json", "b.json")},
+        {"inputs", "counterexample", "levels", "word_len", "seed", "tol_radius", "tol_tri"},
+    ),
+    "certify --counterexample": (
+        {"counterexample": True},
+        {"counterexample", "schedule", "sizes", "levels", "word_len", "seed", "tol_radius", "tol_tri"},
+    ),
+    "counterexample": ({}, {"verify", "schedule", "sizes", "levels"}),
+    "counterexample --verify": (
+        {"verify": True},
+        {"verify", "schedule", "sizes", "levels", "word_len", "seed", "tol_radius"},
+    ),
+    "decompose": ({"inputs": ("a.json",)}, {"inputs", "levels", "tol_unit", "tol_recon"}),
+    "stripped-checks": ({"inputs": ("a.json", "b.json")}, {"inputs", "levels"}),
+}
+
+# a value away from the default for every setting, and how a usage error names it
+UNREAD_VALUES = {
+    "inputs": (("m.json",), "takes no matrix files"),
+    "schedule": ("single", "reads no --schedule"),
+    "sizes": ((3, 3), "reads no --sizes"),
+    "levels": (2, "reads no --levels"),
+    "seed": (9, "reads no --seed"),
+    "word_len": (7, "reads no --word-len"),
+    "verify": (True, "reads no --verify"),
+    "counterexample": (True, "reads no --counterexample"),
+    **{
+        f"tol_{name}": (1e-300, f"reads no --tol-{name}")
+        for name in ("band", "tri", "radius", "unit", "recon", "bogus")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode, setting",
+    [(mode, setting) for mode, (_, reads) in MODES.items() for setting in UNREAD_VALUES if setting not in reads],
+)
+def test_run_refuses_a_setting_its_mode_does_not_read(capsys, mode, setting):
+    # an unread setting could only be echoed, and would misstate how the verdict was produced
+    base, _ = MODES[mode]
+    value, message = UNREAD_VALUES[setting]
+    if setting.startswith("tol_"):
+        changed = {"tolerances": {setting[4:]: value}}
+    else:
+        changed = {setting: value}
+    config = ExperimentConfig(command=mode.split()[0], **{**base, **changed})
+    with pytest.raises(cli._UsageError) as caught:
+        run(config)
+    assert str(caught.value).startswith(f"{mode} {message}")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["counterexample", "--seed", "9"], "counterexample reads no --seed; counterexample --verify does"),
+        (["counterexample", "--word-len", "7"], "counterexample reads no --word-len; counterexample --verify does"),
+        (
+            ["counterexample", "--levels", "3", "--tol-radius", "1e-300"],
+            "counterexample reads no --tol-radius; counterexample --verify does",
+        ),
+        *(
+            (["certify", "{a}", "{b}", *flags], f"certify reads no {flags[0]}; certify --counterexample does")
+            for flags in (["--schedule", "pair"], ["--schedule", "custom"], ["--sizes", "3,3"])
+        ),
+        (["certify", "--counterexample", "{a}", "{b}"], "certify --counterexample takes no matrix files"),
+        (["certify", "{a}"], "certify takes two matrix files"),
+        (["tridiagonalize", "{a}", "{b}", "{a}"], "tridiagonalize takes one or two matrix files"),
+        # --sizes is read only by a custom schedule
+        (
+            ["counterexample", "--schedule", "pair", "--sizes", "3,3", "--levels", "2"],
+            "--sizes takes --schedule custom, not pair",
+        ),
+        (["counterexample", "--verify", "--sizes", "3,3"], "--sizes takes --schedule custom, not pair"),
+        (
+            ["certify", "--counterexample", "--schedule", "single", "--sizes", "3,3"],
+            "--sizes takes --schedule custom, not single",
+        ),
+    ],
+)
+def test_main_refuses_a_setting_its_mode_does_not_read(tmp_path, capsys, argv, message):
     rng = np.random.default_rng(81)
     pa, pb = write_pair(tmp_path, random_complex(5, 5, rng), random_complex(5, 5, rng))
-    code, out, err = run_cli(capsys, ["certify", pa, pb, *flags])
-    assert (code, out) == (2, "")
-    assert err == "usage error: --schedule and --sizes take --counterexample, not matrix files\n"
+    code, out, err = run_cli(capsys, [arg.format(a=pa, b=pb) for arg in argv])
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_run_refuses_sizes_without_a_custom_schedule(capsys):
+    for config in (
+        ExperimentConfig(command="counterexample", sizes=(3, 3), levels=2),
+        ExperimentConfig(command="certify", counterexample=True, schedule="single", sizes=(3, 3)),
+    ):
+        with pytest.raises(cli._UsageError, match="--sizes takes --schedule custom"):
+            run(config)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_unread_settings_at_their_defaults_are_echoed(tmp_path, capsys):
+    # the norm table reads no tolerance, seed or word length, yet echoes their defaults
+    code, out, err = run_cli(capsys, ["counterexample", "--levels", "2", "--seed", "0", "--tol-radius", "1e-9"])
+    assert (code, err) == (0, "")
+    config = json.loads(out)["config"]
+    assert (config["tolerances"], config["seed"], config["word_len"]) == ({"radius": 1e-09}, 0, None)
+    rng = np.random.default_rng(81)
+    pa, pb = write_pair(tmp_path, random_complex(5, 5, rng), random_complex(5, 5, rng))
     code, out, err = run_cli(capsys, ["certify", pa, pb])
     assert json.loads(out)["config"]["schedule"] is None
 
 
-def test_run_refuses_tolerances_the_command_does_not_read(capsys):
-    with pytest.raises(cli._UsageError, match="triangularize reads no tolerance named bogus, radius"):
-        run(ExperimentConfig(command="triangularize", tolerances={"tri": 1e-9, "radius": 1.0, "bogus": 5.0}))
-    assert capsys.readouterr() == ("", "")
-
-
-@pytest.mark.parametrize("command", ["tridiagonalize", "decompose", "stripped-checks"])
-@pytest.mark.parametrize("setting", [{"seed": 5}, {"word_len": 9}], ids=["seed", "word_len"])
-def test_run_refuses_a_seed_or_word_len_where_nothing_samples(capsys, command, setting):
-    with pytest.raises(cli._UsageError, match=f"{command} reads no seed or word_len"):
-        run(ExperimentConfig(command=command, inputs=("a.json", "b.json"), **setting))
-    assert capsys.readouterr() == ("", "")
+def test_each_subcommand_offers_its_options():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        command: sorted(s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for command, sp in subparsers.choices.items()
+    }
+    output = ["--format", "--out"]
+    assert offered == {
+        "tridiagonalize": sorted(["--tol-band", *output]),
+        "triangularize": sorted(["--seed", "--tol-tri", "--word-len", *output]),
+        "certify": sorted([
+            "--counterexample", "--levels", "--schedule", "--seed", "--sizes",
+            "--tol-radius", "--tol-tri", "--word-len", *output,
+        ]),
+        "counterexample": sorted([
+            "--levels", "--schedule", "--seed", "--sizes", "--tol-radius", "--verify", "--word-len", *output,
+        ]),
+        "decompose": sorted(["--levels", "--tol-recon", "--tol-unit", *output]),
+        "stripped-checks": sorted(["--levels", *output]),
+    }
+    assert sum(map(len, offered.values())) == 35
 
 
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "a-dir"])
@@ -680,7 +793,7 @@ def test_counterexample_verify_single_schedule_first_level_passes(capsys):
 
 @pytest.mark.parametrize("schedule, levels", [("single", 6), ("pair", 5)])
 def test_counterexample_commands_agree_on_levels(capsys, schedule, levels):
-    # --levels past the library's default depth (5 single, 4 pair) reaches certify as well
+    # --levels past 4 (pair) or 5 (single) reaches every command, certify included
     commands = [["certify", "--counterexample"], ["counterexample"]]
     if schedule == "pair":  # --verify refuses the single schedule's size-2 block
         commands.append(["counterexample", "--verify"])

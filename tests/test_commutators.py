@@ -157,7 +157,7 @@ def test_certify_invariant_under_block_conjugation():
 def test_certify_default_depth_and_errors():
     pair = build_counterexample(make_schedule("pair", 3))
     report = certify_commutator(pair.c_op, pair.z_op)
-    # pair default depth is min(4, levels) = 3
+    # n_max=None checks the operators' whole depth
     assert len(report.levels) == 3
     other = random_operator(make_schedule("single", 3), np.random.default_rng(53))
     with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ def test_certify_default_depth_and_errors():
 
 
 def test_spectrum_union_exact_and_random():
-    assert spectrum_union_check([np.diag([1.0, 2.0]), np.diag([3.0])], tol=0.0)
+    assert spectrum_union_check([np.diag([1.0, 2.0]), np.diag([3.0])])
     rng = np.random.default_rng(56)
     for _ in range(100):
         count = int(rng.integers(1, 6))
@@ -193,6 +193,14 @@ def test_stripped_pair_checks_exact_zeros():
             assert rec.diag_max == 0.0
             assert rec.trace_abs == 0.0
             assert rec.max_word_radius == 0.0
+
+
+def test_stripped_pair_checks_default_depth_is_the_whole_schedule():
+    # no kind-specific cap: a depth-5 pair schedule is checked through level 5
+    rng = np.random.default_rng(57)
+    sched = make_schedule("pair", 5)
+    report = stripped_pair_checks(random_operator(sched, rng), random_operator(sched, rng))
+    assert [rec.level for rec in report.levels] == [1, 2, 3, 4, 5]
 
 
 def test_stripped_pair_checks_word_len_zero():
