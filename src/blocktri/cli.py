@@ -390,6 +390,8 @@ def run(config):
     the values used.
     """
     command = config.command
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}")
     modes, options = _modes(command)
     mode = command
     for flag in ("counterexample", "verify"):

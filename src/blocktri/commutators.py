@@ -27,7 +27,7 @@ from .linalg import (
     shift_matrix,
     spectral_radius,
 )
-from .operators import BlockSchedule, BlockTridiagOperator, corner_compression
+from .operators import BlockSchedule, BlockTridiagOperator, _checked_levels, corner_compression
 from .triangular import _word_refutation, _word_witness, simultaneous_triangularize
 
 __all__ = [
@@ -44,16 +44,6 @@ __all__ = [
     "spectrum_union_check",
     "stripped_pair_checks",
 ]
-
-
-def _checked_levels(schedule, n_max):
-    """Number of corner levels to check: ``n_max``, or the whole depth when None."""
-    depth = schedule.levels
-    if n_max is None:
-        return depth
-    if not 1 <= n_max <= depth:
-        raise ValueError(f"n_max {n_max} outside schedule range 1..{depth}")
-    return n_max
 
 
 @dataclass(frozen=True)
@@ -146,9 +136,11 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
     Valid only when the lower coupling blocks vanish through level n: the
     corner is then block upper triangular, diagonal blocks of its word
     products multiply blockwise, and the direct sum of per-block witnesses
-    triangularizes the corner.  Returns a LevelRecord, or None to make the
-    caller fall back to the whole corner (some block inconclusive,
-    or a block word whose trace test fails on the corner).
+    triangularizes the corner.  The first refuted block whose word
+    re-verifies on the corner refutes it, whatever the blocks before it
+    (McCoy).  Returns a LevelRecord, or None to make the caller fall back
+    to the whole corner (no block word refutes the corner, and some block
+    is not triangularizable).
     """
     units = []
     for j in range(1, n + 1):
@@ -156,19 +148,19 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
         if cert is None:
             cert = simultaneous_triangularize(c.diag_block(j), z.diag_block(j), **tri_opts)
             block_certs[j] = cert
-        if cert.verdict == "refuted":
+        if cert.verdict == "triangularizable":
+            units.append(cert.witness_unitary)
+        elif cert.verdict == "refuted":
             witness = _word_witness(cert.refuting_word, [cc], [zc])
-            if witness is None:
-                return None
-            return LevelRecord(
-                level=n, radius=spectral_radius(comm), norm=norm, status="refuted",
-                refuting_word=cert.refuting_word,
-                detail=f"diagonal block pair {j} refuted; word re-verified on the corner: "
-                + _trace_detail(*witness),
-            )
-        if cert.verdict != "triangularizable":
-            return None
-        units.append(cert.witness_unitary)
+            if witness is not None:
+                return LevelRecord(
+                    level=n, radius=spectral_radius(comm), norm=norm, status="refuted",
+                    refuting_word=cert.refuting_word,
+                    detail=f"diagonal block pair {j} refuted; word re-verified on the corner: "
+                    + _trace_detail(*witness),
+                )
+    if len(units) < n:
+        return None
     radius, status = _pinned_radius(_block_diag(units), comm, tol)
     residual = max(block_certs[j].residual for j in range(1, n + 1))
     return LevelRecord(
@@ -187,15 +179,17 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
     (zero up to rounding).  A refuted pair flips the verdict to
     "refuted_hypothesis"; the commutator may still be quasinilpotent,
     refutation only voids this certificate.  When both operators have
-    zero lower couplings through a level, per-block certificates are
-    combined instead of triangularizing the whole corner.
+    zero lower couplings through a level, per-block certificates decide
+    it: their witnesses combine, or a block word that re-verifies on the
+    corner refutes it.  Only when neither happens is the whole corner
+    triangularized; at level 1 the corner is block 1, searched once.
 
     ``n_max`` defaults to the operators' whole depth.  Raises
     ``FloatingPointError`` when a corner commutator overflows.
     """
     if c.schedule != z.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    n_max = _checked_levels(c.schedule, n_max)
+    n_max = _checked_levels(c.levels, n_max, "n_max")
     tri_opts = {"tol": tri_tol, "word_len": word_len, "seed": seed}
     block_certs = {}
     records = []
@@ -209,7 +203,8 @@ def certify_commutator(c, z, n_max=None, tol=1e-9, *, tri_tol=1e-9, word_len=Non
         if c.lower_zero_through(n) and z.lower_zero_through(n):
             record = _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs)
         if record is None:
-            cert = simultaneous_triangularize(cc, zc, **tri_opts)
+            # level 1's corner is diagonal block 1, which the fast path has already searched
+            cert = block_certs[1] if n == 1 else simultaneous_triangularize(cc, zc, **tri_opts)
             record = _record_from_certificate(n, cert, comm, norm, tol)
         records.append(record)
         if record.status == "refuted" and first_refuted is None:
@@ -320,20 +315,20 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
     - (ii) takes the product's spectrum from a 2 x 2 matrix
       (``_power_product_spectrum``), O(k) after an O(k^2) check that k C_j
       is exactly the shift;
-    - (iii) refutes the j-th corner from its diagonal block pairs: a word
-      that refutes one block pair refutes the corner (McCoy).  Each block
-      pair is searched once, by the word search ``simultaneous_triangularize``
-      runs after its Schur flag, with the same ``word_len`` and ``seed``;
-      blocks go smallest first, ties by level.  The first block word whose
-      trace test refutes the whole corner is the clause's word; that test is
-      taken block by block (``_word_witness``), O(k^3) per block.  Only when
-      no block word refutes is the whole corner assembled and searched.  A
-      witness can never refute, so no Schur form is taken;
+    - (iii) refutes the j-th corner from its diagonal block pairs: a
+      corner is refuted when a block word re-verifies on it (McCoy).  Each
+      block pair is searched once, by the word search
+      ``simultaneous_triangularize`` runs after its Schur flag, with the
+      same ``word_len`` and ``seed``; blocks go smallest first, ties by
+      level.  The first block word whose trace test refutes the whole
+      corner is the clause's word; that test is taken block by block
+      (``_word_witness``), O(k^3) per block.  A witness can never refute,
+      so no Schur form is taken;
     - (iv) reads the corner commutator's spectrum as the union of the block
       commutators' spectra from (i).
     """
     sched = pair.schedule
-    n_max = _checked_levels(sched, n_max)
+    n_max = _checked_levels(sched.levels, n_max, "n_max")
     for op in (pair.c_op, pair.z_op):
         if any(op.upper_block(m).any() or op.lower_block(m).any() for m in range(1, n_max)):
             raise ValueError(f"the pair must be block diagonal through level {n_max}")
@@ -379,11 +374,6 @@ def verify_counterexample(pair, n_max=None, tol=1e-9, *, word_len=None, seed=0):
 
     for j in range(2, n_max + 1):
         word = corner_word(j)
-        if word is None:
-            cc = corner_compression(pair.c_op, j)
-            zc = corner_compression(pair.z_op, j)
-            cert = _word_refutation(cc, zc, word_len, seed)
-            word = None if cert is None else cert.refuting_word
         detail = "no refuting word" if word is None else f"verdict refuted, word {word}"
         clauses.append(ClauseResult("corner_pair_refuted", j, word is not None, detail=detail))
     radius = 0.0
@@ -446,7 +436,7 @@ def stripped_pair_checks(k1, k2, n_max=None, tol=1e-9, word_len=4):
     """
     if k1.schedule != k2.schedule:
         raise ValueError("schedule mismatch: operators must share a schedule")
-    n_max = _checked_levels(k1.schedule, n_max)
+    n_max = _checked_levels(k1.levels, n_max, "n_max")
     if word_len < 0:
         raise ValueError("word_len must be nonnegative")
     diag_max = trace_abs = worst_radius = 0.0

@@ -96,13 +96,9 @@ def decompose(t, levels=None):
     block fails to factor.
     """
     if isinstance(t, BlockTridiagOperator):
-        if levels is None:
-            levels = t.levels
-        if not 1 <= levels <= t.levels:
-            raise ValueError(f"levels {levels} outside operator range 1..{t.levels}")
-        sched = t.schedule.truncated(levels)
+        sched = t.schedule.truncated(levels)  # None: every level
         w = None
-        target = corner_compression(t, levels)
+        target = corner_compression(t, sched.levels)
         source = t
     else:
         arr = _as_array(t, square=True, name="t")
@@ -125,7 +121,7 @@ def decompose(t, levels=None):
     for n in range(1, depth + 1):
         block = source.diag_block(n)
         try:
-            form = schur(block, order="modulus")
+            form = schur(block)
         except SchurConvergenceError as exc:
             raise SchurConvergenceError(f"diagonal block {n}: {exc}", residual=exc.residual) from exc
         units.append(form.unitary)

@@ -1,6 +1,6 @@
 """Joint block-tridiagonalization of dense matrices by levelwise Krylov growth.
 
-Starting from a unit vector v, the orthonormal basis grows level by level:
+Starting from e_1, the orthonormal basis grows level by level:
 each new level is spanned by the images of the previous level's block under
 every input operator and its adjoint.  Including adjoints makes entries both
 below AND above the block band vanish, so the transformed matrices are block
@@ -150,14 +150,12 @@ def _stabilized_dim(transformed, schedule):
     return None
 
 
-def block_tridiagonalize(ops, start=None):
-    """Jointly block-tridiagonalize one or two square matrices.
+def block_tridiagonalize(ops):
+    """Jointly block-tridiagonalize one or two square matrices from e_1.
 
     Parameters
     ----------
     ops : sequence of 1 or 2 square matrices, equal size N
-    start : length-N vector, default e_1
-        Seed direction; must be finite and nonzero.
 
     A candidate image counts as a new direction when its residual after
     orthogonalization exceeds ``_RANK_TOL`` times the largest image norm
@@ -173,29 +171,13 @@ def block_tridiagonalize(ops, start=None):
     n_dim = mats[0].shape[0]
     if len(mats) == 2 and mats[0].shape != mats[1].shape:
         raise ValueError(f"operators must share one size, got {mats[0].shape} vs {mats[1].shape}")
-    if start is None:
-        v = np.zeros(n_dim, dtype=np.complex128)
-        v[0] = 1.0
-    else:
-        v = np.array(start, dtype=np.complex128).reshape(-1)
-        if v.size != n_dim:
-            raise ValueError(f"start has length {v.size}, expected {n_dim}")
-        if not np.isfinite(v).all():
-            raise ValueError("start vector must be finite")
-        # the exact power-of-two scaling keeps the norm clear of underflow and overflow
-        _pow2_normalize(v, out=v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ValueError("start vector must be nonzero")
-        v = v / nv
-
     applied = []
     for m in mats:
         applied.append(m)
         applied.append(m.conj().T)
 
     basis = np.zeros((n_dim, n_dim), dtype=np.complex128)
-    basis[:, 0] = v
+    basis[0, 0] = 1.0
     sizes = [1]
     count = 1
     cursor = 0

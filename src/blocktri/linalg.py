@@ -340,25 +340,18 @@ def _reorder_schur(t, q, order):
     return t, q
 
 
-def schur(a, *, order=None):
+def schur(a):
     """Complex Schur factorization ``a = Q T Q*`` with verified residuals.
 
-    Parameters
-    ----------
-    a : square matrix
-    order : None or "modulus"
-        "modulus" reorders the triangular factor so diagonal eigenvalues
-        appear in nonincreasing modulus, ties broken by (real, imag).
-
-    Unitarity, triangularity of the raw factor and reconstruction must
-    each stay within ``_SCHUR_TOL``, the last two relative to the norms
-    of the factor and of ``a``.
+    The triangular factor is reordered so its diagonal eigenvalues appear
+    in nonincreasing modulus, ties broken by (real, imag).  Unitarity,
+    triangularity of the raw factor and reconstruction must each stay
+    within ``_SCHUR_TOL``, the last two relative to the norms of the
+    factor and of ``a``.
 
     Raises ``SchurConvergenceError`` (with the offending residual) instead
     of returning an unverified factorization.
     """
-    if order not in (None, "modulus"):
-        raise ValueError(f"unknown order {order!r}")
     arr = _as_array(a, square=True)
     n = arr.shape[0]
     if n == 1 or _strict_lower_max(arr) == 0.0:
@@ -370,7 +363,7 @@ def schur(a, *, order=None):
             t, q = _lapack.schur(arr)
         except np.linalg.LinAlgError as exc:
             raise SchurConvergenceError(f"QR iteration failed: {exc}") from exc
-    if order == "modulus" and n > 1:
+    if n > 1:
         # nonincreasing |.|, ties by (real, imag), then by position
         d = np.diag(t)
         target = sorted(range(n), key=lambda i: (-abs(d[i]), d[i].real, d[i].imag, i))

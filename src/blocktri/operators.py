@@ -38,6 +38,15 @@ def _pattern_sizes(ratio, levels):
     return tuple(sizes)
 
 
+def _checked_levels(depth, n, name="level"):
+    """``n`` when 1 <= n <= ``depth``, else ``ValueError``; None stands for ``depth``, every level."""
+    if n is None:
+        return depth
+    if not 1 <= n <= depth:
+        raise ValueError(f"{name} {n} outside range 1..{depth}")
+    return n
+
+
 def _level_of(schedule, size):
     """Zero-based schedule level of each of the indices 0..size-1."""
     return np.searchsorted(np.asarray(schedule.cumsums), np.arange(size), side="right")
@@ -81,29 +90,19 @@ class BlockSchedule:
     def levels(self):
         return len(self.sizes)
 
-    def size(self, n):
-        self._check_level(n)
-        return self.sizes[n - 1]
-
     def size_through(self, n):
         """Dimension K_n of the corner through level n."""
-        self._check_level(n)
-        return self.cumsums[n - 1]
+        return self.cumsums[_checked_levels(self.levels, n) - 1]
 
     def block_bounds(self, n):
         """Half-open index range (start, stop) of level n."""
-        self._check_level(n)
+        n = _checked_levels(self.levels, n)
         start = self.cumsums[n - 2] if n > 1 else 0
         return start, self.cumsums[n - 1]
 
     def truncated(self, levels):
-        if not 1 <= levels <= self.levels:
-            raise ValueError(f"cannot truncate {self.levels}-level schedule to {levels}")
+        levels = _checked_levels(self.levels, levels, "levels")
         return BlockSchedule(self.kind, self.sizes[:levels], self.cumsums[:levels])
-
-    def _check_level(self, n):
-        if not 1 <= n <= self.levels:
-            raise ValueError(f"level {n} outside schedule range 1..{self.levels}")
 
 
 def make_schedule(kind, levels=None, *, sizes=None):
@@ -192,22 +191,13 @@ class BlockTridiagOperator:
         return self.schedule.levels
 
     def diag_block(self, n):
-        self._check_level(n)
-        return self._diag[n - 1]
+        return self._diag[_checked_levels(self.levels, n) - 1]
 
     def upper_block(self, n):
-        self._check_level(n, coupling=True)
-        return self._upper[n - 1]
+        return self._upper[_checked_levels(self.levels - 1, n, "coupling level") - 1]
 
     def lower_block(self, n):
-        self._check_level(n, coupling=True)
-        return self._lower[n - 1]
-
-    def _check_level(self, n, coupling=False):
-        top = self.levels - 1 if coupling else self.levels
-        what = "coupling level" if coupling else "level"
-        if not 1 <= n <= top:
-            raise ValueError(f"{what} {n} outside operator range 1..{top}")
+        return self._lower[_checked_levels(self.levels - 1, n, "coupling level") - 1]
 
     def lower_zero_through(self, n):
         """True when lower blocks B_1..B_{n-1} are all exactly zero."""
@@ -220,8 +210,6 @@ def corner_compression(op, n):
     Entries outside the block-tridiagonal band are exact zeros by
     construction.
     """
-    if not 1 <= n <= op.levels:
-        raise ValueError(f"corner level {n} outside operator range 1..{op.levels}")
     return _assemble(op.schedule.truncated(n), op._diag, op._upper, op._lower)
 
 

@@ -218,7 +218,7 @@ def _word_witness(word, a_blocks, b_blocks):
     return _refutation(word, traces, bounds)[1:]
 
 
-def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
+def _mccoy_search(aa, bb, max_word_len, seed, tol):
     """``mccoy_sample``'s search on a square pair: (word, k, trace, bound) of the refuting word, or None.
 
     The trace test is proved on the evaluation that found the word: the
@@ -245,11 +245,11 @@ def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
                 return _refutation(words[i], traces[i], bounds[i])
         # enumeration that ended short of the cap met a vanishing length:
         # every longer word, each sampled one included, is exactly zero
-        if length < cap or max_word_len <= cap or samples <= 0:
+        if length < cap or max_word_len <= cap:
             return None
         rng = np.random.default_rng(seed)
         hits = []
-        for _ in range(samples):
+        for _ in range(_WORD_SAMPLES):
             length = int(rng.integers(cap + 1, max_word_len + 1))
             word = "".join("xy"[i] for i in rng.integers(0, 2, size=length))
             traces, bounds = _one_word_traces(word, pair, tol)
@@ -258,7 +258,7 @@ def _mccoy_search(aa, bb, max_word_len, samples, seed, tol):
     return min(hits, key=lambda hit: (len(hit[0]), hit[0])) if hits else None
 
 
-def mccoy_sample(a, b, max_word_len=6, samples=_WORD_SAMPLES, seed=0, tol=_WORD_MARGIN):
+def mccoy_sample(a, b, max_word_len=6, tol=_WORD_MARGIN):
     """Search for a word w with w(a, b) [a, b] provably not nilpotent.
 
     A word refutes when, for M = w(a, b) [a, b], |tr M| or |tr M^2|
@@ -268,14 +268,14 @@ def mccoy_sample(a, b, max_word_len=6, samples=_WORD_SAMPLES, seed=0, tol=_WORD_
     By McCoy's theorem every pair that is not simultaneously
     triangularizable has such a word.  Words are enumerated exhaustively
     in shortest-then-lexicographic order up to a length cap set by a flop
-    budget, then ``samples`` random longer words (deterministic in
-    ``seed``) are tried; among sampled hits the minimal word in
-    (length, lex) order is returned.  When every word of some length up to
-    the cap is exactly zero, so is every longer word, and the search ends
-    there without sampling.  Returns the first refuting word, or
-    None.  A None can never certify triangularizability.
+    budget, then ``_WORD_SAMPLES`` random longer words, drawn from seed 0
+    (``simultaneous_triangularize``'s default), are tried; among sampled
+    hits the minimal word in (length, lex) order is returned.  When every
+    word of some length up to the cap is exactly zero, so is every longer
+    word, and the search ends there without sampling.  Returns the first
+    refuting word, or None.  A None can never certify triangularizability.
     """
-    hit = _mccoy_search(*_square_pair(a, b), max_word_len, samples, seed, tol)
+    hit = _mccoy_search(*_square_pair(a, b), max_word_len, 0, tol)
     return None if hit is None else hit[0]
 
 
@@ -290,7 +290,7 @@ def _word_refutation(a, b, word_len, seed):
     aa, bb = _square_pair(a, b)
     if word_len is None:
         word_len = max(4, min(aa.shape[0] - 2, 16))
-    hit = _mccoy_search(aa, bb, word_len, _WORD_SAMPLES, seed, _WORD_MARGIN)
+    hit = _mccoy_search(aa, bb, word_len, seed, _WORD_MARGIN)
     if hit is None:
         return None
     word, k, trace, bound = hit

@@ -597,6 +597,14 @@ def test_main_refuses_a_setting_its_mode_does_not_read(tmp_path, capsys, argv, m
     assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
+def test_run_refuses_an_unknown_command(monkeypatch, capsys):
+    # run is public: a command the parser would reject is a usage error there too
+    with pytest.raises(cli._UsageError, match="^unknown command 'bogus'$"):
+        run(ExperimentConfig(command="bogus"))
+    monkeypatch.setattr(cli, "_config_from_args", lambda args: ExperimentConfig(command="bogus"))
+    assert run_cli(capsys, ["stripped-checks", "a.json", "b.json"]) == (2, "", "usage error: unknown command 'bogus'\n")
+
+
 def test_run_refuses_sizes_without_a_custom_schedule(capsys):
     for config in (
         ExperimentConfig(command="counterexample", sizes=(3, 3), levels=2),

@@ -248,7 +248,7 @@ def test_certify_detail_names_the_route():
     z = random_operator(sched, np.random.default_rng(60))
     c = BlockTridiagOperator(
         sched,
-        [2.0 * z.diag_block(j) + 3.0 * np.eye(sched.size(j)) for j in (1, 2, 3)],
+        [2.0 * z.diag_block(j) + 3.0 * np.eye(sched.sizes[j - 1]) for j in (1, 2, 3)],
         [2.0 * z.upper_block(j) for j in (1, 2)],
         [2.0 * z.lower_block(j) for j in (1, 2)],
     )
@@ -262,6 +262,27 @@ def test_certify_detail_names_the_route():
     pair = build_counterexample(sched)
     report = certify_commutator(pair.c_op, pair.z_op, n_max=3)
     assert "word re-verified on the corner: |tr M^" in report.levels[2].detail
+
+
+def test_certify_refutes_past_an_undecided_block(monkeypatch):
+    # block 1, 100 x 100, is undecided; block 2's word xx re-verifies on the
+    # level-2 corner and refutes it, and level 1's corner is block 1 itself
+    pair = build_counterexample(make_schedule("custom", sizes=(100, 4)))
+    searched = []
+    triangularize = commutators.simultaneous_triangularize
+
+    def logged(a, b, **opts):
+        searched.append(a.shape[0])
+        return triangularize(a, b, **opts)
+
+    monkeypatch.setattr(commutators, "simultaneous_triangularize", logged)
+    report = certify_commutator(pair.c_op, pair.z_op)
+    assert [rec.status for rec in report.levels] == ["inconclusive", "refuted"]
+    assert report.levels[0].detail == "whole corner, undecided by Schur flag, words and deflation"
+    assert report.levels[1].detail.startswith("diagonal block pair 2 refuted; word re-verified on the corner: |tr M^")
+    assert report.levels[1].refuting_word == "xx"
+    # no 100 x 100 pair is searched twice, and the 104 x 104 corner not at all
+    assert searched == [100, 4]
 
 
 def test_corner_refutation_takes_no_schur_form(monkeypatch):
@@ -353,51 +374,25 @@ def _dense_work(monkeypatch):
     return assembled, counting(monkeypatch, np.linalg, "matrix_power")
 
 
-@pytest.mark.parametrize("kind, levels", [("pair", 4), ("pair", 5), ("single", 5)])
-def test_verify_counterexample_forms_no_dense_corner(monkeypatch, kind, levels):
+@pytest.mark.parametrize(
+    "schedule, word_len, passed",
+    [
+        pytest.param(make_schedule("pair", 4), None, True, id="pair-4"),
+        pytest.param(make_schedule("pair", 5), None, True, id="pair-5"),
+        # the single schedule's size-2 block fails honestly
+        pytest.param(make_schedule("single", 5), None, False, id="single-5"),
+        # with one-letter words no block word refutes the second corner, which stays unassembled
+        pytest.param(make_schedule("custom", sizes=(100, 4)), 1, False, id="custom-100,4-word-len-1"),
+    ],
+)
+def test_verify_counterexample_forms_no_dense_corner(monkeypatch, schedule, word_len, passed):
     # every corner is block diagonal: its quantities are sums or unions of block quantities
-    pair = build_counterexample(make_schedule(kind, levels))
+    pair = build_counterexample(schedule)
     assembled, powers = _dense_work(monkeypatch)
-    report = verify_counterexample(pair, n_max=levels)
-    assert report.passed == (kind == "pair")  # the single schedule's size-2 block fails honestly
+    report = verify_counterexample(pair, word_len=word_len)
+    assert report.passed == passed
     assert assembled == []
     assert powers == []
-
-
-def test_verify_counterexample_assembles_only_the_corner_it_searches(monkeypatch):
-    # with one-letter words no block word refutes the second corner, so that corner is searched whole
-    pair = build_counterexample(make_schedule("custom", sizes=(100, 4)))
-    assembled, powers = _dense_work(monkeypatch)
-    report = verify_counterexample(pair, word_len=1)
-    assert [cl.detail for cl in report.clauses if cl.clause == "corner_pair_refuted"] == ["no refuting word"]
-    assert assembled == [("corner_compression", 2), ("_assemble", 2)] * 2
-    assert powers == []
-
-
-@pytest.mark.parametrize("sizes", [(1, 4, 20, 100, 3), (100, 4), (3, 4, 5, 6)])
-def test_corner_refutation_falls_back_to_the_whole_corner(monkeypatch, sizes):
-    # when no block word re-verifies on the corner, the whole corner is searched as before
-    schedule = make_schedule("custom", sizes=sizes)
-    pair = build_counterexample(schedule)
-    want = verify_counterexample(pair, n_max=schedule.levels)
-    monkeypatch.setattr(commutators, "_word_witness", lambda word, a, b: None)
-    searched = _searched_sizes(monkeypatch)
-    assembled, powers = _dense_work(monkeypatch)
-    got = verify_counterexample(pair, n_max=schedule.levels)
-    assert got == want
-    # only the corners searched whole are assembled, each operand once; no matrix power is taken
-    steps = ("corner_compression", "_assemble") * 2
-    assert assembled == [(step, j) for j in range(2, schedule.levels + 1) for step in steps]
-    assert powers == []
-    # every corner from level 2 on is searched whole, once (no block has a corner's size here)
-    corners = list(schedule.cumsums[1:])
-    assert [k for k in searched if k in corners] == corners
-    word_len = max(4, min(k - 2 for k in sizes if k >= 3))
-    for cl in (cl for cl in got.clauses if cl.clause == "corner_pair_refuted"):
-        c = corner_compression(pair.c_op, cl.level)
-        z = corner_compression(pair.z_op, cl.level)
-        cert = triangular._word_refutation(c, z, word_len, 0)
-        assert cl.detail == f"verdict refuted, word {cert.refuting_word}"
 
 
 def _dense_word_witness(word, a, b):
@@ -442,6 +437,7 @@ def _dense_clauses(pair, n_max, word_len):
         cc, zc = corners[j - 1]
         candidates = (block_word(m) for m in sorted(range(1, j + 1), key=lambda m: (sizes[m - 1], m)))
         word = next((w for w in candidates if w is not None and _dense_word_witness(w, cc, zc)), None)
+        # the verifier has no whole-corner search; here it checks that such a search decides nothing more
         if word is None:
             cert = triangular._word_refutation(cc, zc, word_len, 0)
             word = None if cert is None else cert.refuting_word

@@ -70,39 +70,39 @@ def test_padded_clips_last_level():
 
 
 def _rotated(mats, n):
-    """Embed ``mats`` in C^n and conjugate by a fixed unitary, so the arithmetic rounds.
+    """Embed ``mats`` in C^n and conjugate by diag(1, V), V a fixed unitary, so the arithmetic rounds.
 
-    Returns the operators and the image of e_1 as the start vector.
+    The unitary fixes e_1, the start of the Krylov sweep.
     """
-    u = haar_unitary(n, np.random.default_rng(0))
+    u = scipy.linalg.block_diag(1.0, haar_unitary(n - 1, np.random.default_rng(0)))
     ops = []
     for m in mats:
         big = np.zeros((n, n), dtype=np.complex128)
         big[: m.shape[0], : m.shape[1]] = m
         ops.append(u @ big @ u.conj().T)
-    return ops, u[:, 0]
+    return ops
 
 
 def _dependent_inputs(name):
-    """Operators and start vector (None for e_1) whose images are dependent."""
+    """Operators whose images are dependent."""
     rng = np.random.default_rng(31)
     if name == "shift":
-        return [shift_matrix(12)], None
+        return [shift_matrix(12)]
     if name == "corner":
-        return [corner_unit(12)], None
+        return [corner_unit(12)]
     if name == "shift-corner":
-        return [shift_matrix(12), corner_unit(12)], None
+        return [shift_matrix(12), corner_unit(12)]
     if name == "rank-one":
-        return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)], None
+        return [random_complex(10, 1, rng) @ random_complex(1, 10, rng)]
     if name == "hermitian":  # each image under a equals the one under its adjoint
         h = random_complex(9, 9, rng)
-        return [h + h.conj().T], None
+        return [h + h.conj().T]
     if name == "block-pair":
         return [
             scipy.linalg.block_diag(random_complex(4, 4, rng), random_complex(5, 5, rng)) for _ in range(2)
-        ], None
+        ]
     if name == "reducing":
-        return [scipy.linalg.block_diag(random_complex(3, 3, rng), random_complex(6, 6, rng))], None
+        return [scipy.linalg.block_diag(random_complex(3, 3, rng), random_complex(6, 6, rng))]
     if name == "rotated-chain":
         # a s = s + 1e-6 x and a* s = s + x: the second image lies in the span of
         # s and the first image's new direction, which is kept from a residual of 1e-6
@@ -138,8 +138,7 @@ _DEPENDENT_SIZES = [
 
 @pytest.mark.parametrize("name, sizes, stabilized", _DEPENDENT_SIZES)
 def test_dependent_images_keep_their_sizes(name, sizes, stabilized):
-    ops, start = _dependent_inputs(name)
-    res = block_tridiagonalize(ops, start=start)
+    res = block_tridiagonalize(_dependent_inputs(name))
     assert res.realized_schedule.sizes == sizes
     assert res.stabilized_dim == stabilized
     q = res.basis
@@ -172,8 +171,7 @@ def test_stabilized_dim_spans_a_reducing_subspace():
     _assert_reduces(res)
     for name, _, stabilized in _DEPENDENT_SIZES:
         if stabilized is not None:
-            ops, start = _dependent_inputs(name)
-            _assert_reduces(block_tridiagonalize(ops, start=start))
+            _assert_reduces(block_tridiagonalize(_dependent_inputs(name)))
 
 
 def _filling_inputs(family):
@@ -187,20 +185,20 @@ def _filling_inputs(family):
     rng = np.random.default_rng(28)
     if family == "padded":
         return [
-            ([random_complex(60, 60, rng)], None, (1, 2, 6, 18, 33)),
-            ([random_complex(30, 30, rng), random_complex(30, 30, rng)], None, (1, 4, 20, 5)),
-            ([random_complex(9, 9, rng)], random_complex(1, 9, rng).ravel(), (1, 2, 6)),
+            ([random_complex(60, 60, rng)], (1, 2, 6, 18, 33)),
+            ([random_complex(30, 30, rng), random_complex(30, 30, rng)], (1, 4, 20, 5)),
+            ([random_complex(9, 9, rng)], (1, 2, 6)),
         ]
     return [
-        ([scipy.linalg.block_diag(random_complex(k, k, rng), random_complex(rest, rest, rng))], None, sizes)
+        ([scipy.linalg.block_diag(random_complex(k, k, rng), random_complex(rest, rest, rng))], sizes)
         for k, rest, sizes in ((4, 5, (1, 2, 6)), (9, 30, (1, 2, 6, 18, 12)))
     ]
 
 
 @pytest.mark.parametrize("family", ["adaptive", "padded"])
 def test_filling_level_is_the_orthogonal_complement(family):
-    for ops, start, sizes in _filling_inputs(family):
-        res = block_tridiagonalize(ops, start=start)
+    for ops, sizes in _filling_inputs(family):
+        res = block_tridiagonalize(ops)
         assert res.realized_schedule.sizes == sizes
         q = res.basis
         assert _filling_leak(res) <= 1e-13
@@ -241,34 +239,11 @@ def test_workload_inputs_keep_their_sizes_and_band_gates():
             assert _norm_excess(verify_block_structure(t, res.realized_schedule), 1e-10, mats) is None
 
 
-def test_start_vector_validation():
-    a = np.eye(3)
+def test_operator_validation():
     with pytest.raises(ValueError):
-        block_tridiagonalize([a], start=np.zeros(3))
-    with pytest.raises(ValueError):
-        block_tridiagonalize([a], start=np.ones(4))
-    for bad in ([np.nan, 1, 1], [np.inf, 0, 0]):
-        with pytest.raises(ValueError, match="finite"):
-            block_tridiagonalize([a], start=bad)
-    with pytest.raises(ValueError):
-        block_tridiagonalize([a, np.eye(4)])
+        block_tridiagonalize([np.eye(3), np.eye(4)])
     with pytest.raises(ValueError):
         block_tridiagonalize([])
-    # starts whose 2-norm underflows or overflows are scaled by a power of two first
-    for start, v in (([1e-320, 0, 0], [1, 0, 0]), ([1e300, 1e300, 0], [0.5**0.5, 0.5**0.5, 0])):
-        res = block_tridiagonalize([a], start=start)
-        assert np.allclose(res.basis[:, 0], v, rtol=0, atol=1e-15)
-
-
-def test_custom_start_changes_basis_not_spectrum():
-    rng = np.random.default_rng(26)
-    a = random_complex(8, 8, rng)
-    start = random_complex(1, 8, rng).ravel()
-    res = block_tridiagonalize([a], start=start)
-    assert match_distance(eigenvalues(a), eigenvalues(res.transformed[0])) <= 1e-8 * operator_norm(a)
-    # first basis column is the normalized start vector, bit for bit: the
-    # power-of-two scaling before the norm is exact
-    assert np.array_equal(res.basis[:, 0], start / np.linalg.norm(start))
 
 
 def test_verify_block_structure_reports_residual():

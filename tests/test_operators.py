@@ -43,7 +43,7 @@ def test_schedule_validation():
         make_schedule("spiral", 2)
     sched = make_schedule("pair", 3)
     with pytest.raises(ValueError):
-        sched.size(4)
+        sched.size_through(4)
     with pytest.raises(ValueError):
         sched.truncated(0)
 

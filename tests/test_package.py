@@ -79,7 +79,7 @@ def test_results_hold_read_only_arrays(tmp_path):
     cert = blocktri.simultaneous_triangularize(np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0]))
     assert cert.witness_unitary is not None
     results = {
-        "SchurForm": blocktri.schur(t, order="modulus"),
+        "SchurForm": blocktri.schur(t),
         "TridiagResult": blocktri.block_tridiagonalize([t, random_complex(9, 9, rng)]),
         "witness_unitary": cert.witness_unitary,
         "DecompositionResult": decomposition,

@@ -8,12 +8,14 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktri import corner_unit, shift_matrix, simultaneous_triangularize, write_matrix
 from blocktri.cli import main
 from helpers import (
+    conjugated_upper_pair,
     degenerate_diagonal_pair,
     haar_unitary,
     jordan_pair,
@@ -58,6 +60,57 @@ def test_verdict_invariant_under_power_of_two_scaling_and_swap(kind, n, seed, ka
     swapped = simultaneous_triangularize(b, a)
     assert swapped.verdict == base.verdict
     assert swapped.refuting_word == _swapped(base.refuting_word)
+
+
+def _conjugated_verdicts(kind, n, seed):
+    """Verdicts of a pair and of the pair conjugated by one Haar unitary, both operands alike.
+
+    "triangularizable" shares a triangularizing unitary by construction,
+    "random" is a Ginibre pair, and "block" the counterexample's block pair
+    shift(n)/n, corner_unit(n)/n, refuted by the word x^(n-2).
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "triangularizable":
+        a, b, _ = conjugated_upper_pair(n, rng)
+    elif kind == "random":
+        a, b = random_complex(n, n, rng), random_complex(n, n, rng)
+    else:
+        a, b = shift_matrix(n) / n, corner_unit(n) / n
+    u = haar_unitary(n, rng)
+    base = simultaneous_triangularize(a, b).verdict
+    conjugated = simultaneous_triangularize(u @ a @ u.conj().T, u @ b @ u.conj().T).verdict
+    # conjugation may leave a verdict undecided, but never turn one decided verdict into the other
+    assert {base, conjugated} != {"triangularizable", "refuted"}
+    return base, conjugated
+
+
+_CONJUGATION_CASES = st.one_of(
+    st.tuples(st.sampled_from(["triangularizable", "random"]), st.integers(2, 12)),
+    st.tuples(st.just("block"), st.integers(3, 9)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_CONJUGATION_CASES, seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_unitary_conjugation(case, seed):
+    kind, n = case
+    expected = "triangularizable" if kind == "triangularizable" else "refuted"
+    assert _conjugated_verdicts(kind, n, seed) == (expected, expected)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_conjugation_never_flips_the_counterexample_blocks(k):
+    # from k = 10 on the conjugated block pair is left undecided, never confirmed triangularizable
+    assert _conjugated_verdicts("block", k, 0)[0] == "refuted"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: the trace bound outgrows |tr M^2| on the conjugated block pair from k = 10 on",
+)
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_conjugated_counterexample_blocks_stay_refuted(k):
+    assert _conjugated_verdicts("block", k, 0) == ("refuted", "refuted")
 
 
 # each command with the sizes of its input files: 25 x 25 pairs, 27 x 27 single inputs
