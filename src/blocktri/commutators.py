@@ -17,7 +17,6 @@ import numpy as np
 
 from .linalg import (
     _as_array,
-    _block_diag,
     _norm_excess,
     corner_unit,
     eigenvalues,
@@ -27,7 +26,7 @@ from .linalg import (
     shift_matrix,
     spectral_radius,
 )
-from .operators import BlockSchedule, BlockTridiagOperator, _checked_levels, corner_compression
+from .operators import BlockSchedule, BlockTridiagOperator, _assemble, _checked_levels, corner_compression
 from .triangular import _word_refutation, _word_witness, simultaneous_triangularize
 
 __all__ = [
@@ -161,7 +160,7 @@ def _block_fast_path(c, z, n, cc, zc, comm, norm, tol, tri_opts, block_certs):
                 )
     if len(units) < n:
         return None
-    radius, status = _pinned_radius(_block_diag(units), comm, tol)
+    radius, status = _pinned_radius(_assemble(c.schedule.truncated(n), units, None, None), comm, tol)
     residual = max(block_certs[j].residual for j in range(1, n + 1))
     return LevelRecord(
         level=n, radius=radius, norm=norm, status=status, residual=residual,
@@ -395,7 +394,7 @@ def spectrum_union_check(blocks):
     mats = [_as_array(b, square=True, name="block") for b in blocks]
     if not mats:
         raise ValueError("need at least one block")
-    assembly = _block_diag(mats)
+    assembly = _assemble(BlockSchedule(tuple(m.shape[0] for m in mats)), mats, None, None)
     union = np.concatenate([eigenvalues(m) for m in mats])
     return _norm_excess(match_distance(eigenvalues(assembly), union), 1e-8, mats, offset=0.0) is None
 

@@ -115,17 +115,11 @@ def _norm_excess(r, tol, scales=(), offset=1.0):
 
 
 def _strict_lower_max(arr):
-    if arr.shape[0] <= 1:
-        return 0.0
-    low = np.tril(arr, -1)
-    return float(np.abs(low).max())
+    return float(np.abs(np.tril(arr, -1)).max())
 
 
 def _strict_upper_max(arr):
-    if arr.shape[1] <= 1:
-        return 0.0
-    up = np.triu(arr, 1)
-    return float(np.abs(up).max())
+    return float(np.abs(np.triu(arr, 1)).max())
 
 
 def eigenvalues(a):
@@ -137,10 +131,7 @@ def eigenvalues(a):
     spurious eps**(1/n) scatter dense QR iteration would produce.
     """
     arr = _as_array(a, square=True)
-    n = arr.shape[0]
-    if n == 1:
-        vals = np.diag(arr).astype(np.complex128)
-    elif _strict_lower_max(arr) == 0.0 or _strict_upper_max(arr) == 0.0:
+    if _strict_lower_max(arr) == 0.0 or _strict_upper_max(arr) == 0.0:
         vals = np.diag(arr).astype(np.complex128)
     else:
         vals = np.linalg.eigvals(arr)
@@ -305,18 +296,6 @@ class SchurForm:
     upper: np.ndarray
 
 
-def _block_diag(blocks):
-    """The complex128 direct sum of square blocks, in order along the diagonal."""
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=np.complex128)
-    start = 0
-    for b in blocks:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
-        start = stop
-    return out
-
-
 def _reorder_schur(t, q, order):
     """Reorder the Schur pair (t, q) so that slot k holds old diagonal entry ``order[k]``.
 
@@ -354,7 +333,7 @@ def schur(a):
     """
     arr = _as_array(a, square=True)
     n = arr.shape[0]
-    if n == 1 or _strict_lower_max(arr) == 0.0:
+    if _strict_lower_max(arr) == 0.0:
         # already upper triangular: take (I, a) so structural zeros survive
         t = np.array(arr, dtype=np.complex128, order="F")
         q = np.eye(n, dtype=np.complex128, order="F")
@@ -363,14 +342,13 @@ def schur(a):
             t, q = _lapack.schur(arr)
         except np.linalg.LinAlgError as exc:
             raise SchurConvergenceError(f"QR iteration failed: {exc}") from exc
-    if n > 1:
-        # nonincreasing |.|, ties by (real, imag), then by position
-        d = np.diag(t)
-        target = sorted(range(n), key=lambda i: (-abs(d[i]), d[i].real, d[i].imag, i))
-        try:
-            t, q = _reorder_schur(t, q, target)
-        except np.linalg.LinAlgError as exc:
-            raise SchurConvergenceError(f"reordering failed: {exc}") from exc
+    # nonincreasing |.|, ties by (real, imag), then by position
+    d = np.diag(t)
+    target = sorted(range(n), key=lambda i: (-abs(d[i]), d[i].real, d[i].imag, i))
+    try:
+        t, q = _reorder_schur(t, q, target)
+    except np.linalg.LinAlgError as exc:
+        raise SchurConvergenceError(f"reordering failed: {exc}") from exc
     discarded = _strict_lower_max(t)
     t = np.triu(t)
     if _norm_excess(discarded, _SCHUR_TOL, (t,)) is not None:

@@ -6,7 +6,7 @@ An operator here is given by its blocks along a size schedule
 A_n (k_n x k_{n+1}), lower coupling blocks B_n (k_{n+1} x k_n).  All
 blocks are held explicitly as read-only ``complex128`` arrays, copied once
 when the operator is built, and an operator is nothing but those blocks.
-Dense corners are assembled from the blocks in one place.
+Dense corners and block diagonals are assembled from blocks in one place.
 """
 
 from __future__ import annotations
@@ -61,30 +61,24 @@ def _off_band_max(arr, schedule):
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Finite block-size schedule ``sizes`` with cumulative sums ``cumsums``.
+    """Finite block-size schedule: the partition ``sizes`` and nothing else.
 
-    ``kind`` is "pair" (1, 4, 20, 100, ...), "single" (1, 2, 6, 18, ...) or
-    "custom" (any positive sizes).
+    Schedules with equal sizes are equal and hash alike, whichever
+    ``make_schedule`` kind built them.  ``cumsums``, the running sums of
+    ``sizes``, is derived from them.
     """
 
-    kind: str
     sizes: tuple
-    cumsums: tuple
 
     def __post_init__(self):
-        if self.kind not in ("pair", "single", "custom"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.sizes:
             raise ValueError("schedule needs at least one level")
         if any((not isinstance(k, int)) or k < 1 for k in self.sizes):
             raise ValueError("block sizes must be positive integers")
-        expected = tuple(itertools.accumulate(self.sizes))
-        if self.cumsums != expected:
-            raise ValueError("cumsums inconsistent with sizes")
-        if self.kind == "pair" and self.sizes != _pattern_sizes(_PAIR_RATIO, self.levels):
-            raise ValueError("sizes do not follow the pair pattern 1, 4*5^(n-2)")
-        if self.kind == "single" and self.sizes != _pattern_sizes(_SINGLE_RATIO, self.levels):
-            raise ValueError("sizes do not follow the single pattern 1, 2*3^(n-2)")
+
+    @property
+    def cumsums(self):
+        return tuple(itertools.accumulate(self.sizes))
 
     @property
     def levels(self):
@@ -101,29 +95,28 @@ class BlockSchedule:
         return start, self.cumsums[n - 1]
 
     def truncated(self, levels):
-        levels = _checked_levels(self.levels, levels, "levels")
-        return BlockSchedule(self.kind, self.sizes[:levels], self.cumsums[:levels])
+        return BlockSchedule(self.sizes[: _checked_levels(self.levels, levels, "levels")])
 
 
 def make_schedule(kind, levels=None, *, sizes=None):
-    """Build a BlockSchedule.
+    """Build a BlockSchedule of one of three kinds.
 
     ``kind="pair"`` or ``"single"`` take a positive ``levels`` count and
     produce the saturated-growth patterns (1, 4, 20, ...) resp.
-    (1, 2, 6, ...).  ``kind="custom"`` requires explicit ``sizes``.
+    (1, 2, 6, ...).  ``kind="custom"`` requires explicit positive
+    ``sizes``.  The kind only chooses the sizes; it is not stored.
     """
+    if kind not in ("pair", "single", "custom"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
     if kind == "custom":
         if sizes is None:
             raise ValueError("custom kind requires explicit sizes")
-        sizes = tuple(int(k) for k in sizes)
-    else:
-        if sizes is not None:
-            raise ValueError(f"{kind!r} kind derives its sizes; do not pass sizes")
-        if levels is None or levels < 1:
-            raise ValueError("levels must be a positive integer")
-        ratio = _PAIR_RATIO if kind == "pair" else _SINGLE_RATIO
-        sizes = _pattern_sizes(ratio, levels)
-    return BlockSchedule(kind, sizes, tuple(itertools.accumulate(sizes)))
+        return BlockSchedule(tuple(int(k) for k in sizes))
+    if sizes is not None:
+        raise ValueError(f"{kind!r} kind derives its sizes; do not pass sizes")
+    if levels is None or levels < 1:
+        raise ValueError("levels must be a positive integer")
+    return BlockSchedule(_pattern_sizes(_PAIR_RATIO if kind == "pair" else _SINGLE_RATIO, levels))
 
 
 def _level_slices(schedule):
@@ -134,9 +127,10 @@ def _level_slices(schedule):
 def _assemble(schedule, diag, upper, lower):
     """Dense matrix over ``schedule`` from block sequences.
 
-    A ``None`` sequence or block stands for zeros; sequences may run past
-    the schedule's depth, the excess is ignored.  Entries outside the band
-    are exact zeros.
+    The one assembler from blocks: operator corners and, with ``upper``
+    and ``lower`` None, block diagonals.  A ``None`` sequence or block
+    stands for zeros; sequences may run past the schedule's depth, the
+    excess is ignored.  Entries outside the band are exact zeros.
     """
     size = schedule.cumsums[-1]
     out = np.zeros((size, size), dtype=np.complex128)

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocktri import _lapack, commutators, operators, triangular
 from blocktri import (
     BlockTridiagOperator,
+    block_tridiagonalize,
     build_counterexample,
     certify_commutator,
     corner_compression,
@@ -31,7 +33,7 @@ from blocktri.commutators import (
     StrippedChecksReport,
     StrippedLevelRecord,
 )
-from blocktri.linalg import _block_diag, eigenvalues, match_distance
+from blocktri.linalg import eigenvalues, match_distance
 from helpers import (
     block_diag_triangularizable_pair,
     conjugated_upper_pair,
@@ -144,7 +146,7 @@ def test_certify_invariant_under_block_conjugation():
     sched = make_schedule("pair", 3)
     c_op, z_op = block_diag_triangularizable_pair(sched, rng)
     # a level-respecting unitary: the direct sum of one Haar block per level
-    u = _block_diag([haar_unitary(k, rng) for k in sched.sizes])
+    u = scipy.linalg.block_diag(*(haar_unitary(k, rng) for k in sched.sizes))
     c_conj, z_conj = (
         operator_from_matrix(u.conj().T @ corner_compression(op, 3) @ u, sched, band_tol=1e-12)
         for op in (c_op, z_op)
@@ -164,6 +166,22 @@ def test_certify_default_depth_and_errors():
         certify_commutator(pair.c_op, other)
     with pytest.raises(ValueError):
         certify_commutator(pair.c_op, pair.z_op, n_max=9)
+
+
+def test_schedules_with_equal_sizes_are_one_schedule():
+    # a realized schedule, a pair pattern and custom sizes that agree are the same partition
+    rng = np.random.default_rng(58)
+    a, b = random_complex(25, 25, rng), random_complex(25, 25, rng)
+    tri = block_tridiagonalize([a, b])
+    scheds = [tri.realized_schedule, make_schedule("pair", 3), make_schedule("custom", sizes=(1, 4, 20))]
+    assert scheds[0] == scheds[1] == scheds[2]
+    assert len({hash(s) for s in scheds}) == 1
+    c_op, z_op = (
+        operator_from_matrix(t, sched, band_tol=1e-9, band_scale=(a, b))
+        for t, sched in zip(tri.transformed, scheds)
+    )
+    assert certify_commutator(c_op, z_op).levels
+    assert stripped_pair_checks(c_op, z_op).passed
 
 
 def test_spectrum_union_exact_and_random():
@@ -480,7 +498,7 @@ def test_blockwise_trace_test_never_refutes_a_triangularizable_direct_sum(seed):
         b_blocks = [b * 2.0**eb for _, b in blocks]
         for word in words:
             assert triangular._word_witness(word, a_blocks, b_blocks) is None, (word, ea, eb)
-    a, b = (_block_diag(ops) for ops in zip(*blocks))
+    a, b = (scipy.linalg.block_diag(*ops) for ops in zip(*blocks))
     assert all(_dense_word_witness(word, a, b) is None for word in words)
 
 

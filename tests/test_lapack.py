@@ -11,7 +11,8 @@ import scipy.linalg
 
 import blocktri
 from blocktri import _lapack
-from blocktri.linalg import _block_diag, _reorder_schur
+from blocktri.linalg import _reorder_schur
+from blocktri.operators import _assemble, make_schedule
 from helpers import random_complex
 
 SIZES = (1, 2, 5, 17, 64, 129)
@@ -81,8 +82,8 @@ def test_block_diag_is_scipy_bit_for_bit():
     blocks = [random_complex(k, k, rng) for k in (1, 4, 2, 20)]
     blocks[2] = blocks[2].real.copy()
     expected = scipy.linalg.block_diag(*blocks).astype(np.complex128)
-    assert_same_bits(_block_diag(blocks), expected)
-    assert_same_bits(_block_diag(blocks[:1]), blocks[0])
+    assert_same_bits(_assemble(make_schedule("custom", sizes=(1, 4, 2, 20)), blocks, None, None), expected)
+    assert_same_bits(_assemble(make_schedule("custom", sizes=(1,)), blocks[:1], None, None), blocks[0])
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 64])

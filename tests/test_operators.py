@@ -26,6 +26,10 @@ def test_schedule_patterns():
     assert custom.size_through(2) == 8
     assert custom.block_bounds(2) == (3, 8)
     assert custom.truncated(2).sizes == (3, 5)
+    # a schedule is its sizes: the kind that built it is not kept
+    assert pair.truncated(3) == make_schedule("custom", sizes=(1, 4, 20)) == make_schedule("pair", 3)
+    assert hash(single.truncated(2)) == hash(make_schedule("custom", sizes=[1, 2]))
+    assert pair != single and not hasattr(pair, "kind")
 
 
 def test_schedule_validation():

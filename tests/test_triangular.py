@@ -113,13 +113,27 @@ def test_mccoy_refutations_verify():
     assert hits > 0
 
 
-def test_mccoy_deterministic():
-    rng = np.random.default_rng(38)
-    a = random_complex(6, 6, rng)
-    b = random_complex(6, 6, rng)
-    w1 = mccoy_sample(a, b, max_word_len=8)
-    w2 = mccoy_sample(a, b, max_word_len=8)
-    assert w1 == w2
+def test_mccoy_deterministic(monkeypatch):
+    # the counterexample block pair: no length vanishes below the cap of 10,
+    # so each call samples words of length 11..12, and none refutes
+    a, b = scaled_block_pair(30)
+    assert triangular._exhaustive_cap(30, 12) == 10
+    sampled = []
+    evaluate = triangular._one_word_traces
+
+    def spy(word, pair, tol):
+        sampled.append(word)
+        return evaluate(word, pair, tol)
+
+    monkeypatch.setattr(triangular, "_one_word_traces", spy)
+    w1 = mccoy_sample(a, b, max_word_len=12)
+    first = list(sampled)
+    sampled.clear()
+    w2 = mccoy_sample(a, b, max_word_len=12)
+    assert w1 is None and w2 is None
+    assert len(first) == triangular._WORD_SAMPLES == 64
+    assert all(11 <= len(w) <= 12 for w in first)
+    assert sampled == first
 
 
 def test_triangularize_conjugated_pairs():
